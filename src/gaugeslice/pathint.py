@@ -16,14 +16,22 @@ schedule steps.
 
 Because the integrand factorizes across slices, the nested sum is evaluated
 exactly as a chain of per-slice transfer contractions (vector of mesh values,
-one dense kernel application per slice) instead of a literal loop over the
-product grid.  The two are identical term by term; tests check this against a
+one kernel application per slice) instead of a literal loop over the product
+grid.  The two are identical term by term; tests check this against a
 brute-force nested sum on tiny meshes.
+
+In one dimension a mesh is a union of uniform pieces, the free kernel between
+two pieces is a chirp-modulated Toeplitz matrix and the gauge increment
+A(x) - A(y) is a pair of diagonal phases, so a transfer costs one FFT
+convolution per pair of pieces (Bluestein's chirp-z identity).  Higher
+dimensions apply the dense kernel matrix, which also serves as the test oracle
+for the 1D path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +76,24 @@ def _subtract_gaps(lo: float, hi: float, cuts: list[tuple[float, float]]):
                 out.append((b, d))
         intervals = out
     return tuple(intervals)
+
+
+class MeshPiece(NamedTuple):
+    """``count`` midpoint cells of width ``spacing`` starting at ``lo``."""
+
+    lo: float
+    count: int
+    spacing: float
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.lo + (np.arange(self.count) + 0.5) * self.spacing
+
+
+def _nodes_and_weights(pieces) -> tuple[np.ndarray, np.ndarray]:
+    nodes = np.concatenate([p.nodes for p in pieces])
+    weights = np.concatenate([np.full(p.count, p.spacing) for p in pieces])
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -116,23 +142,31 @@ class ExcisionRegion:
             axes.append(_subtract_gaps(lo, hi, cuts))
         return cls(tuple(axes))
 
-    def axis_mesh(self, axis: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoint nodes and weights along one axis, one submesh per interval."""
-        nodes, weights = [], []
+    def axis_pieces(self, axis: int, h: float) -> tuple[MeshPiece, ...]:
+        """Uniform midpoint submeshes along one axis, one per interval, spacing at most h."""
+        pieces = []
         for a, b in self.axis_intervals[axis]:
             m = max(1, int(np.ceil((b - a) / h)))
-            hh = (b - a) / m
-            nodes.append(a + (np.arange(m) + 0.5) * hh)
-            weights.append(np.full(m, hh))
-        return np.concatenate(nodes), np.concatenate(weights)
+            pieces.append(MeshPiece(a, m, (b - a) / m))
+        return tuple(pieces)
+
+    def axis_mesh(self, axis: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """Midpoint nodes and weights along one axis, one submesh per interval."""
+        return _nodes_and_weights(self.axis_pieces(axis, h))
 
 
 class _TensorMesh:
-    """Tensor-product midpoint mesh over an excised region."""
+    """Tensor-product midpoint mesh over an excised region.
 
-    def __init__(self, axes_nodes, axes_weights):
-        self.axes_nodes = [np.asarray(v, float) for v in axes_nodes]
-        self.axes_weights = [np.asarray(v, float) for v in axes_weights]
+    Each axis is a union of uniform pieces; the structured 1D transfer works
+    piece by piece, so the pieces are kept alongside the flattened nodes.
+    """
+
+    def __init__(self, axes_pieces):
+        self.axes_pieces = list(axes_pieces)
+        meshes = [_nodes_and_weights(p) for p in self.axes_pieces]
+        self.axes_nodes = [nodes for nodes, _ in meshes]
+        self.axes_weights = [weights for _, weights in meshes]
         self.dims = tuple(len(v) for v in self.axes_nodes)
         self.ndim = len(self.dims)
         self.size = int(np.prod(self.dims))
@@ -145,14 +179,13 @@ class _TensorMesh:
 
     @classmethod
     def from_region(cls, region: ExcisionRegion, h: float) -> "_TensorMesh":
-        nodes, weights = zip(*(region.axis_mesh(b, h) for b in range(region.ndim)))
-        return cls(list(nodes), list(weights))
+        return cls([region.axis_pieces(b, h) for b in range(region.ndim)])
 
     @classmethod
     def from_grid(cls, grid: Grid) -> "_TensorMesh":
-        nodes = [grid.axis_coords(b) for b in range(grid.ndim)]
-        weights = [np.full(grid.shape[b], grid.spacing[b]) for b in range(grid.ndim)]
-        return cls(nodes, weights)
+        return cls(
+            [(MeshPiece(grid.lo[b], grid.shape[b], grid.spacing[b]),) for b in range(grid.ndim)]
+        )
 
     def other_axis_raveled(self, axis: int) -> np.ndarray:
         """Flat index over all axes except ``axis`` for every mesh point."""
@@ -273,6 +306,72 @@ def _transfer(
             phase += pair_gauge.block(rows)
         out[rows] = np.exp(1j * phase) @ u
     return out
+
+
+def _chirp_block(target: MeshPiece, source: MeshPiece, v: np.ndarray, eps: float) -> np.ndarray:
+    """sum_j exp(i (x_i - y_j)^2 / 4 eps) v_j between two uniform pieces.
+
+    With x_i = x0 + i hx, y_j = y0 + j hy and d = x0 - y0 the square expands to
+    d^2 + 2 d (i hx - j hy) + i^2 hx^2 + j^2 hy^2 - 2 i j hx hy.  Writing
+    -2 i j = (i - j)^2 - i^2 - j^2 (Bluestein's chirp-z identity) turns the cross
+    term into a convolution with the chirp exp(i hx hy k^2 / 4 eps), leaving
+    diagonal chirps hx (hx - hy) i^2 and hy (hy - hx) j^2 that vanish when the
+    spacings agree.  The convolution is one zero-padded FFT product.
+    """
+    hx, hy = target.spacing, source.spacing
+    mt, ms = target.count, source.count
+    d = (target.lo + 0.5 * hx) - (source.lo + 0.5 * hy)
+    i = np.arange(mt)
+    j = np.arange(ms)
+    k = np.arange(-(ms - 1), mt)
+    chirp = np.exp(1j * (hx * hy / (4.0 * eps)) * (k * k))
+    pre = np.exp(1j * (hy * (hy - hx) * j * j - 2.0 * d * hy * j) / (4.0 * eps)) * v
+    size = 1 << (len(k) - 1).bit_length()
+    conv = np.fft.ifft(np.fft.fft(chirp, size) * np.fft.fft(pre, size))[ms - 1 : ms - 1 + mt]
+    return np.exp(1j * (d * d + 2.0 * d * hx * i + hx * (hx - hy) * i * i) / (4.0 * eps)) * conv
+
+
+def _transfer_1d(
+    target: _TensorMesh,
+    source: _TensorMesh,
+    u: np.ndarray,
+    eps: float,
+    vector: VectorPotentialSpec | None,
+) -> np.ndarray:
+    """Same result as :func:`_transfer` in one dimension, one FFT per pair of pieces.
+
+    The 1D gauge increment is A(x) - A(y) with A the antiderivative of a, so it
+    enters as a diagonal phase on each side of the kernel.
+    """
+    if vector is not None:
+        nodes = np.concatenate([target.axes_nodes[0], source.axes_nodes[0]])
+        big_a = _cumulative_gl_lines(vector, 0, nodes, np.zeros((1, 1)))[:, 0]
+        u = u * np.exp(-1j * big_a[target.size:])
+    source_pieces = source.axes_pieces[0]
+    parts = np.split(u, np.cumsum([p.count for p in source_pieces])[:-1])
+    out = np.concatenate(
+        [
+            sum(_chirp_block(tp, sp, v, eps) for sp, v in zip(source_pieces, parts))
+            for tp in target.axes_pieces[0]
+        ]
+    )
+    if vector is not None:
+        out *= np.exp(1j * big_a[: target.size])
+    return out
+
+
+def _apply_kernel(
+    target: _TensorMesh,
+    source: _TensorMesh,
+    u: np.ndarray,
+    eps: float,
+    vector: VectorPotentialSpec | None,
+) -> np.ndarray:
+    """One-slice kernel transfer (without prefactor): structured in 1D, dense otherwise."""
+    if target.ndim == 1:
+        return _transfer_1d(target, source, u, eps, vector)
+    pair_gauge = _PairwiseGauge(vector, target, source) if vector is not None else None
+    return _transfer(target, source, u, eps, pair_gauge)
 
 
 def kernel_prefactor(ndim: int, eps: float, slices: int, exponent: str = "composed") -> complex:
@@ -450,8 +549,7 @@ def raw_sliced_amplitude(
     u = psi_fn(meshes[0].points) * meshes[0].weights
     for j in range(k):
         source, target = meshes[j], meshes[j + 1]
-        pair_gauge = _PairwiseGauge(vector, target, source) if vector is not None else None
-        u = _transfer(target, source, u, eps, pair_gauge)
+        u = _apply_kernel(target, source, u, eps, vector)
         if scalar is not None:
             u = u * np.exp(-1j * eps * scalar(target.points))
         u = u * target.weights
@@ -564,7 +662,6 @@ def operator_vs_kernel_consistency(
     source = _TensorMesh.from_region(region, source_h)
     target = _TensorMesh.from_grid(grid)
     u = psi_fn(source.points) * source.weights
-    pair_gauge = _PairwiseGauge(vector, target, source)
-    vals = kernel_prefactor(grid.ndim, eps, 1) * _transfer(target, source, u, eps, pair_gauge)
+    vals = kernel_prefactor(grid.ndim, eps, 1) * _apply_kernel(target, source, u, eps, vector)
     via_kernel = WaveFunction(grid, vals.reshape(grid.shape))
     return l2_norm(WaveFunction(grid, via_operator.values - via_kernel.values))

@@ -24,6 +24,7 @@ from .fields import (
     Grid,
     ScalarPotentialSpec,
     VectorPotentialSpec,
+    WaveFunction,
     collect_singularities,
     gaussian_evaluator,
     gaussian_wave,
@@ -373,17 +374,30 @@ def _fit_loglog_slope(x, y) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
+def dense_evolution(scenario: Scenario, max_dense: int = reference.DENSE_SIZE_CAP) -> WaveFunction:
+    """The initial state evolved to the scenario time by the dense reference.
+
+    Raises :class:`SizeError` when the grid exceeds ``max_dense`` points.
+    """
+    ham = reference.assemble_hamiltonian(
+        scenario.grid, scenario.vector, scenario.scalar, stencil="spectral", max_size=max_dense
+    )
+    return reference.expm_evolve(ham, scenario.initial_state.on_grid(scenario.grid), scenario.time)
+
+
 def run_trotter_study(scenario: Scenario, max_dense: int = reference.DENSE_SIZE_CAP,
-                      threads: int = 1) -> Report:
-    """Split-step error against dense matrix-exponential evolution per slice count."""
+                      threads: int = 1, exact: WaveFunction | None = None) -> Report:
+    """Split-step error against dense matrix-exponential evolution per slice count.
+
+    ``exact`` is the :func:`dense_evolution` of the scenario, computed here if
+    not given.
+    """
     report = Report(scenario.name)
     start = time.perf_counter()
     grid = scenario.grid
-    ham = reference.assemble_hamiltonian(
-        grid, scenario.vector, scenario.scalar, stencil="spectral", max_size=max_dense
-    )
+    if exact is None:
+        exact = dense_evolution(scenario, max_dense)
     psi0 = scenario.initial_state.on_grid(grid)
-    exact = reference.expm_evolve(ham, psi0, scenario.time)
 
     def one_k(k: int):
         op = splitstep.SliceOperator(
@@ -484,8 +498,13 @@ def _closed_form_free_amplitude(scenario: Scenario) -> complex:
     return complex(np.trapezoid(phi_vals * psi_vals, x))
 
 
-def run_amplitude_study(scenario: Scenario, max_dense: int = reference.DENSE_SIZE_CAP) -> Report:
-    """Excised path-integral amplitudes vs split-step / dense / closed-form oracles."""
+def run_amplitude_study(scenario: Scenario, max_dense: int = reference.DENSE_SIZE_CAP,
+                        exact: WaveFunction | None = None) -> Report:
+    """Excised path-integral amplitudes vs split-step / dense / closed-form oracles.
+
+    ``exact`` is the :func:`dense_evolution` of the scenario; without it the
+    dense oracle is computed here when the grid is within ``max_dense``.
+    """
     report = Report(scenario.name)
     start = time.perf_counter()
     params = scenario.amplitude_params
@@ -503,12 +522,9 @@ def run_amplitude_study(scenario: Scenario, max_dense: int = reference.DENSE_SIZ
     free = scenario.scalar is None and scenario.vector is None
     rel_tol = scenario.checks.get("amplitude_rel_tol")
 
-    dense_ref = None
-    if grid.size <= max_dense:
-        ham = reference.assemble_hamiltonian(
-            grid, scenario.vector, scenario.scalar, stencil="spectral", max_size=max_dense
-        )
-        dense_ref = pair_bilinear(phi_grid, reference.expm_evolve(ham, psi_grid, scenario.time))
+    if exact is None and grid.size <= max_dense:
+        exact = dense_evolution(scenario, max_dense)
+    dense_ref = pair_bilinear(phi_grid, exact) if exact is not None else None
 
     for k in slices_list:
         eps = scenario.time / k
@@ -566,10 +582,16 @@ def run_amplitude_study(scenario: Scenario, max_dense: int = reference.DENSE_SIZ
 def run_all(scenario: Scenario, max_dense: int = reference.DENSE_SIZE_CAP, threads: int = 1) -> Report:
     report = Report(scenario.name)
     report.merge(run_gauge_check(scenario))
+    # one dense diagonalisation serves both the Trotter and the amplitude oracle
+    start = time.perf_counter()
     try:
-        report.merge(run_trotter_study(scenario, max_dense=max_dense, threads=threads))
+        exact = dense_evolution(scenario, max_dense)
     except SizeError as exc:
+        exact = None
         report.diagnostics["trotter_skipped"] = str(exc)
+    report.timings["dense_reference"] = time.perf_counter() - start
+    if exact is not None:
+        report.merge(run_trotter_study(scenario, max_dense=max_dense, threads=threads, exact=exact))
     if scenario.amplitude_params:
-        report.merge(run_amplitude_study(scenario, max_dense=max_dense))
+        report.merge(run_amplitude_study(scenario, max_dense=max_dense, exact=exact))
     return report

@@ -138,7 +138,7 @@ def test_criterion_5_amplitude_identity():
         estimate = gs.amplitude_quadrature(phi_h, psi_h, t, 3, schedule, scalar=scalar)
         report = gs.amplitude_error_report(estimate, split_ref)
         assert report.rel_error <= 1e-2
-        assert time.perf_counter() - start < 300.0
+        assert time.perf_counter() - start < 10.0
 
 
 def test_criterion_6_prefactor_forcing():

@@ -29,7 +29,10 @@ from gaugeslice import (
 from gaugeslice.fields import Grid
 from gaugeslice.pathint import (
     AmplitudeEstimate,
+    _PairwiseGauge,
     _TensorMesh,
+    _transfer,
+    _transfer_1d,
     phase_mesh_spacing,
     raw_sliced_amplitude,
 )
@@ -138,7 +141,8 @@ class TestBoxSchedule:
 
 
 class TestBruteForceDual:
-    def test_chained_transfers_match_nested_sum(self):
+    @staticmethod
+    def assert_matches_nested_sum(region, h):
         # two slices, coarse 1D meshes: sum the integrand literally over the
         # product grid and compare with the factorized evaluation
         eps = 0.25
@@ -146,8 +150,6 @@ class TestBruteForceDual:
         vector = VectorPotentialSpec((lambda p: 0.4 * np.sin(p[..., 0]),))
         phi = gaussian_evaluator(center=0.5, ndim=1)
         psi = gaussian_evaluator(momentum=1.0, ndim=1)
-        region = ExcisionRegion.build(1, 2.0)
-        h = 0.5
         fast = raw_sliced_amplitude(
             phi, psi, eps, 2, [region] * 3, h, vector=vector, scalar=scalar
         )
@@ -170,12 +172,60 @@ class TestBruteForceDual:
         brute *= pref
         assert fast == pytest.approx(complex(brute), rel=1e-9)
 
+    def test_chained_transfers_match_nested_sum(self):
+        self.assert_matches_nested_sum(ExcisionRegion.build(1, 2.0), 0.5)
+
+    def test_chained_transfers_match_nested_sum_excised(self):
+        # the gap around 0.3 leaves pieces of 5 cells of 0.44 and 4 cells of
+        # 0.4, so the cross-piece transfers have unequal spacings
+        region = ExcisionRegion.build(1, 2.0, singular_points=[(0.3,)], gap=0.1)
+        assert [p.spacing for p in region.axis_pieces(0, 0.5)] == pytest.approx([0.44, 0.4])
+        self.assert_matches_nested_sum(region, 0.5)
+
     def test_region_count_validated(self):
         region = ExcisionRegion.build(1, 2.0)
         with pytest.raises(ValueError):
             raw_sliced_amplitude(
                 gaussian_evaluator(), gaussian_evaluator(), 0.1, 2, [region] * 2, 0.5
             )
+
+
+class TestStructuredTransfer:
+    """The 1D FFT transfer against the dense kernel matrix it replaces."""
+
+    MESHES = {
+        # one piece at the size of the last free_1d schedule step
+        "uniform": lambda: (
+            _TensorMesh.from_region(ExcisionRegion.build(1, 8.35), phase_mesh_spacing(0.1, 8.35)),
+        ) * 2,
+        # two pieces each; all four spacings differ
+        "excised": lambda: (
+            _TensorMesh.from_region(ExcisionRegion.build(1, 5.0, [(0.7,)], 1e-2), 0.01),
+            _TensorMesh.from_region(ExcisionRegion.build(1, 5.3, [(0.7,)], 3e-3), 0.011),
+        ),
+        # the operator_vs_kernel_consistency shape: grid target, finer source
+        "grid": lambda: (
+            _TensorMesh.from_grid(Grid((-6.0,), (6.0,), (64,))),
+            _TensorMesh.from_region(ExcisionRegion.build(1, [(-6.0, 6.0)]), 0.004),
+        ),
+    }
+
+    @pytest.mark.parametrize("mesh", sorted(MESHES))
+    @pytest.mark.parametrize("with_vector", [False, True], ids=["free", "gauge"])
+    def test_matches_dense_transfer(self, mesh, with_vector):
+        target, source = self.MESHES[mesh]()
+        vector = (
+            VectorPotentialSpec((lambda p: 0.5 * np.sin(2.0 * np.pi * p[..., 0] / 16.0),))
+            if with_vector
+            else None
+        )
+        rng = np.random.default_rng(3)
+        u = rng.normal(size=source.size) + 1j * rng.normal(size=source.size)
+        eps = 0.1
+        pair_gauge = _PairwiseGauge(vector, target, source) if with_vector else None
+        dense = _transfer(target, source, u, eps, pair_gauge)
+        fast = _transfer_1d(target, source, u, eps, vector)
+        assert np.linalg.norm(fast - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
 class TestKernelAgainstClosedForm:

@@ -12,9 +12,12 @@ from gaugeslice.scenarios import (
     VECTOR_FAMILIES,
     Report,
     _fit_loglog_slope,
+    run_all,
+    run_amplitude_study,
     run_gauge_check,
     run_trotter_study,
 )
+from gaugeslice import reference
 
 
 def minimal_config(**overrides):
@@ -152,3 +155,28 @@ class TestStudies:
         serial = run_trotter_study(s, threads=1)
         parallel = run_trotter_study(s, threads=2)
         assert serial.diagnostics["trotter_errors"] == parallel.diagnostics["trotter_errors"]
+
+    def test_run_all_shares_one_dense_evolution(self, monkeypatch):
+        amplitude = {"slices": [1], "r_start": 5.0, "steps": 2, "tail_window": 2}
+        s = scenario_from_dict(minimal_config(amplitude=amplitude))
+        separate = run_trotter_study(s).rows + run_amplitude_study(s).rows
+
+        assembled = []
+        original = reference.assemble_hamiltonian
+
+        def counting(*args, **kwargs):
+            assembled.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(reference, "assemble_hamiltonian", counting)
+        combined = run_all(s)
+        assert len(assembled) == 1
+        dense_rows = [
+            (r.quantity, r.k_or_step, r.value, r.reference)
+            for r in combined.rows if r.oracle == "dense"
+        ]
+        assert dense_rows == [
+            (r.quantity, r.k_or_step, r.value, r.reference)
+            for r in separate if r.oracle == "dense"
+        ]
+        assert any(q == "amplitude" for q, *_ in dense_rows)
