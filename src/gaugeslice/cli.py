@@ -3,7 +3,8 @@
 Subcommands ``trotter``, ``amplitude``, ``gauge`` and ``all`` each load a
 scenario file, run the corresponding study, write a CSV table and a JSON
 diagnostics document into the output directory, and exit 0 only if every
-configured assertion passed.
+configured assertion passed, 1 if one failed and 2 if the run could not be
+completed (an unreadable scenario or a tripped cap).
 """
 
 from __future__ import annotations
@@ -48,7 +49,12 @@ def _print_summary(report: scenarios.Report) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    scenario = scenarios.load_scenario(args.scenario)
+    try:
+        scenario = scenarios.load_scenario(args.scenario)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: cannot load scenario {args.scenario}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2
 
     try:
         if args.command == "trotter":

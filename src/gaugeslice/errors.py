@@ -18,7 +18,12 @@ class GridMismatchError(GaugesliceError):
 
 
 class QuadratureDivergenceError(GaugesliceError):
-    """Adaptive line-integral quadrature failed to converge off the singular set."""
+    """A line integral off the registered singular set is non-finite or unresolved.
+
+    Raised when the integrand is non-finite at a quadrature node, or when the
+    order-15 and order-7 Gauss-Legendre values on some segment still differ by
+    more than the tolerance after the fixed number of bisection rounds.
+    """
 
 
 class EigenFailureError(GaugesliceError):

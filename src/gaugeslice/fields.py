@@ -8,7 +8,7 @@ symmetric box) is never a grid node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -120,7 +120,6 @@ class ScalarPotentialSpec:
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     singular_points: tuple[tuple[float, ...], ...] = ()
-    declared_class: str = ""
 
     def __post_init__(self):
         object.__setattr__(
@@ -137,7 +136,6 @@ class VectorPotentialSpec:
 
     components: tuple[Callable[[np.ndarray], np.ndarray], ...]
     singular_points: tuple[tuple[float, ...], ...] = ()
-    declared_class: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -153,10 +151,6 @@ class VectorPotentialSpec:
         return np.asarray(self.components[axis](np.asarray(points, dtype=float)), dtype=float)
 
 
-def zero_vector_potential(ndim: int) -> VectorPotentialSpec:
-    return VectorPotentialSpec(tuple(lambda p: np.zeros(p.shape[:-1]) for _ in range(ndim)))
-
-
 @dataclass(frozen=True)
 class SingularPointSet:
     """Deduplicated union of registered singular points with provenance."""
@@ -166,11 +160,6 @@ class SingularPointSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def as_array(self, ndim: int) -> np.ndarray:
-        if not self.points:
-            return np.zeros((0, ndim))
-        return np.asarray(self.points, dtype=float)
 
 
 def collect_singularities(
@@ -269,17 +258,8 @@ def gaussian_wave(grid: Grid, center=0.0, width=1.0, momentum=0.0) -> WaveFuncti
 
     Along each axis: (2 pi w^2)^(-1/4) exp(-(x-c)^2/(4 w^2) + i p (x - c)).
     """
-    center = np.broadcast_to(np.atleast_1d(np.asarray(center, float)), (grid.ndim,))
-    width = np.broadcast_to(np.atleast_1d(np.asarray(width, float)), (grid.ndim,))
-    momentum = np.broadcast_to(np.atleast_1d(np.asarray(momentum, float)), (grid.ndim,))
-    vals = np.ones(grid.shape, dtype=complex)
-    mesh = grid.meshgrid()
-    for b in range(grid.ndim):
-        x = mesh[b] - center[b]
-        vals = vals * (2.0 * np.pi * width[b] ** 2) ** (-0.25) * np.exp(
-            -(x**2) / (4.0 * width[b] ** 2) + 1j * momentum[b] * x
-        )
-    return WaveFunction(grid, vals)
+    evaluate = gaussian_evaluator(center, width, momentum, grid.ndim)
+    return WaveFunction(grid, evaluate(grid.points()).reshape(grid.shape))
 
 
 def gaussian_evaluator(center=0.0, width=1.0, momentum=0.0, ndim: int = 1):

@@ -9,9 +9,13 @@ its per-slice increment between two points (frozen coordinates taken from the
 *earlier* point), and the comparison against the midpoint-rule term
 (x1 - x0) . a((x1 + x0)/2) used by the physics discretization.
 
-All line integrals use adaptive Gauss-Kronrod quadrature (QUADPACK) with a
-tight absolute tolerance: the phases enter unit-modulus exponents, so phase
-error has to sit well below per-slice phase scales.
+Every line integral in the package goes through :func:`cumulative_axis_integral`
+(or its per-segment core), vectorized over all lines that share an axis.  Each
+segment between consecutive breakpoints takes the order-15 Gauss-Legendre value;
+the order-7 value on the same segment is the error estimate, and segments where
+the two differ by more than ``LINE_INTEGRAL_TOL`` on any line are bisected.  The
+phases enter unit-modulus exponents, so phase error has to sit well below
+per-slice phase scales.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureDivergenceError, SingularNodeError
 from .fields import (
@@ -30,11 +33,20 @@ from .fields import (
     sample_field,
 )
 
-DEFAULT_TOL = 1e-10
+# Absolute bound on |order-15 - order-7| per segment and line before bisecting.
+LINE_INTEGRAL_TOL = 1e-10
+MAX_BISECTION_ROUNDS = 40
+# Refined segments times lines above this count are reported as divergence
+# rather than evaluated, bounding the memory of a field that never resolves.
+_MAX_REFINED_LINE_SEGMENTS = 1 << 18
 
 # Paths passing within this distance of a registered singular point are
-# flagged rather than integrated; excised quadrature never requests them.
+# flagged rather than evaluated; excised quadrature never requests them.
 PATH_SINGULAR_TOL = 1e-9
+
+_HIGH_NODES, _HIGH_WEIGHTS = np.polynomial.legendre.leggauss(15)
+_LOW_NODES, _LOW_WEIGHTS = np.polynomial.legendre.leggauss(7)
+_NODES = np.concatenate([_HIGH_NODES, _LOW_NODES])
 
 
 @dataclass(frozen=True)
@@ -60,71 +72,104 @@ def _segment_hits_singularity(p0: np.ndarray, p1: np.ndarray, singular_points, t
     return False
 
 
-def _axis_integrand(vector: VectorPotentialSpec, axis: int, frozen: np.ndarray):
-    def f(y: float) -> float:
-        p = frozen.copy()
-        p[axis] = y
-        return float(vector.component(axis, p))
+def _segment_integrals(
+    vector: VectorPotentialSpec, axis: int, lo, hi, frozen: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integral of a_axis over [lo[s], hi[s]] on every line, and its error estimate.
 
-    return f
+    ``frozen`` has shape (U, n), one row of off-axis coordinates per line; its
+    axis column is ignored.  Both results have shape (S, U).  A segment flagged
+    on any line is bisected for all lines, so the breakpoints stay shared.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    lines = frozen.shape[0]
+    values = np.zeros((len(lo), lines))
+    errors = np.zeros((len(lo), lines))
+    owner = np.arange(len(lo))
+    for _ in range(MAX_BISECTION_ROUNDS):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        pts = np.broadcast_to(frozen, (len(lo), len(_NODES)) + frozen.shape).copy()
+        pts[..., axis] = (mid[:, None] + half[:, None] * _NODES)[:, :, None]
+        vals = vector.component(axis, pts)  # (S, nodes, U)
+        k = len(_HIGH_NODES)
+        high = half[:, None] * np.einsum("snu,n->su", vals[:, :k], _HIGH_WEIGHTS)
+        low = half[:, None] * np.einsum("snu,n->su", vals[:, k:], _LOW_WEIGHTS)
+        finite = np.isfinite(high).all(axis=1) & np.isfinite(low).all(axis=1)
+        if not finite.all():
+            s = int(np.argmin(finite))
+            raise QuadratureDivergenceError(
+                f"line integral on [{lo[s]}, {hi[s]}] along axis {axis} is not finite"
+            )
+        err = np.abs(high - low)
+        flagged = err.max(axis=1, initial=0.0) > LINE_INTEGRAL_TOL
+        np.add.at(values, owner[~flagged], high[~flagged])
+        np.add.at(errors, owner[~flagged], err[~flagged])
+        if not flagged.any():
+            return values, errors
+        lo, mid, hi, owner = lo[flagged], mid[flagged], hi[flagged], owner[flagged]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        owner = np.concatenate([owner, owner])
+        if len(lo) * lines > _MAX_REFINED_LINE_SEGMENTS:
+            break
+    raise QuadratureDivergenceError(
+        f"line integral along axis {axis} did not converge near [{lo[0]}, {hi[0]}] "
+        f"(estimate differences above {LINE_INTEGRAL_TOL} after bisection)"
+    )
 
 
-def _quad_segment(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    if a == b:
-        return 0.0, 0.0
-    val, err, info = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=1)[:3]
-    if not np.isfinite(val) or err > max(100.0 * tol, 1e-8 * abs(val)):
-        raise QuadratureDivergenceError(
-            f"line integral on [{a}, {b}] did not converge (estimate {val}, error {err})"
-        )
-    return float(val), float(err)
+def cumulative_axis_integral(
+    vector: VectorPotentialSpec, axis: int, coords, frozen: np.ndarray
+) -> np.ndarray:
+    """Integral of a_axis from 0 to each of ``coords``, for every line of ``frozen``.
+
+    ``frozen`` has shape (U, n) and its axis column is ignored; the result has
+    shape (len(coords), U).  Breakpoints are the sorted coordinates plus 0, so
+    consecutive coordinates share their partial integrals.
+    """
+    coords = np.asarray(coords, dtype=float)
+    breaks = np.unique(np.concatenate([coords, [0.0]]))
+    seg, _ = _segment_integrals(vector, axis, breaks[:-1], breaks[1:], frozen)
+    cum = np.concatenate([np.zeros((1, frozen.shape[0])), np.cumsum(seg, axis=0)])
+    cum -= cum[np.searchsorted(breaks, 0.0)]
+    return cum[np.searchsorted(breaks, coords)]
 
 
-def gauge_phase(
-    vector: VectorPotentialSpec, axis: int, x, tol: float = DEFAULT_TOL
-) -> LineIntegralResult:
+def gauge_phase(vector: VectorPotentialSpec, axis: int, x) -> LineIntegralResult:
     """Line integral of component ``axis`` from 0 to ``x[axis]`` along that axis."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     p0 = x.copy()
     p0[axis] = 0.0
     if _segment_hits_singularity(p0, x, vector.singular_points, PATH_SINGULAR_TOL):
         return LineIntegralResult(np.nan, np.inf, True)
-    f = _axis_integrand(vector, axis, x)
-    val, err = _quad_segment(f, 0.0, float(x[axis]), tol)
-    return LineIntegralResult(val, err, False)
+    val, err = _segment_integrals(vector, axis, [0.0], [x[axis]], x[None, :])
+    return LineIntegralResult(float(val[0, 0]), float(err[0, 0]), False)
 
 
-def segment_gauge_increment(
-    vector: VectorPotentialSpec, axis: int, x1, x0, tol: float = DEFAULT_TOL
-) -> float:
+def segment_gauge_increment(vector: VectorPotentialSpec, axis: int, x1, x0) -> float:
     """Integral of a_axis over [x0[axis], x1[axis]], other coordinates frozen at x0.
 
     Antisymmetric under swapping the axis coordinates of the two endpoints.
     """
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    p0 = x0.copy()
     p1 = x0.copy()
     p1[axis] = x1[axis]
-    if _segment_hits_singularity(p0, p1, vector.singular_points, PATH_SINGULAR_TOL):
+    if _segment_hits_singularity(x0, p1, vector.singular_points, PATH_SINGULAR_TOL):
         raise SingularNodeError(
-            f"gauge segment along axis {axis} from {p0} to {p1} crosses a singular point"
+            f"gauge segment along axis {axis} from {x0} to {p1} crosses a singular point"
         )
-    f = _axis_integrand(vector, axis, x0)
-    val, _ = _quad_segment(f, float(x0[axis]), float(x1[axis]), tol)
-    return val
+    val, _ = _segment_integrals(vector, axis, [x0[axis]], [x1[axis]], x0[None, :])
+    return float(val[0, 0])
 
 
-def slice_gauge_increment(vector: VectorPotentialSpec, x1, x0, tol: float = DEFAULT_TOL) -> float:
+def slice_gauge_increment(vector: VectorPotentialSpec, x1, x0) -> float:
     """Sum of the per-axis segment increments between two slice points."""
-    return float(
-        sum(segment_gauge_increment(vector, l, x1, x0, tol) for l in range(vector.ndim))
-    )
+    return float(sum(segment_gauge_increment(vector, l, x1, x0) for l in range(vector.ndim)))
 
 
-def midpoint_discrepancy(
-    vector: VectorPotentialSpec, x1, x0, tol: float = DEFAULT_TOL
-) -> float:
+def midpoint_discrepancy(vector: VectorPotentialSpec, x1, x0) -> float:
     """|slice increment - (x1 - x0) . a(midpoint)|.
 
     The midpoint form is the physics discretization; for smooth fields the
@@ -137,61 +182,20 @@ def midpoint_discrepancy(
         if np.max(np.abs(mid - np.asarray(w, dtype=float))) <= PATH_SINGULAR_TOL:
             raise SingularNodeError(f"midpoint {mid} coincides with singular point {w}")
     a_mid = np.array([float(vector.component(l, mid)) for l in range(vector.ndim)])
-    exact = slice_gauge_increment(vector, x1, x0, tol)
+    exact = slice_gauge_increment(vector, x1, x0)
     return float(abs(exact - np.dot(x1 - x0, a_mid)))
 
 
-def cumulative_line_integral(
-    vector: VectorPotentialSpec,
-    axis: int,
-    coords: np.ndarray,
-    frozen: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """Integral of a_axis from 0 to each of ``coords`` with frozen off-axis values.
+def gauge_phase_table(vector: VectorPotentialSpec, axis: int, grid: Grid) -> np.ndarray:
+    """Gauge phase sampled on every grid node, shape ``grid.shape``.
 
-    Shares partial integrals between consecutive coordinates, so a whole grid
-    line costs one adaptive quadrature per segment.
+    One vectorized call covers every grid line along ``axis``.
     """
-    coords = np.asarray(coords, dtype=float)
-    order = np.argsort(coords)
-    sorted_c = coords[order]
-    breaks = np.concatenate([sorted_c, [0.0]])
-    breaks = np.unique(breaks)
-    f = _axis_integrand(vector, axis, np.asarray(frozen, dtype=float))
-    # cumulative values at every breakpoint, anchored at 0
-    zero_idx = int(np.searchsorted(breaks, 0.0))
-    seg = np.zeros(len(breaks))
-    for i in range(len(breaks) - 1):
-        seg[i + 1], _ = _quad_segment(f, float(breaks[i]), float(breaks[i + 1]), tol)
-    cum = np.cumsum(seg)
-    cum -= cum[zero_idx]
-    out = np.interp(coords, breaks, cum)
-    return out
-
-
-def gauge_phase_table(
-    vector: VectorPotentialSpec, axis: int, grid: Grid, tol: float = DEFAULT_TOL
-) -> np.ndarray:
-    """Gauge phase sampled on every grid node, shape ``grid.shape``."""
-    coords = grid.axis_coords(axis)
-    out = np.zeros(grid.shape)
-    other_axes = [b for b in range(grid.ndim) if b != axis]
-    other_coords = [grid.axis_coords(b) for b in other_axes]
-    if other_axes:
-        index_iter = np.ndindex(*(grid.shape[b] for b in other_axes))
-    else:
-        index_iter = [()]
-    for idx in index_iter:
-        frozen = np.zeros(grid.ndim)
-        for b, i in zip(other_axes, idx):
-            frozen[b] = other_coords[other_axes.index(b)][i]
-        line = cumulative_line_integral(vector, axis, coords, frozen, tol)
-        key = [slice(None)] * grid.ndim
-        for b, i in zip(other_axes, idx):
-            key[b] = i
-        out[tuple(key)] = line
-    return out
+    points = grid.points().reshape(grid.shape + (grid.ndim,))
+    lines = np.moveaxis(points, axis, 0)[0].reshape(-1, grid.ndim)
+    cum = cumulative_axis_integral(vector, axis, grid.axis_coords(axis), lines)
+    other_shape = tuple(n for b, n in enumerate(grid.shape) if b != axis)
+    return np.moveaxis(cum.reshape((grid.shape[axis],) + other_shape), 0, axis)
 
 
 def spectral_derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
@@ -207,9 +211,7 @@ def spectral_derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray
     return np.fft.ifft(mult * np.fft.fft(values, axis=axis), axis=axis)
 
 
-def gauge_conjugation_residual(
-    vector: VectorPotentialSpec, axis: int, psi: WaveFunction, tol: float = DEFAULT_TOL
-) -> float:
+def gauge_conjugation_residual(vector: VectorPotentialSpec, axis: int, psi: WaveFunction) -> float:
     """L2 residual of the conjugation identity on one axis.
 
     Compares conjugating the momentum operator by the gauge phase against the
@@ -217,7 +219,7 @@ def gauge_conjugation_residual(
     spectral differentiation.  Small for smooth periodic data.
     """
     grid = psi.grid
-    lam = gauge_phase_table(vector, axis, grid, tol)
+    lam = gauge_phase_table(vector, axis, grid)
     a_vals = sample_field(vector, grid, component=axis)
     inner = np.exp(-1j * lam) * psi.values
     lhs = np.exp(1j * lam) * (-1j * spectral_derivative(inner, grid, axis))

@@ -35,13 +35,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapExceededError, ScheduleError, SingularNodeError
+from .errors import CapExceededError, ScheduleError
 from . import gauge
 from .fields import (
     Grid,
     ScalarPotentialSpec,
     VectorPotentialSpec,
     WaveFunction,
+    _check_nodes_off_singular,
     gaussian_evaluator,
     l2_norm,
 )
@@ -196,42 +197,12 @@ class _TensorMesh:
         return np.ravel_multi_index(idx, dims)
 
 
-_GL_ORDER = 8
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
-
-
-def _cumulative_gl_lines(
-    vector: VectorPotentialSpec, axis: int, s_values: np.ndarray, frozen: np.ndarray
-) -> np.ndarray:
-    """Integral of a_axis from 0 to each s, for every frozen off-axis combination.
-
-    ``frozen`` has shape (U, n); its axis column is ignored.  Fixed-order
-    Gauss-Legendre per segment between consecutive breakpoints, vectorized over
-    all lines at once; the segments are mesh-fine, so fixed order is ample for
-    fields smooth on the excised region.
-    """
-    s_values = np.asarray(s_values, float)
-    breaks = np.unique(np.concatenate([s_values, [0.0]]))
-    nseg = len(breaks) - 1
-    u_count = frozen.shape[0]
-    mid = 0.5 * (breaks[:-1] + breaks[1:])
-    half = 0.5 * (breaks[1:] - breaks[:-1])
-    y = mid[:, None] + half[:, None] * _GL_NODES[None, :]  # (nseg, order)
-    pts = np.broadcast_to(frozen[None, None, :, :], (nseg, _GL_ORDER, u_count, frozen.shape[1])).copy()
-    pts[..., axis] = y[:, :, None]
-    vals = vector.component(axis, pts)  # (nseg, order, U)
-    seg = half[:, None] * np.einsum("sou,o->su", vals, _GL_WEIGHTS)
-    cum = np.concatenate([np.zeros((1, u_count)), np.cumsum(seg, axis=0)], axis=0)
-    zero_idx = int(np.searchsorted(breaks, 0.0))
-    cum -= cum[zero_idx][None, :]
-    return cum[np.searchsorted(breaks, s_values)]
-
-
 class _PairwiseGauge:
     """Slice gauge increments between every target/source point pair.
 
-    For axis l the increment integrates a_l from the source l-coordinate to
-    the target l-coordinate with every other coordinate frozen at the source.
+    For axis l the increment is the line integral of a_l from the source
+    l-coordinate to the target l-coordinate, every other coordinate frozen at
+    the source.
     Cumulative antiderivative tables are precomputed per frozen combination, so
     per-pair evaluation is table lookups only.
     """
@@ -258,7 +229,7 @@ class _PairwiseGauge:
                     frozen[:, b] = gmesh.ravel()
             else:
                 frozen = np.zeros((1, n))
-            cum = _cumulative_gl_lines(vector, l, s_all, frozen)
+            cum = gauge.cumulative_axis_integral(vector, l, s_all, frozen)
             tab_t = cum[: len(tc)]
             tab_s = cum[len(tc):]
             self.tables_t.append(tab_t)
@@ -274,13 +245,6 @@ class _PairwiseGauge:
             out += tab_t[ti[:, None], self.source_uidx[l][None, :]]
         out -= self.source_term[None, :]
         return out
-
-
-def _check_points_off_singular(points: np.ndarray, singular_points) -> None:
-    for w in singular_points:
-        d = np.max(np.abs(points - np.asarray(w, float)), axis=-1)
-        if np.min(d) <= gauge.PATH_SINGULAR_TOL:
-            raise SingularNodeError(f"quadrature point coincides with singular point {w}")
 
 
 def _transfer(
@@ -345,7 +309,7 @@ def _transfer_1d(
     """
     if vector is not None:
         nodes = np.concatenate([target.axes_nodes[0], source.axes_nodes[0]])
-        big_a = _cumulative_gl_lines(vector, 0, nodes, np.zeros((1, 1)))[:, 0]
+        big_a = gauge.cumulative_axis_integral(vector, 0, nodes, np.zeros((1, 1)))[:, 0]
         u = u * np.exp(-1j * big_a[target.size:])
     source_pieces = source.axes_pieces[0]
     parts = np.split(u, np.cumsum([p.count for p in source_pieces])[:-1])
@@ -414,7 +378,7 @@ def discrete_action(
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[0] < 2:
         raise ValueError("need at least two slice points")
-    _check_points_off_singular(xs, singular_points)
+    _check_nodes_off_singular(xs, singular_points, gauge.PATH_SINGULAR_TOL)
     total = 0.0
     for j in range(xs.shape[0] - 1):
         x0, x1 = xs[j], xs[j + 1]
@@ -641,7 +605,8 @@ def operator_vs_kernel_consistency(
     """L2 gap between the per-axis gauge-split slice and the single-kernel slice.
 
     The split operator threads updated coordinates through successive axes; the
-    slice kernel freezes all non-integrated coordinates at the earlier point.
+    slice kernel freezes the coordinates off each line-integral axis at the
+    earlier point.
     For one dimension (or constant fields) the two coincide; in general the
     difference is O(eps) and is reported as a diagnostic, not asserted zero.
     """

@@ -62,7 +62,6 @@ class DiscretizedHamiltonian:
     grid: Grid
     matrix: np.ndarray
     stencil: str
-    symmetrized: bool = True
     _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:

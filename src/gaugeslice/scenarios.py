@@ -56,7 +56,7 @@ def _scalar_harmonic(ndim, params):
     def evaluate(p):
         return strength * np.sum((p - center) ** 2, axis=-1)
 
-    return ScalarPotentialSpec(evaluate, declared_class="smooth")
+    return ScalarPotentialSpec(evaluate)
 
 
 def _scalar_constant(ndim, params):
@@ -65,7 +65,7 @@ def _scalar_constant(ndim, params):
     def evaluate(p):
         return np.full(p.shape[:-1], value)
 
-    return ScalarPotentialSpec(evaluate, declared_class="L^inf")
+    return ScalarPotentialSpec(evaluate)
 
 
 def _scalar_step(ndim, params):
@@ -76,9 +76,7 @@ def _scalar_step(ndim, params):
     def evaluate(p):
         return np.where(p[..., 0] > edge, height, 0.0)
 
-    return ScalarPotentialSpec(
-        evaluate, singular_points=(edge_point,), declared_class="L^inf, discontinuous"
-    )
+    return ScalarPotentialSpec(evaluate, singular_points=(edge_point,))
 
 
 def _scalar_regularized_coulomb(ndim, params):
@@ -89,7 +87,7 @@ def _scalar_regularized_coulomb(ndim, params):
     def evaluate(p):
         return -charge / np.sqrt(np.sum((p - center) ** 2, axis=-1) + soft**2)
 
-    return ScalarPotentialSpec(evaluate, declared_class="smooth (regularized)")
+    return ScalarPotentialSpec(evaluate)
 
 
 def _scalar_inverse_power(ndim, params):
@@ -102,9 +100,7 @@ def _scalar_inverse_power(ndim, params):
         with np.errstate(divide="ignore"):
             return coeff * r ** (-power)
 
-    return ScalarPotentialSpec(
-        evaluate, singular_points=(tuple(center),), declared_class="L^p_loc singular"
-    )
+    return ScalarPotentialSpec(evaluate, singular_points=(tuple(center),))
 
 
 SCALAR_FAMILIES = {
@@ -127,7 +123,7 @@ def _vector_constant(ndim, params):
     def make(l):
         return lambda p: np.full(p.shape[:-1], values[l])
 
-    return VectorPotentialSpec(tuple(make(l) for l in range(ndim)), declared_class="L^inf")
+    return VectorPotentialSpec(tuple(make(l) for l in range(ndim)))
 
 
 def _vector_sinusoidal(ndim, params):
@@ -138,7 +134,7 @@ def _vector_sinusoidal(ndim, params):
         freq = 2.0 * np.pi / period[l]
         return lambda p: amplitude[l] * np.sin(freq * p[..., l])
 
-    return VectorPotentialSpec(tuple(make(l) for l in range(ndim)), declared_class="smooth")
+    return VectorPotentialSpec(tuple(make(l) for l in range(ndim)))
 
 
 def _vector_constant_field_2d(ndim, params):
@@ -149,7 +145,7 @@ def _vector_constant_field_2d(ndim, params):
         lambda p: -0.5 * b * p[..., 1],
         lambda p: 0.5 * b * p[..., 0],
     )
-    return VectorPotentialSpec(comps, declared_class="smooth (symmetric gauge)")
+    return VectorPotentialSpec(comps)
 
 
 def _vector_linear(ndim, params):
@@ -160,7 +156,7 @@ def _vector_linear(ndim, params):
     def make(l):
         return lambda p: np.einsum("m,...m->...", matrix[l], p)
 
-    return VectorPotentialSpec(tuple(make(l) for l in range(ndim)), declared_class="smooth")
+    return VectorPotentialSpec(tuple(make(l) for l in range(ndim)))
 
 
 VECTOR_FAMILIES = {

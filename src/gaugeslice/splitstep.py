@@ -90,7 +90,6 @@ class SliceOperator:
         vector: VectorPotentialSpec | None,
         slicing: TimeSlicing,
         axis_order: tuple[int, ...] | None = None,
-        quad_tol: float = gauge.DEFAULT_TOL,
     ):
         if vector is not None and vector.ndim != grid.ndim:
             raise ValueError("vector potential dimension must match the grid")
@@ -116,9 +115,7 @@ class SliceOperator:
         # gauge phase tables are eps-independent, so they are sampled once here
         self.gauge_tables: list[np.ndarray] | None
         if vector is not None:
-            self.gauge_tables = [
-                gauge.gauge_phase_table(vector, l, grid, quad_tol) for l in range(grid.ndim)
-            ]
+            self.gauge_tables = [gauge.gauge_phase_table(vector, l, grid) for l in range(grid.ndim)]
             for l, tab in enumerate(self.gauge_tables):
                 _check_unit_modulus(np.exp(1j * tab), f"gauge axis {l}")
         else:

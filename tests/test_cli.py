@@ -50,6 +50,19 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_missing_scenario_gives_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "no_such_scenario.json"
+        code = cli.main(["gauge", "--scenario", str(missing), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_malformed_scenario_gives_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"schema_version": 1, "name": ')
+        code = cli.main(["gauge", "--scenario", str(bad), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
     def test_trotter_pass(self, tmp_path):
         scen = write_scenario(tmp_path)
         code = cli.main(["trotter", "--scenario", str(scen), "--out", str(tmp_path / "r")])

@@ -1,10 +1,15 @@
 """Line-integral gauge phases against closed-form antiderivatives."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaugeslice
 from gaugeslice import (
     Grid,
     QuadratureDivergenceError,
@@ -19,7 +24,8 @@ from gaugeslice import (
     segment_gauge_increment,
     slice_gauge_increment,
 )
-from gaugeslice.gauge import cumulative_line_integral, spectral_derivative
+from gaugeslice.gauge import cumulative_axis_integral, spectral_derivative
+from gaugeslice.scenarios import VECTOR_FAMILIES
 
 
 def sin_potential_1d():
@@ -39,6 +45,20 @@ class TestGaugePhase:
         res = gauge_phase(sin_potential_1d(), 0, [0.7])
         assert not res.crossed_singularity
         assert res.value == pytest.approx(1.0 - np.cos(0.7), abs=1e-12)
+
+    def test_long_oscillating_path_is_refined(self):
+        # ~3 periods on one segment: a single order-15 rule is off by ~3e-11,
+        # so meeting 1e-12 needs the bisection
+        res = gauge_phase(sin_potential_1d(), 0, [20.0])
+        assert res.value == pytest.approx(1.0 - np.cos(20.0), abs=1e-12)
+        assert res.estimated_error < 1e-10
+
+    def test_unresolvable_oscillation_raises(self):
+        # ~1.6e6 periods on [0, 10]: bisection would need millions of segments,
+        # so the refinement budget stops it instead of exhausting memory
+        vec = VectorPotentialSpec((lambda p: np.sin(1e6 * p[..., 0]),))
+        with pytest.raises(QuadratureDivergenceError):
+            gauge_phase(vec, 0, [10.0])
 
     def test_negative_coordinate(self):
         res = gauge_phase(sin_potential_1d(), 0, [-1.3])
@@ -145,8 +165,9 @@ class TestTables:
         vec = bilinear_potential_2d()
         coords = np.array([-1.0, -0.25, 0.5, 1.5])
         frozen = np.array([0.0, 1.7])
-        cum = cumulative_line_integral(vec, 0, coords, frozen)
-        for c, v in zip(coords, cum):
+        cum = cumulative_axis_integral(vec, 0, coords, frozen[None, :])
+        assert cum.shape == (len(coords), 1)
+        for c, v in zip(coords, cum[:, 0]):
             ref = gauge_phase(vec, 0, [c, 1.7]).value
             assert v == pytest.approx(ref, abs=1e-10)
 
@@ -157,6 +178,54 @@ class TestTables:
         x = g.axis_coords(0)[:, None]
         y = g.axis_coords(1)[None, :]
         assert np.allclose(tab, 0.5 * x**2 * y, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("sinusoidal", {"amplitude": [0.5, 0.8], "period": [16.0, 5.0]}),
+            ("constant-field-2d", {"field": 1.3}),
+            ("linear", {"matrix": [[0.2, -0.7], [1.1, 0.4]]}),
+        ],
+    )
+    def test_table_matches_scalar_quad_oracle(self, family, params):
+        # scipy's adaptive QUADPACK is kept as an independent test-only oracle
+        from scipy.integrate import quad
+
+        vec = VECTOR_FAMILIES[family](2, params)
+        g = Grid((-8.0, -6.0), (8.0, 6.0), (7, 5))
+        for axis in range(2):
+            tab = gauge_phase_table(vec, axis, g)
+            for idx in np.ndindex(*g.shape):
+                point = np.array([g.axis_coords(b)[i] for b, i in enumerate(idx)])
+
+                def integrand(s):
+                    p = point.copy()
+                    p[axis] = s
+                    return float(vec.component(axis, p))
+
+                ref = quad(integrand, 0.0, point[axis], epsabs=1e-13, epsrel=1e-13)[0]
+                assert tab[idx] == pytest.approx(ref, abs=1e-12)
+
+    def test_table_detects_unregistered_pole(self):
+        # a_1 = 1 / (x - 0.36) is not integrable across the grid, nothing registers it
+        vec = VectorPotentialSpec(
+            (lambda p: 1.0 / (p[..., 0] - 0.36), lambda p: np.zeros(p.shape[:-1]))
+        )
+        g = Grid((-1.0, -1.0), (1.0, 1.0), (6, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(QuadratureDivergenceError):
+                gauge_phase_table(vec, 0, g)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(gaugeslice.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, gaugeslice; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestSpectral:
