@@ -30,6 +30,7 @@ for the 1D path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -392,11 +393,10 @@ def discrete_action(
 
 @dataclass(frozen=True)
 class BoxSchedule:
-    """Monotone schedule of outer radii, gap radii and mesh spacings."""
+    """Monotone schedule of outer radii and gap radii."""
 
     radii: tuple[float, ...]
     gaps: tuple[float, ...]
-    mesh_h: tuple[float, ...] | None = None
     tail_window: int = DEFAULT_TAIL_WINDOW
 
     def __post_init__(self):
@@ -412,10 +412,6 @@ class BoxSchedule:
             raise ScheduleError("outer radii must be strictly increasing")
         if any(b > a for a, b in zip(gaps, gaps[1:])):
             raise ScheduleError("gap radii must shrink monotonically")
-        if self.mesh_h is not None:
-            object.__setattr__(self, "mesh_h", tuple(float(h) for h in self.mesh_h))
-            if len(self.mesh_h) != len(radii):
-                raise ScheduleError("mesh schedule length must match the radius schedule")
         if self.tail_window < 1:
             raise ScheduleError("tail window must be positive")
 
@@ -545,10 +541,7 @@ def amplitude_quadrature(
         radius = schedule.radii[step]
         gap_r = schedule.gaps[step]
         region = ExcisionRegion.build(ndim, radius, singular_points, gap_r)
-        if schedule.mesh_h is not None:
-            h = schedule.mesh_h[step]
-        else:
-            h = phase_mesh_spacing(eps, radius, pairs)
+        h = phase_mesh_spacing(eps, radius, pairs)
         value = raw_sliced_amplitude(
             phi_fn,
             psi_fn,
@@ -562,7 +555,9 @@ def amplitude_quadrature(
             max_evals=max_evals,
         )
         raw.append(value)
-        sizes.append(_TensorMesh.from_region(region, h).size)
+        sizes.append(math.prod(
+            sum(p.count for p in region.axis_pieces(b, h)) for b in range(ndim)
+        ))
     window = min(schedule.tail_window, len(raw))
     tail = np.asarray(raw[-window:])
     value = complex(np.mean(tail))

@@ -8,10 +8,11 @@ with periodic one-dimensional derivative matrices on each axis.  The magnetic
 term is symmetrized so H is exactly Hermitian at any resolution; in the
 continuum it equals 2i a.grad + i div(a).
 
-Two stencils are available.  ``fd2`` is the classic central-difference pair;
-its free spectrum is the discrete symbol (2/h^2)(1 - cos(xi h)).  ``spectral``
-builds dense Fourier differentiation matrices, which reproduce the split-step
-kinetic operator exactly on band-limited data and are the default for oracle
+Both stencils are Fourier symbols (:meth:`Grid.derivative_symbols`), turned
+into dense 1D matrices by applying them to the identity.  ``fd2`` is the
+classic central-difference pair; its free spectrum is the discrete symbol
+(2/h^2)(1 - cos(xi h)).  ``spectral`` reproduces the split-step kinetic
+operator exactly on band-limited data and is the default for oracle
 comparisons.
 """
 
@@ -27,34 +28,12 @@ from .fields import (
     ScalarPotentialSpec,
     VectorPotentialSpec,
     WaveFunction,
+    fourier_multiply,
     sample_field,
 )
 
 HERMITICITY_TOL = 1e-10
 DENSE_SIZE_CAP = 4096
-
-
-def _fd2_matrices(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Periodic central first derivative and 3-point Laplacian (second derivative)."""
-    eye = np.eye(n)
-    up = np.roll(eye, -1, axis=1)
-    down = np.roll(eye, 1, axis=1)
-    d1 = (up - down) / (2.0 * h)
-    lap = (up - 2.0 * eye + down) / h**2
-    return d1, lap
-
-
-def _spectral_matrices(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense Fourier differentiation matrices (Nyquist dropped for the first derivative)."""
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-    xi1 = xi.copy()
-    if n % 2 == 0:
-        xi1[n // 2] = 0.0
-    eye = np.eye(n)
-    spec = np.fft.fft(eye, axis=0)
-    d1 = np.real(np.fft.ifft(1j * xi1[:, None] * spec, axis=0))
-    lap = np.real(np.fft.ifft(-(xi[:, None] ** 2) * spec, axis=0))
-    return d1, lap
 
 
 @dataclass
@@ -74,12 +53,12 @@ class DiscretizedHamiltonian:
         return self._eig
 
 
-def _axis_operator(grid: Grid, axis: int, mat1d: np.ndarray) -> np.ndarray:
-    """Lift a 1D operator on one axis to the full tensor-product grid."""
+def _axis_operator(grid: Grid, axis: int, symbol: np.ndarray) -> np.ndarray:
+    """Dense matrix of a real Fourier symbol on one axis, lifted to the full tensor-product grid."""
     op = np.array([[1.0]])
     for b in range(grid.ndim):
         if b == axis:
-            op = np.kron(op, mat1d)
+            op = np.kron(op, np.real(fourier_multiply(np.eye(grid.shape[b]), symbol, 0)))
         else:
             op = np.kron(op, np.eye(grid.shape[b]))
     return op
@@ -96,22 +75,14 @@ def assemble_hamiltonian(
     m = grid.size
     if m > max_size:
         raise SizeError(f"dense matrix of size {m} exceeds the cap {max_size}")
-    if stencil == "fd2":
-        build = _fd2_matrices
-    elif stencil == "spectral":
-        build = _spectral_matrices
-    else:
-        raise ValueError(f"unknown stencil {stencil!r}")
-
     h_mat = np.zeros((m, m), dtype=complex)
     diag = np.zeros(m)
     for axis in range(grid.ndim):
-        d1_1d, lap_1d = build(grid.shape[axis], grid.spacing[axis])
-        lap = _axis_operator(grid, axis, lap_1d)
-        h_mat -= lap
+        d1_symbol, lap_symbol = grid.derivative_symbols(axis, stencil)
+        h_mat -= _axis_operator(grid, axis, lap_symbol)
         if vector is not None:
             a_vals = sample_field(vector, grid, component=axis).ravel()
-            d1 = _axis_operator(grid, axis, d1_1d)
+            d1 = _axis_operator(grid, axis, d1_symbol)
             a_diag = a_vals[:, None]
             h_mat += 1j * (a_diag * d1 + d1 * a_diag.T)
             diag += a_vals**2

@@ -34,6 +34,20 @@ from .fields import (
 
 SCHEMA_VERSION = 1
 
+# Keys a scenario document may carry, per block (None: the top level).  Unknown
+# keys are rejected so a misspelled check cannot fall back to its default.
+_KEYS = {
+    None: {"schema_version", "name", "dimension", "grid", "scalar_potential", "vector_potential",
+           "initial_state", "final_state", "time", "slice_counts", "amplitude", "checks"},
+    "grid": {"lo", "hi", "shape"},
+    "scalar_potential": {"family", "params"},
+    "vector_potential": {"family", "params"},
+    "initial_state": {"center", "width", "momentum"},
+    "final_state": {"center", "width", "momentum"},
+    "amplitude": {"slices", "r_start", "steps", "gap", "gap_final", "tail_window", "max_evals"},
+    "checks": {"gauge_residual_tol", "trotter_floor", "trotter_order_band", "midpoint_slope_min",
+               "amplitude_rel_tol"},
+}
 
 # ---------------------------------------------------------------------------
 # potential families
@@ -212,6 +226,10 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported scenario schema version {version!r}")
+    for block, allowed in _KEYS.items():
+        unknown = sorted(set(cfg if block is None else cfg.get(block, {})) - allowed)
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in {block or 'the scenario'}")
     ndim = int(cfg["dimension"])
     gcfg = cfg["grid"]
     grid = Grid(tuple(gcfg["lo"]), tuple(gcfg["hi"]), tuple(gcfg["shape"]))
@@ -483,15 +501,24 @@ def run_gauge_check(scenario: Scenario) -> Report:
 
 
 def _closed_form_free_amplitude(scenario: Scenario) -> complex:
-    """Fine-mesh overlap of the final state with the exactly evolved Gaussian (1D free)."""
-    phi = scenario.final_state
-    psi = scenario.initial_state
-    x = np.linspace(-40.0, 40.0, 160001)
-    phi_vals = gaussian_evaluator(phi.center, phi.width, phi.momentum, 1)(x[:, None])
-    psi_vals = reference.exact_free_gaussian(
-        x, scenario.time, psi.center[0], psi.width[0], psi.momentum[0]
+    """Pairing of the final state with the exactly evolved initial Gaussian (1D free).
+
+    The evolved packet has complex width^2 s2 = w^2 + i t and drifts by 2 p t
+    (:func:`reference.exact_free_gaussian`).  In y = x - c_final the product is
+    N exp(-alpha y^2 + beta y + gamma), whose integral is
+    N sqrt(pi/alpha) exp(beta^2/(4 alpha) + gamma).
+    """
+    t = scenario.time
+    (c1, w1, p1), (c0, w0, p0) = (
+        (s.center[0], s.width[0], s.momentum[0]) for s in (scenario.final_state, scenario.initial_state)
     )
-    return complex(np.trapezoid(phi_vals * psi_vals, x))
+    s2 = w0**2 + 1j * t
+    shift = c0 + 2.0 * p0 * t - c1
+    alpha = 0.25 / w1**2 + 0.25 / s2
+    beta = 1j * (p1 + p0) + shift / (2.0 * s2)
+    gamma = 1j * p0 * (c1 - c0 - p0 * t) - shift**2 / (4.0 * s2)
+    norm = (4.0 * np.pi**2 * w1**2 * w0**2) ** (-0.25) * np.sqrt(w0**2 / s2)
+    return complex(norm * np.sqrt(np.pi / alpha) * np.exp(beta**2 / (4.0 * alpha) + gamma))
 
 
 def run_amplitude_study(scenario: Scenario, max_dense: int = reference.DENSE_SIZE_CAP,

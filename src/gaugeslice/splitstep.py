@@ -23,6 +23,7 @@ from .fields import (
     ScalarPotentialSpec,
     VectorPotentialSpec,
     WaveFunction,
+    fourier_multiply,
     l2_norm,
     sample_field,
 )
@@ -51,21 +52,16 @@ class TimeSlicing:
 
 def kinetic_multiplier(grid: Grid, axis: int, eps: float) -> np.ndarray:
     """Spectral multiplier exp(-i eps xi^2) for free propagation along one axis."""
-    xi = grid.frequencies(axis)
-    return np.exp(-1j * eps * xi**2)
+    _, d2 = grid.derivative_symbols(axis)
+    return np.exp(1j * eps * d2)
 
 
 def free_propagate_axis(psi: WaveFunction, axis: int, eps: float) -> WaveFunction:
     """Apply exp(-i eps H0_axis) spectrally; eps = 0 is the identity."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    grid = psi.grid
-    mult = kinetic_multiplier(grid, axis, eps)
-    shape = [1] * grid.ndim
-    shape[axis] = grid.shape[axis]
-    spec = np.fft.fft(psi.values, axis=axis)
-    out = np.fft.ifft(mult.reshape(shape) * spec, axis=axis)
-    return WaveFunction(grid, out)
+    mult = kinetic_multiplier(psi.grid, axis, eps)
+    return WaveFunction(psi.grid, fourier_multiply(psi.values, mult, axis))
 
 
 def _check_unit_modulus(table: np.ndarray, label: str) -> None:
@@ -77,10 +73,8 @@ def _check_unit_modulus(table: np.ndarray, label: str) -> None:
 class SliceOperator:
     """Precomputed phase tables and spectral multipliers for one time slice.
 
-    ``axis_order`` lists the axes in product order (leftmost first); the
-    rightmost factor acts first, so application iterates the order reversed.
-    The default matches left-to-right product notation: axis n-1 applied
-    first, axis 0 last.
+    The axis product is written left to right, axis 0 first; the rightmost
+    factor acts first, so axis n-1 is applied first and axis 0 last.
     """
 
     def __init__(
@@ -89,7 +83,6 @@ class SliceOperator:
         scalar: ScalarPotentialSpec | None,
         vector: VectorPotentialSpec | None,
         slicing: TimeSlicing,
-        axis_order: tuple[int, ...] | None = None,
     ):
         if vector is not None and vector.ndim != grid.ndim:
             raise ValueError("vector potential dimension must match the grid")
@@ -97,11 +90,6 @@ class SliceOperator:
         self.scalar = scalar
         self.vector = vector
         self.slicing = slicing
-        if axis_order is None:
-            axis_order = tuple(range(grid.ndim))
-        if sorted(axis_order) != list(range(grid.ndim)):
-            raise ValueError("axis_order must be a permutation of the grid axes")
-        self.axis_order = tuple(axis_order)
 
         eps = slicing.eps
         if scalar is not None:
@@ -138,14 +126,10 @@ def apply_slice(op: SliceOperator, psi: WaveFunction) -> WaveFunction:
         raise GridMismatchError("wavefunction grid does not match the slice operator grid")
     grid = op.grid
     v = psi.values
-    for l in reversed(op.axis_order):
+    for l in reversed(range(grid.ndim)):
         if op.gauge_tables is not None:
             v = np.exp(-1j * op.gauge_tables[l]) * v
-        shape = [1] * grid.ndim
-        shape[l] = grid.shape[l]
-        v = np.fft.ifft(
-            op.kinetic_multipliers[l].reshape(shape) * np.fft.fft(v, axis=l), axis=l
-        )
+        v = fourier_multiply(v, op.kinetic_multipliers[l], l)
         if op.gauge_tables is not None:
             v = np.exp(1j * op.gauge_tables[l]) * v
     if op.potential_phase is not None:

@@ -63,6 +63,12 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_check_key_gives_exit_2(self, tmp_path, capsys):
+        scen = write_scenario(tmp_path, checks={"gauge_residual_tolerance": 1e-18})
+        code = cli.main(["gauge", "--scenario", str(scen), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "gauge_residual_tolerance" in capsys.readouterr().err
+
     def test_trotter_pass(self, tmp_path):
         scen = write_scenario(tmp_path)
         code = cli.main(["trotter", "--scenario", str(scen), "--out", str(tmp_path / "r")])

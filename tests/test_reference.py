@@ -14,6 +14,7 @@ from gaugeslice import (
     gaussian_wave,
     l2_norm,
 )
+from gaugeslice.fields import fourier_multiply
 
 
 class TestStencils:
@@ -32,6 +33,34 @@ class TestStencils:
         ham = assemble_hamiltonian(g, stencil="spectral")
         eigs = np.sort(np.linalg.eigvalsh(ham.matrix))
         assert np.max(np.abs(eigs - np.sort(g.frequencies(0) ** 2))) < 1e-9
+
+    @staticmethod
+    def _plane_wave_action(stencil):
+        # H = (-i d/dx - c)^2 with constant a = c, applied to e^{ikx}
+        g = Grid((0.0,), (2.0 * np.pi,), (64,))
+        c, k = 0.5, 3.0
+        vec = VectorPotentialSpec((lambda p: np.full(p.shape[:-1], c),))
+        wave = np.exp(1j * k * g.axis_coords(0))
+        h_wave = assemble_hamiltonian(g, vector=vec, stencil=stencil).matrix @ wave
+        return g.spacing[0], c, k, wave, h_wave
+
+    def test_fd2_plane_wave_matches_symbol(self):
+        # D has symbol i sin(kh)/h, so the wave's eigenvalue is
+        # (2/h^2)(1 - cos kh) - 2c sin(kh)/h + c^2; a backward D flips the c term
+        h, c, k, wave, h_wave = self._plane_wave_action("fd2")
+        value = 2.0 / h**2 * (1.0 - np.cos(k * h)) - 2.0 * c * np.sin(k * h) / h + c**2
+        assert np.max(np.abs(h_wave - value * wave)) < 1e-10
+
+    def test_spectral_plane_wave_is_shifted_momentum(self):
+        h, c, k, wave, h_wave = self._plane_wave_action("spectral")
+        assert np.max(np.abs(h_wave - (k - c) ** 2 * wave)) < 1e-10
+
+    def test_spectral_first_derivative_drops_nyquist(self):
+        # the unpaired Nyquist mode has no odd derivative; keeping it would
+        # make d/dx of real data complex
+        g = Grid((0.0,), (2.0 * np.pi,), (64,))
+        d1, _ = g.derivative_symbols(0)
+        assert np.max(np.abs(fourier_multiply((-1.0) ** np.arange(64), d1, 0))) < 1e-12
 
     def test_unknown_stencil(self):
         g = Grid((-4.0,), (4.0,), (8,))

@@ -61,6 +61,16 @@ class TestParsing:
         with pytest.raises(ValueError, match="dimension"):
             scenario_from_dict(minimal_config(dimension=2))
 
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ValueError, match="amplitude_rel_tolerance"):
+            scenario_from_dict(minimal_config(checks={"amplitude_rel_tolerance": 1e-30}))
+        with pytest.raises(ValueError, match="rstart"):
+            scenario_from_dict(minimal_config(amplitude={"slices": [1], "rstart": 5.0}))
+        with pytest.raises(ValueError, match="slicecounts"):
+            scenario_from_dict(minimal_config(slicecounts=[2]))
+        with pytest.raises(ValueError, match="centre"):
+            scenario_from_dict(minimal_config(final_state={"centre": [0.3]}))
+
     def test_shipped_scenarios_parse(self):
         for name in ("free_1d", "harmonic_1d", "constant_field_2d"):
             s = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json")
@@ -155,6 +165,20 @@ class TestStudies:
         serial = run_trotter_study(s, threads=1)
         parallel = run_trotter_study(s, threads=2)
         assert serial.diagnostics["trotter_errors"] == parallel.diagnostics["trotter_errors"]
+
+    def test_closed_form_amplitude_far_from_origin(self):
+        # packets far from the origin: a fixed integration window would miss them
+        doc = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / "free_1d.json").read_text())
+        doc["grid"] = {"lo": [33.0], "hi": [57.0], "shape": [512]}
+        doc["initial_state"]["center"] = [45.0]
+        doc["final_state"]["center"] = [45.8]
+        doc["amplitude"].update({"slices": [1], "r_start": 50.0, "max_evals": 1e11})
+        rep = run_amplitude_study(scenario_from_dict(doc))
+        closed = [r for r in rep.rows if r.oracle == "closed-form"]
+        assert len(closed) == 1
+        assert abs(closed[0].reference) > 0.5
+        assert closed[0].rel_error < doc["checks"]["amplitude_rel_tol"]
+        assert rep.passed
 
     def test_run_all_shares_one_dense_evolution(self, monkeypatch):
         amplitude = {"slices": [1], "r_start": 5.0, "steps": 2, "tail_window": 2}
