@@ -2,8 +2,9 @@
 
 Numerical companion library for magnetic Schrodinger Hamiltonians
 H = sum_j (-i d_j - a_j)^2 + V on periodic boxes: split-step evolution with
-line-integral gauge phases, a dense Hermitian reference solver, and excised
-improper-Riemann quadrature of the time-sliced transition amplitude.
+line-integral gauge phases, a matrix-free Chebyshev reference propagator
+(cross-checked against a dense Hermitian solver), and excised improper-Riemann
+quadrature of the time-sliced transition amplitude.
 """
 
 from .errors import (
@@ -51,7 +52,9 @@ from .splitstep import (
 )
 from .reference import (
     DiscretizedHamiltonian,
+    HamiltonianAction,
     assemble_hamiltonian,
+    chebyshev_evolve,
     exact_free_gaussian,
     expm_evolve,
 )

@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, type=Path, help="scenario JSON file")
         p.add_argument("--out", type=Path, default=Path("reports"), help="output directory")
         p.add_argument("--max-dense", type=int, default=DENSE_SIZE_CAP,
-                       help="dense-solver size cap")
+                       help="largest reference grid (points)")
         p.add_argument("--threads", type=int, default=1, help="worker threads")
     return parser
 

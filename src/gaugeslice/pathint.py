@@ -475,8 +475,8 @@ def raw_sliced_amplitude(
     psi_fn,
     eps: float,
     slices: int,
-    regions,
-    mesh_h,
+    region: ExcisionRegion,
+    mesh_h: float,
     vector: VectorPotentialSpec | None = None,
     scalar: ScalarPotentialSpec | None = None,
     prefactor: str = "composed",
@@ -484,37 +484,27 @@ def raw_sliced_amplitude(
 ) -> complex:
     """One box-truncated nested midpoint sum, evaluated as chained transfers.
 
-    ``regions`` holds one excision region per slice point (k+1 of them, the
-    first for x_0 and the last for x_k); ``mesh_h`` one spacing per slice point
-    or a single scalar.
+    Every slice point x_0 .. x_k ranges over the same excision ``region``,
+    meshed once with spacing at most ``mesh_h``.
     """
     k = slices
-    if len(regions) != k + 1:
-        raise ValueError("need one region per slice point (k + 1 total)")
-    if np.isscalar(mesh_h):
-        mesh_h = [float(mesh_h)] * (k + 1)
-    meshes = [_TensorMesh.from_region(r, h) for r, h in zip(regions, mesh_h)]
-    ndim = meshes[0].ndim
+    mesh = _TensorMesh.from_region(region, mesh_h)
 
-    evals = sum(meshes[j + 1].size * meshes[j].size for j in range(k))
+    per_pair = mesh.size**2
+    evals = k * per_pair
     if evals > max_evals:
         # halving k roughly halves the chain cost; suggest the largest feasible count
-        per_pair = max(m.size for m in meshes) ** 2
-        suggested = max(1, int(max_evals // per_pair))
         raise CapExceededError(
             f"{evals} kernel evaluations exceed the cap {max_evals}",
-            suggested_slices=suggested,
+            suggested_slices=max(1, int(max_evals // per_pair)),
         )
 
-    u = psi_fn(meshes[0].points) * meshes[0].weights
-    for j in range(k):
-        source, target = meshes[j], meshes[j + 1]
-        u = _apply_kernel(target, source, u, eps, vector)
-        if scalar is not None:
-            u = u * np.exp(-1j * eps * scalar(target.points))
-        u = u * target.weights
-    amp = np.sum(phi_fn(meshes[k].points) * u)
-    return complex(kernel_prefactor(ndim, eps, k, prefactor) * amp)
+    u = psi_fn(mesh.points) * mesh.weights
+    potential_phase = np.exp(-1j * eps * scalar(mesh.points)) if scalar is not None else 1.0
+    for _ in range(k):
+        u = _apply_kernel(mesh, mesh, u, eps, vector) * potential_phase * mesh.weights
+    amp = np.sum(phi_fn(mesh.points) * u)
+    return complex(kernel_prefactor(mesh.ndim, eps, k, prefactor) * amp)
 
 
 def amplitude_quadrature(
@@ -547,7 +537,7 @@ def amplitude_quadrature(
             psi_fn,
             eps,
             slices,
-            [region] * (slices + 1),
+            region,
             h,
             vector=vector,
             scalar=scalar,

@@ -1,19 +1,27 @@
-"""Independent dense ground truth: discretized Hamiltonian and exact evolution.
+"""Independent reference evolution: the discretized Hamiltonian and exp(-itH).
 
-The assembled operator is
+The operator is
 
     H = sum_l [ -Lap_l + i (A_l D_l + D_l A_l) ] + diag(V + |a|^2)
 
-with periodic one-dimensional derivative matrices on each axis.  The magnetic
-term is symmetrized so H is exactly Hermitian at any resolution; in the
-continuum it equals 2i a.grad + i div(a).
+with periodic one-dimensional derivatives on each axis.  The magnetic term is
+symmetrized so H is exactly Hermitian at any resolution; in the continuum it
+equals 2i a.grad + i div(a).
 
-Both stencils are Fourier symbols (:meth:`Grid.derivative_symbols`), turned
-into dense 1D matrices by applying them to the identity.  ``fd2`` is the
-classic central-difference pair; its free spectrum is the discrete symbol
-(2/h^2)(1 - cos(xi h)).  ``spectral`` reproduces the split-step kinetic
+Both stencils are Fourier symbols (:meth:`Grid.derivative_symbols`).  ``fd2``
+is the classic central-difference pair; its free spectrum is the discrete
+symbol (2/h^2)(1 - cos(xi h)).  ``spectral`` reproduces the split-step kinetic
 operator exactly on band-limited data and is the default for oracle
 comparisons.
+
+:class:`HamiltonianAction` applies H matrix-free through
+:func:`fields.fourier_multiply` and bounds its spectrum from the symbols and
+the sampled fields; :func:`chebyshev_evolve` expands exp(-itH) in Chebyshev
+polynomials of the rescaled action (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
+3967 (1984)).  This is the reference evolution the studies use.  The dense
+matrix (:func:`assemble_hamiltonian`, each symbol applied to the identity and
+kron-lifted) with :func:`expm_evolve` by eigendecomposition stays as the
+cross-check oracle and for the Chernoff derivative residual.
 """
 
 from __future__ import annotations
@@ -34,6 +42,9 @@ from .fields import (
 
 HERMITICITY_TOL = 1e-10
 DENSE_SIZE_CAP = 4096
+# Chebyshev series of exp(-itH) stop at the first term past the Bessel turning
+# point whose coefficient is below this; every |T_k| <= 1 on the interval.
+CHEBYSHEV_TOL = 1e-15
 
 
 @dataclass
@@ -51,6 +62,12 @@ class DiscretizedHamiltonian:
                 raise EigenFailureError(str(exc)) from exc
             self._eig = (w, u)
         return self._eig
+
+
+def check_dense_size(size: int, max_size: int = DENSE_SIZE_CAP) -> None:
+    """Raise :class:`SizeError` when a reference grid exceeds the dense size cap."""
+    if size > max_size:
+        raise SizeError(f"dense matrix of size {size} exceeds the cap {max_size}")
 
 
 def _axis_operator(grid: Grid, axis: int, symbol: np.ndarray) -> np.ndarray:
@@ -73,8 +90,7 @@ def assemble_hamiltonian(
 ) -> DiscretizedHamiltonian:
     """Dense periodic discretization of the magnetic Hamiltonian."""
     m = grid.size
-    if m > max_size:
-        raise SizeError(f"dense matrix of size {m} exceeds the cap {max_size}")
+    check_dense_size(m, max_size)
     h_mat = np.zeros((m, m), dtype=complex)
     diag = np.zeros(m)
     for axis in range(grid.ndim):
@@ -104,6 +120,102 @@ def expm_evolve(ham: DiscretizedHamiltonian, psi: WaveFunction, t: float) -> Wav
     coeff = u.conj().T @ psi.values.ravel()
     out = u @ (np.exp(-1j * t * w) * coeff)
     return WaveFunction(psi.grid, out.reshape(psi.grid.shape))
+
+
+class HamiltonianAction:
+    """Matrix-free H: the operator of :func:`assemble_hamiltonian` applied to grid values.
+
+    Fields are sampled once.  ``spectral_interval`` is a rigorous (lo, hi)
+    enclosure of the spectrum.  Each kinetic term equals (-iD - A)^2 plus
+    -Lap + D^2 minus A^2, and -Lap + D^2 has symbol xi^2 - xi1^2 >= 0
+    (``spectral``) or (1 - cos xi h)^2 / h^2 >= 0 (``fd2``), so H >= min V
+    (0 without V).  Above, each term is bounded by the largest symbol and
+    field moduli.
+    """
+
+    def __init__(
+        self,
+        grid: Grid,
+        vector: VectorPotentialSpec | None = None,
+        scalar: ScalarPotentialSpec | None = None,
+        stencil: str = "spectral",
+    ):
+        self.grid = grid
+        self.symbols = [grid.derivative_symbols(axis, stencil) for axis in range(grid.ndim)]
+        self.a_vals = None
+        diag = np.zeros(grid.shape)
+        if vector is not None:
+            self.a_vals = [sample_field(vector, grid, component=axis) for axis in range(grid.ndim)]
+            diag += sum(a**2 for a in self.a_vals)
+        lo = 0.0
+        if scalar is not None:
+            v_vals = sample_field(scalar, grid)
+            diag += v_vals
+            lo = float(np.min(v_vals))
+        self.diag = diag
+        hi = float(np.max(diag))
+        for axis, (d1, lap) in enumerate(self.symbols):
+            hi += float(np.max(np.abs(lap)))
+            if self.a_vals is not None:
+                hi += 2.0 * float(np.max(np.abs(self.a_vals[axis]))) * float(np.max(np.abs(d1)))
+        self.spectral_interval = (lo, hi)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        out = self.diag * values
+        for axis, (d1, lap) in enumerate(self.symbols):
+            out -= fourier_multiply(values, lap, axis)
+            if self.a_vals is not None:
+                a = self.a_vals[axis]
+                # D psi and D(a psi) in one batched transform
+                d_psi, d_a_psi = fourier_multiply(np.stack([values, a * values]), d1, axis + 1)
+                out += 1j * (a * d_psi + d_a_psi)
+        return out
+
+
+def chebyshev_coefficients(radius: float) -> np.ndarray:
+    """Coefficients c_k of exp(-i R x) = sum_k c_k T_k(x) on [-1, 1], truncated.
+
+    c_k = 2 (-i)^k J_k(R) with c_0 halved (Jacobi-Anger), read off one FFT of
+    exp(-i R cos theta) on n >= 4 (|R| + 32) equispaced angles; the aliased
+    J_{n-k} for k < n/2 are far below rounding.  The series stops at the first
+    k > |R| with |c_k| < :data:`CHEBYSHEV_TOL`.  Rounding of the phase R cos
+    theta leaves an absolute error of about eps sqrt(|R|) in every c_k (4e-14
+    at R = 1000), so for large R that floor, not the Bessel decay, picks the
+    cut-off; should no coefficient fall below the tolerance, all n/2 are kept.
+    """
+    n = 1 << int(np.ceil(np.log2(4.0 * (abs(radius) + 32.0))))
+    theta = 2.0 * np.pi * np.arange(n) / n
+    coeffs = (2.0 / n) * np.fft.fft(np.exp(-1j * radius * np.cos(theta)))[: n // 2]
+    coeffs[0] /= 2.0
+    k = np.arange(n // 2)
+    stop = np.flatnonzero((k > abs(radius)) & (np.abs(coeffs) < CHEBYSHEV_TOL))
+    return coeffs[: stop[0] if len(stop) else len(coeffs)]
+
+
+def chebyshev_evolve(
+    action: HamiltonianAction, psi: WaveFunction, t: float
+) -> tuple[WaveFunction, int]:
+    """psi(t) = exp(-i t H) psi by a Chebyshev series in the matrix-free action.
+
+    H is mapped onto [-1, 1] through its spectral interval, and the three-term
+    recurrence T_{k+1} = 2 x T_k - T_{k-1} costs one action per term.  Returns
+    the evolved state and the number of terms.
+    """
+    if psi.grid != action.grid:
+        raise ValueError("wavefunction grid does not match the Hamiltonian grid")
+    lo, hi = action.spectral_interval
+    center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    coeffs = chebyshev_coefficients(t * half)
+
+    def scaled(v):
+        return (action(v) - center * v) / half
+
+    prev, cur = None, psi.values
+    out = coeffs[0] * cur
+    for c in coeffs[1:]:
+        prev, cur = cur, (scaled(cur) if prev is None else 2.0 * scaled(cur) - prev)
+        out += c * cur
+    return WaveFunction(psi.grid, np.exp(-1j * t * center) * out), len(coeffs)
 
 
 def exact_free_gaussian(

@@ -53,16 +53,42 @@ _KEYS = {
 # potential families
 
 
+SCALAR_FAMILIES: dict = {}
+VECTOR_FAMILIES: dict = {}
+
+
+def _family(registry: dict, name: str, *keys: str):
+    """Register a potential builder under ``name``; ``keys`` are the params it reads.
+
+    The registered builder rejects any other params key, so a misspelled
+    parameter cannot fall back to its default.
+    """
+
+    def register(build):
+        def checked(ndim, params):
+            unknown = sorted(set(params) - set(keys))
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r} in {name} params")
+            return build(ndim, params)
+
+        registry[name] = checked
+        return build
+
+    return register
+
+
 def _broadcast(params, key, ndim, default):
     val = params.get(key, default)
     arr = np.broadcast_to(np.atleast_1d(np.asarray(val, float)), (ndim,))
     return np.array(arr)
 
 
+@_family(SCALAR_FAMILIES, "free")
 def _scalar_free(ndim, params):
     return None
 
 
+@_family(SCALAR_FAMILIES, "harmonic", "strength", "center")
 def _scalar_harmonic(ndim, params):
     strength = float(params.get("strength", 1.0))
     center = _broadcast(params, "center", ndim, 0.0)
@@ -73,6 +99,7 @@ def _scalar_harmonic(ndim, params):
     return ScalarPotentialSpec(evaluate)
 
 
+@_family(SCALAR_FAMILIES, "constant", "value")
 def _scalar_constant(ndim, params):
     value = float(params.get("value", 1.0))
 
@@ -82,6 +109,7 @@ def _scalar_constant(ndim, params):
     return ScalarPotentialSpec(evaluate)
 
 
+@_family(SCALAR_FAMILIES, "step-discontinuity", "height", "edge")
 def _scalar_step(ndim, params):
     height = float(params.get("height", 1.0))
     edge = float(params.get("edge", 0.0))
@@ -93,6 +121,7 @@ def _scalar_step(ndim, params):
     return ScalarPotentialSpec(evaluate, singular_points=(edge_point,))
 
 
+@_family(SCALAR_FAMILIES, "regularized-coulomb", "charge", "softening", "center")
 def _scalar_regularized_coulomb(ndim, params):
     charge = float(params.get("charge", 1.0))
     soft = float(params.get("softening", 0.1))
@@ -104,6 +133,7 @@ def _scalar_regularized_coulomb(ndim, params):
     return ScalarPotentialSpec(evaluate)
 
 
+@_family(SCALAR_FAMILIES, "inverse-power-singular", "coeff", "power", "center")
 def _scalar_inverse_power(ndim, params):
     coeff = float(params.get("coeff", 1.0))
     power = float(params.get("power", 0.5))
@@ -117,20 +147,12 @@ def _scalar_inverse_power(ndim, params):
     return ScalarPotentialSpec(evaluate, singular_points=(tuple(center),))
 
 
-SCALAR_FAMILIES = {
-    "free": _scalar_free,
-    "harmonic": _scalar_harmonic,
-    "constant": _scalar_constant,
-    "step-discontinuity": _scalar_step,
-    "regularized-coulomb": _scalar_regularized_coulomb,
-    "inverse-power-singular": _scalar_inverse_power,
-}
-
-
+@_family(VECTOR_FAMILIES, "zero")
 def _vector_zero(ndim, params):
     return None
 
 
+@_family(VECTOR_FAMILIES, "constant", "values")
 def _vector_constant(ndim, params):
     values = _broadcast(params, "values", ndim, 0.0)
 
@@ -140,6 +162,7 @@ def _vector_constant(ndim, params):
     return VectorPotentialSpec(tuple(make(l) for l in range(ndim)))
 
 
+@_family(VECTOR_FAMILIES, "sinusoidal", "amplitude", "period")
 def _vector_sinusoidal(ndim, params):
     amplitude = _broadcast(params, "amplitude", ndim, 1.0)
     period = _broadcast(params, "period", ndim, 2.0 * np.pi)
@@ -151,6 +174,7 @@ def _vector_sinusoidal(ndim, params):
     return VectorPotentialSpec(tuple(make(l) for l in range(ndim)))
 
 
+@_family(VECTOR_FAMILIES, "constant-field-2d", "field")
 def _vector_constant_field_2d(ndim, params):
     if ndim != 2:
         raise ValueError("constant-field-2d requires dimension 2")
@@ -162,6 +186,7 @@ def _vector_constant_field_2d(ndim, params):
     return VectorPotentialSpec(comps)
 
 
+@_family(VECTOR_FAMILIES, "linear", "matrix")
 def _vector_linear(ndim, params):
     matrix = np.asarray(params.get("matrix"), dtype=float)
     if matrix.shape != (ndim, ndim):
@@ -171,15 +196,6 @@ def _vector_linear(ndim, params):
         return lambda p: np.einsum("m,...m->...", matrix[l], p)
 
     return VectorPotentialSpec(tuple(make(l) for l in range(ndim)))
-
-
-VECTOR_FAMILIES = {
-    "zero": _vector_zero,
-    "constant": _vector_constant,
-    "sinusoidal": _vector_sinusoidal,
-    "constant-field-2d": _vector_constant_field_2d,
-    "linear": _vector_linear,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +264,15 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         raise ValueError(f"unknown vector potential family {vfamily!r}")
     vector = VECTOR_FAMILIES[vfamily](ndim, vcfg.get("params", {}))
 
-    for key in ("time",):
-        if not np.isfinite(float(cfg[key])):
-            raise ValueError(f"non-finite scenario parameter {key}")
+    t = float(cfg["time"])
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError(f"time must be positive and finite, got {t}")
+    slice_counts = tuple(int(k) for k in cfg.get("slice_counts", (4, 8, 16, 32)))
+    amplitude = dict(cfg.get("amplitude", {}))
+    amplitude_slices = [int(k) for k in np.atleast_1d(amplitude.get("slices", 1))]
+    for key, counts in (("slice_counts", slice_counts), ("amplitude slices", amplitude_slices)):
+        if any(k < 1 for k in counts):
+            raise ValueError(f"{key} must be positive, got {list(counts)}")
     return Scenario(
         name=str(cfg["name"]),
         ndim=ndim,
@@ -259,9 +281,9 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         vector=vector,
         initial_state=_state_from_config(cfg.get("initial_state", {}), ndim),
         final_state=_state_from_config(cfg.get("final_state", {}), ndim),
-        time=float(cfg["time"]),
-        slice_counts=tuple(int(k) for k in cfg.get("slice_counts", (4, 8, 16, 32))),
-        amplitude_params=dict(cfg.get("amplitude", {})),
+        time=t,
+        slice_counts=slice_counts,
+        amplitude_params=amplitude,
         checks=dict(cfg.get("checks", {})),
     )
 
@@ -388,29 +410,38 @@ def _fit_loglog_slope(x, y) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def dense_evolution(scenario: Scenario, max_dense: int = reference.DENSE_SIZE_CAP) -> WaveFunction:
-    """The initial state evolved to the scenario time by the dense reference.
+def dense_evolution(
+    scenario: Scenario, max_dense: int = reference.DENSE_SIZE_CAP
+) -> tuple[WaveFunction, dict]:
+    """The initial state evolved to the scenario time by the reference route.
 
-    Raises :class:`SizeError` when the grid exceeds ``max_dense`` points.
+    Applies H matrix-free and expands exp(-itH) in Chebyshev polynomials
+    (:func:`reference.chebyshev_evolve`).  Returns the evolved state and its
+    ``reference_evolution`` diagnostics.  Raises :class:`SizeError` when the
+    grid exceeds ``max_dense`` points, the size at which the dense oracle can
+    still cross-check it.
     """
-    ham = reference.assemble_hamiltonian(
-        scenario.grid, scenario.vector, scenario.scalar, stencil="spectral", max_size=max_dense
+    reference.check_dense_size(scenario.grid.size, max_dense)
+    action = reference.HamiltonianAction(scenario.grid, scenario.vector, scenario.scalar)
+    evolved, terms = reference.chebyshev_evolve(
+        action, scenario.initial_state.on_grid(scenario.grid), scenario.time
     )
-    return reference.expm_evolve(ham, scenario.initial_state.on_grid(scenario.grid), scenario.time)
+    info = {"method": "chebyshev", "terms": terms, "spectral_interval": list(action.spectral_interval)}
+    return evolved, info
 
 
 def run_trotter_study(scenario: Scenario, max_dense: int = reference.DENSE_SIZE_CAP,
                       threads: int = 1, exact: WaveFunction | None = None) -> Report:
-    """Split-step error against dense matrix-exponential evolution per slice count.
+    """Split-step error against the reference evolution per slice count.
 
-    ``exact`` is the :func:`dense_evolution` of the scenario, computed here if
-    not given.
+    ``exact`` is the state :func:`dense_evolution` returns for the scenario,
+    computed here if not given.
     """
     report = Report(scenario.name)
     start = time.perf_counter()
     grid = scenario.grid
     if exact is None:
-        exact = dense_evolution(scenario, max_dense)
+        exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario, max_dense)
     psi0 = scenario.initial_state.on_grid(grid)
 
     def one_k(k: int):
@@ -525,8 +556,9 @@ def run_amplitude_study(scenario: Scenario, max_dense: int = reference.DENSE_SIZ
                         exact: WaveFunction | None = None) -> Report:
     """Excised path-integral amplitudes vs split-step / dense / closed-form oracles.
 
-    ``exact`` is the :func:`dense_evolution` of the scenario; without it the
-    dense oracle is computed here when the grid is within ``max_dense``.
+    ``exact`` is the state :func:`dense_evolution` returns for the scenario;
+    without it the dense oracle is computed here when the grid is within
+    ``max_dense``.
     """
     report = Report(scenario.name)
     start = time.perf_counter()
@@ -546,7 +578,7 @@ def run_amplitude_study(scenario: Scenario, max_dense: int = reference.DENSE_SIZ
     rel_tol = scenario.checks.get("amplitude_rel_tol")
 
     if exact is None and grid.size <= max_dense:
-        exact = dense_evolution(scenario, max_dense)
+        exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario, max_dense)
     dense_ref = pair_bilinear(phi_grid, exact) if exact is not None else None
 
     for k in slices_list:
@@ -605,10 +637,10 @@ def run_amplitude_study(scenario: Scenario, max_dense: int = reference.DENSE_SIZ
 def run_all(scenario: Scenario, max_dense: int = reference.DENSE_SIZE_CAP, threads: int = 1) -> Report:
     report = Report(scenario.name)
     report.merge(run_gauge_check(scenario))
-    # one dense diagonalisation serves both the Trotter and the amplitude oracle
+    # one reference evolution serves both the Trotter and the amplitude oracle
     start = time.perf_counter()
     try:
-        exact = dense_evolution(scenario, max_dense)
+        exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario, max_dense)
     except SizeError as exc:
         exact = None
         report.diagnostics["trotter_skipped"] = str(exc)

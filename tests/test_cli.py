@@ -69,6 +69,20 @@ class TestExitCodes:
         assert code == 2
         assert "gauge_residual_tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, fragment", [
+        ({"time": 0}, "time"),
+        ({"time": -0.2}, "time"),
+        ({"slice_counts": [0, 2]}, "slice_counts"),
+        ({"amplitude": {"slices": [0]}}, "amplitude slices"),
+        ({"scalar_potential": {"family": "harmonic", "params": {"strenght": 5.0}}}, "strenght"),
+    ], ids=["zero-time", "negative-time", "zero-slice-count", "zero-amplitude-slices",
+            "misspelled-family-param"])
+    def test_invalid_parameter_gives_exit_2(self, tmp_path, capsys, overrides, fragment):
+        scen = write_scenario(tmp_path, **overrides)
+        code = cli.main(["all", "--scenario", str(scen), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert fragment in capsys.readouterr().err
+
     def test_trotter_pass(self, tmp_path):
         scen = write_scenario(tmp_path)
         code = cli.main(["trotter", "--scenario", str(scen), "--out", str(tmp_path / "r")])

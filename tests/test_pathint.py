@@ -151,7 +151,7 @@ class TestBruteForceDual:
         phi = gaussian_evaluator(center=0.5, ndim=1)
         psi = gaussian_evaluator(momentum=1.0, ndim=1)
         fast = raw_sliced_amplitude(
-            phi, psi, eps, 2, [region] * 3, h, vector=vector, scalar=scalar
+            phi, psi, eps, 2, region, h, vector=vector, scalar=scalar
         )
 
         nodes, weights = region.axis_mesh(0, h)
@@ -181,13 +181,6 @@ class TestBruteForceDual:
         region = ExcisionRegion.build(1, 2.0, singular_points=[(0.3,)], gap=0.1)
         assert [p.spacing for p in region.axis_pieces(0, 0.5)] == pytest.approx([0.44, 0.4])
         self.assert_matches_nested_sum(region, 0.5)
-
-    def test_region_count_validated(self):
-        region = ExcisionRegion.build(1, 2.0)
-        with pytest.raises(ValueError):
-            raw_sliced_amplitude(
-                gaussian_evaluator(), gaussian_evaluator(), 0.1, 2, [region] * 2, 0.5
-            )
 
 
 class TestStructuredTransfer:

@@ -1,7 +1,10 @@
-"""Dense reference Hamiltonian: stencil symbols, spectra, exact evolution."""
+"""Reference Hamiltonian: stencil symbols, spectra, dense and Chebyshev evolution."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from gaugeslice import (
     Grid,
@@ -14,7 +17,25 @@ from gaugeslice import (
     gaussian_wave,
     l2_norm,
 )
+from gaugeslice import scenarios
 from gaugeslice.fields import fourier_multiply
+from gaugeslice.reference import HamiltonianAction, chebyshev_coefficients, chebyshev_evolve
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def sinusoidal_vector(ndim):
+    return VectorPotentialSpec(
+        tuple((lambda p, l=l: 0.6 * np.sin(0.5 * p[..., l] + l)) for l in range(ndim))
+    )
+
+
+def magnetic_2d(b=0.7):
+    return VectorPotentialSpec((lambda p: -0.5 * b * p[..., 1], lambda p: 0.5 * b * p[..., 0]))
+
+
+def harmonic_scalar():
+    return ScalarPotentialSpec(lambda p: 0.5 * np.sum(p**2, axis=-1) - 1.0)
 
 
 class TestStencils:
@@ -164,3 +185,96 @@ class TestClosedForm:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             exact_free_gaussian(np.array([0.0]), -0.1)
+
+
+CASES = [
+    pytest.param(grid, vector, scalar, stencil, id=f"{ndim}d-{stencil}-{tag}")
+    for ndim, grid in ((1, Grid((-6.0,), (6.0,), (40,))), (2, Grid((-5.0, -4.0), (5.0, 4.0), (12, 10))))
+    for stencil in ("spectral", "fd2")
+    for tag, vector, scalar in (
+        ("free", None, None),
+        ("a", sinusoidal_vector(ndim), None),
+        ("V", None, harmonic_scalar()),
+        ("a-V", sinusoidal_vector(ndim), harmonic_scalar()),
+    )
+]
+
+
+class TestMatrixFreeAction:
+    @pytest.mark.parametrize("grid, vector, scalar, stencil", CASES)
+    def test_action_matches_dense_matrix(self, grid, vector, scalar, stencil):
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        dense = assemble_hamiltonian(grid, vector, scalar, stencil=stencil).matrix @ psi.ravel()
+        action = HamiltonianAction(grid, vector, scalar, stencil)(psi).ravel()
+        assert np.linalg.norm(action - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("grid, vector, scalar, stencil", CASES)
+    def test_spectral_interval_encloses_spectrum(self, grid, vector, scalar, stencil):
+        eigs = np.linalg.eigvalsh(assemble_hamiltonian(grid, vector, scalar, stencil=stencil).matrix)
+        lo, hi = HamiltonianAction(grid, vector, scalar, stencil).spectral_interval
+        # the free spectral bounds are attained, so allow the eigensolver's rounding
+        slack = 1e-12 * hi
+        assert lo <= eigs[0] + slack and eigs[-1] <= hi + slack
+
+    # 2.404825557695773 is the first zero of J_0: a vanishing coefficient
+    # before the turning point must not end the series
+    @pytest.mark.parametrize("radius", [0.0, 0.4, 2.404825557695773, 7.5, 187.0, -40.0, 900.0])
+    def test_coefficients_are_bessel_values(self, radius):
+        coeffs = chebyshev_coefficients(radius)
+        k = np.arange(len(coeffs))
+        expected = 2.0 * (-1j) ** k * jv(k, radius)
+        expected[0] /= 2.0
+        # the FFT's rounding floor is about eps sqrt(|R|)
+        assert np.max(np.abs(coeffs - expected)) < 1e-13
+        # cut past the turning point, where the dropped tail is negligible
+        assert len(coeffs) > abs(radius)
+        tail = np.arange(len(coeffs), len(coeffs) + 200)
+        assert 2.0 * np.sum(np.abs(jv(tail, radius))) < 1e-13
+
+
+class TestChebyshevEvolution:
+    @staticmethod
+    def assert_matches_dense(grid, vector, scalar, psi, t, stencil="spectral"):
+        dense = expm_evolve(assemble_hamiltonian(grid, vector, scalar, stencil=stencil), psi, t)
+        cheb, terms = chebyshev_evolve(HamiltonianAction(grid, vector, scalar, stencil), psi, t)
+        assert terms > 1
+        err = np.linalg.norm(cheb.values - dense.values) / np.linalg.norm(dense.values)
+        assert err <= 1e-10
+
+    @pytest.mark.parametrize("name", ["free_1d", "harmonic_1d", "constant_field_2d"])
+    def test_matches_dense_on_shipped_scenarios(self, name):
+        s = scenarios.load_scenario(SCENARIO_DIR / f"{name}.json")
+        self.assert_matches_dense(s.grid, s.vector, s.scalar, s.initial_state.on_grid(s.grid), s.time)
+
+    def test_matches_dense_fd2_magnetic_2d(self):
+        g = Grid((-5.0, -5.0), (5.0, 5.0), (20, 18))
+        psi = gaussian_wave(g, center=(0.5, -0.3), width=(0.9, 1.1), momentum=(0.8, 0.2))
+        self.assert_matches_dense(g, magnetic_2d(), harmonic_scalar(), psi, 0.4, stencil="fd2")
+
+    def test_free_evolution_matches_closed_form(self):
+        g = Grid((-12.0,), (12.0,), (256,))
+        out, _ = chebyshev_evolve(HamiltonianAction(g), gaussian_wave(g, momentum=1.0), 0.3)
+        exact = exact_free_gaussian(g.axis_coords(0), 0.3, 0.0, 1.0, 1.0)
+        assert np.max(np.abs(out.values - exact)) < 1e-9
+
+    def test_unitary_and_reversible(self):
+        g = Grid((-6.0, -6.0), (6.0, 6.0), (24, 24))
+        action = HamiltonianAction(g, magnetic_2d(), harmonic_scalar())
+        psi = gaussian_wave(g, center=(0.4, 0.0), width=0.8, momentum=(0.5, 0.0))
+        fwd, _ = chebyshev_evolve(action, psi, 0.7)
+        assert abs(l2_norm(fwd) - l2_norm(psi)) < 1e-12
+        back, _ = chebyshev_evolve(action, fwd, -0.7)
+        assert np.max(np.abs(back.values - psi.values)) < 1e-11
+
+    def test_zero_time_is_identity(self):
+        g = Grid((-4.0,), (4.0,), (32,))
+        psi = gaussian_wave(g)
+        out, terms = chebyshev_evolve(HamiltonianAction(g), psi, 0.0)
+        assert terms == 1
+        assert np.array_equal(out.values, psi.values)
+
+    def test_grid_mismatch(self):
+        action = HamiltonianAction(Grid((-4.0,), (4.0,), (16,)))
+        with pytest.raises(ValueError):
+            chebyshev_evolve(action, gaussian_wave(Grid((-4.0,), (4.0,), (32,))), 0.1)

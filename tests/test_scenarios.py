@@ -71,6 +71,42 @@ class TestParsing:
         with pytest.raises(ValueError, match="centre"):
             scenario_from_dict(minimal_config(final_state={"centre": [0.3]}))
 
+    def test_unknown_family_params_rejected(self):
+        with pytest.raises(ValueError, match="strenght"):
+            scenario_from_dict(minimal_config(
+                scalar_potential={"family": "harmonic", "params": {"strenght": 5.0}}
+            ))
+        with pytest.raises(ValueError, match="amplitde"):
+            scenario_from_dict(minimal_config(
+                vector_potential={"family": "sinusoidal", "params": {"amplitde": 0.3}}
+            ))
+        with pytest.raises(ValueError, match="value"):
+            scenario_from_dict(minimal_config(scalar_potential={"family": "free", "params": {"value": 1.0}}))
+
+    def test_every_family_accepts_its_declared_params(self):
+        # one document per family with every params key it reads
+        scalar = {
+            "free": {},
+            "harmonic": {"strength": 2.0, "center": [0.5]},
+            "constant": {"value": 2.0},
+            "step-discontinuity": {"height": 1.0, "edge": 0.3},
+            "regularized-coulomb": {"charge": 1.0, "softening": 0.2, "center": [0.1]},
+            "inverse-power-singular": {"coeff": 1.0, "power": 0.5, "center": [0.0]},
+        }
+        vector = {
+            "zero": {},
+            "constant": {"values": [0.2]},
+            "sinusoidal": {"amplitude": 0.3, "period": 16.0},
+            "linear": {"matrix": [[0.1]]},
+        }
+        assert set(scalar) == set(SCALAR_FAMILIES)
+        assert set(vector) | {"constant-field-2d"} == set(VECTOR_FAMILIES)
+        for family, params in scalar.items():
+            scenario_from_dict(minimal_config(scalar_potential={"family": family, "params": params}))
+        for family, params in vector.items():
+            scenario_from_dict(minimal_config(vector_potential={"family": family, "params": params}))
+        assert VECTOR_FAMILIES["constant-field-2d"](2, {"field": 0.5}) is not None
+
     def test_shipped_scenarios_parse(self):
         for name in ("free_1d", "harmonic_1d", "constant_field_2d"):
             s = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json")
@@ -185,16 +221,16 @@ class TestStudies:
         s = scenario_from_dict(minimal_config(amplitude=amplitude))
         separate = run_trotter_study(s).rows + run_amplitude_study(s).rows
 
-        assembled = []
-        original = reference.assemble_hamiltonian
+        evolutions = []
+        original = reference.chebyshev_evolve
 
         def counting(*args, **kwargs):
-            assembled.append(1)
+            evolutions.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(reference, "assemble_hamiltonian", counting)
+        monkeypatch.setattr(reference, "chebyshev_evolve", counting)
         combined = run_all(s)
-        assert len(assembled) == 1
+        assert len(evolutions) == 1
         dense_rows = [
             (r.quantity, r.k_or_step, r.value, r.reference)
             for r in combined.rows if r.oracle == "dense"
@@ -204,3 +240,25 @@ class TestStudies:
             for r in separate if r.oracle == "dense"
         ]
         assert any(q == "amplitude" for q, *_ in dense_rows)
+
+    def test_run_all_builds_no_dense_matrix(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the studies must not assemble or diagonalise a dense H")
+
+        monkeypatch.setattr(reference, "assemble_hamiltonian", forbidden)
+        monkeypatch.setattr(reference.DiscretizedHamiltonian, "eigendecomposition", forbidden)
+        amplitude = {"slices": [1], "r_start": 5.0, "steps": 2, "tail_window": 2}
+        rep = run_all(scenario_from_dict(minimal_config(amplitude=amplitude)))
+        assert rep.passed
+        info = rep.diagnostics["reference_evolution"]
+        assert info["method"] == "chebyshev"
+        assert info["terms"] > 1
+        lo, hi = info["spectral_interval"]
+        assert lo < hi
+
+    def test_each_study_reports_its_reference_evolution(self):
+        s = scenario_from_dict(minimal_config(amplitude={"slices": [1], "r_start": 5.0, "steps": 2}))
+        assert "reference_evolution" in run_trotter_study(s).diagnostics
+        assert "reference_evolution" in run_amplitude_study(s).diagnostics
+        assert "reference_evolution" not in run_gauge_check(s).diagnostics
+        assert "reference_evolution" not in run_amplitude_study(s, max_dense=16).diagnostics
