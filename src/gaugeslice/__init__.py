@@ -16,7 +16,6 @@ from .errors import (
     QuadratureDivergenceError,
     ScheduleError,
     SingularNodeError,
-    SizeError,
 )
 from .fields import (
     Grid,

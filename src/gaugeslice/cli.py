@@ -4,7 +4,7 @@ Subcommands ``trotter``, ``amplitude``, ``gauge`` and ``all`` each load a
 scenario file, run the corresponding study, write a CSV table and a JSON
 diagnostics document into the output directory, and exit 0 only if every
 configured assertion passed, 1 if one failed and 2 if the run could not be
-completed (an unreadable scenario or a tripped cap).
+completed (an unreadable or invalid scenario, or a tripped evaluation cap).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .errors import CapExceededError, GaugesliceError
 from . import scenarios
-from .reference import DENSE_SIZE_CAP
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,8 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc)
         p.add_argument("--scenario", required=True, type=Path, help="scenario JSON file")
         p.add_argument("--out", type=Path, default=Path("reports"), help="output directory")
-        p.add_argument("--max-dense", type=int, default=DENSE_SIZE_CAP,
-                       help="largest reference grid (points)")
         p.add_argument("--threads", type=int, default=1, help="worker threads")
     return parser
 
@@ -58,14 +55,13 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "trotter":
-            report = scenarios.run_trotter_study(scenario, max_dense=args.max_dense,
-                                                 threads=args.threads)
+            report = scenarios.run_trotter_study(scenario, threads=args.threads)
         elif args.command == "amplitude":
-            report = scenarios.run_amplitude_study(scenario, max_dense=args.max_dense)
+            report = scenarios.run_amplitude_study(scenario)
         elif args.command == "gauge":
             report = scenarios.run_gauge_check(scenario)
         else:
-            report = scenarios.run_all(scenario, max_dense=args.max_dense, threads=args.threads)
+            report = scenarios.run_all(scenario, threads=args.threads)
     except CapExceededError as exc:
         hint = ""
         if exc.suggested_slices is not None:

@@ -30,10 +30,6 @@ class EigenFailureError(GaugesliceError):
     """Dense Hermitian eigendecomposition failed."""
 
 
-class SizeError(GaugesliceError):
-    """A dense operator would exceed the configured size cap."""
-
-
 class CapExceededError(GaugesliceError):
     """A quadrature run would exceed the configured evaluation cap."""
 

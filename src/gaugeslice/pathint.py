@@ -500,10 +500,19 @@ def raw_sliced_amplitude(
         )
 
     u = psi_fn(mesh.points) * mesh.weights
+    phi = phi_fn(mesh.points)
+    if mesh.ndim == 1 and vector is not None:
+        # every factor but the free kernel is diagonal, so the chain
+        # e^{iA} K0 e^{-iA} D ... telescopes to e^{iA} (K0 D)^k e^{-iA}:
+        # one antiderivative table and free transfers in between
+        big_a = gauge.cumulative_axis_integral(vector, 0, mesh.axes_nodes[0], np.zeros((1, 1)))[:, 0]
+        u = u * np.exp(-1j * big_a)
+        phi = phi * np.exp(1j * big_a)
+        vector = None
     potential_phase = np.exp(-1j * eps * scalar(mesh.points)) if scalar is not None else 1.0
     for _ in range(k):
         u = _apply_kernel(mesh, mesh, u, eps, vector) * potential_phase * mesh.weights
-    amp = np.sum(phi_fn(mesh.points) * u)
+    amp = np.sum(phi * u)
     return complex(kernel_prefactor(mesh.ndim, eps, k, prefactor) * amp)
 
 

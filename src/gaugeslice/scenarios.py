@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapExceededError, SizeError
 from . import gauge, pathint, reference, splitstep
 from .fields import (
     Grid,
@@ -230,12 +229,17 @@ class Scenario:
     checks: dict = field(default_factory=dict)
 
 
-def _state_from_config(cfg: dict, ndim: int) -> StateSpec:
+def _state_from_config(cfg: dict, ndim: int, block: str) -> StateSpec:
     def tup(key, default):
-        val = cfg.get(key, default)
-        return tuple(float(v) for v in np.broadcast_to(np.atleast_1d(val), (ndim,)))
+        val = np.atleast_1d(np.asarray(cfg.get(key, default), dtype=float))
+        if val.ndim != 1 or len(val) not in (1, ndim):
+            raise ValueError(f"{block} {key} needs 1 or {ndim} entries, got {val.tolist()}")
+        return tuple(float(v) for v in np.broadcast_to(val, (ndim,)))
 
-    return StateSpec(tup("center", 0.0), tup("width", 1.0), tup("momentum", 0.0))
+    width = tup("width", 1.0)
+    if not all(np.isfinite(w) and w > 0 for w in width):
+        raise ValueError(f"{block} width must be positive and finite, got {list(width)}")
+    return StateSpec(tup("center", 0.0), width, tup("momentum", 0.0))
 
 
 def scenario_from_dict(cfg: dict) -> Scenario:
@@ -279,8 +283,8 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         grid=grid,
         scalar=scalar,
         vector=vector,
-        initial_state=_state_from_config(cfg.get("initial_state", {}), ndim),
-        final_state=_state_from_config(cfg.get("final_state", {}), ndim),
+        initial_state=_state_from_config(cfg.get("initial_state", {}), ndim, "initial_state"),
+        final_state=_state_from_config(cfg.get("final_state", {}), ndim, "final_state"),
         time=t,
         slice_counts=slice_counts,
         amplitude_params=amplitude,
@@ -410,18 +414,14 @@ def _fit_loglog_slope(x, y) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def dense_evolution(
-    scenario: Scenario, max_dense: int = reference.DENSE_SIZE_CAP
-) -> tuple[WaveFunction, dict]:
+def dense_evolution(scenario: Scenario) -> tuple[WaveFunction, dict]:
     """The initial state evolved to the scenario time by the reference route.
 
     Applies H matrix-free and expands exp(-itH) in Chebyshev polynomials
-    (:func:`reference.chebyshev_evolve`).  Returns the evolved state and its
-    ``reference_evolution`` diagnostics.  Raises :class:`SizeError` when the
-    grid exceeds ``max_dense`` points, the size at which the dense oracle can
-    still cross-check it.
+    (:func:`reference.chebyshev_evolve`), in memory linear in the grid size at
+    any grid size.  Returns the evolved state and its ``reference_evolution``
+    diagnostics, whose term count is the cost: one action per term.
     """
-    reference.check_dense_size(scenario.grid.size, max_dense)
     action = reference.HamiltonianAction(scenario.grid, scenario.vector, scenario.scalar)
     evolved, terms = reference.chebyshev_evolve(
         action, scenario.initial_state.on_grid(scenario.grid), scenario.time
@@ -430,8 +430,8 @@ def dense_evolution(
     return evolved, info
 
 
-def run_trotter_study(scenario: Scenario, max_dense: int = reference.DENSE_SIZE_CAP,
-                      threads: int = 1, exact: WaveFunction | None = None) -> Report:
+def run_trotter_study(scenario: Scenario, threads: int = 1,
+                      exact: WaveFunction | None = None) -> Report:
     """Split-step error against the reference evolution per slice count.
 
     ``exact`` is the state :func:`dense_evolution` returns for the scenario,
@@ -441,7 +441,7 @@ def run_trotter_study(scenario: Scenario, max_dense: int = reference.DENSE_SIZE_
     start = time.perf_counter()
     grid = scenario.grid
     if exact is None:
-        exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario, max_dense)
+        exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario)
     psi0 = scenario.initial_state.on_grid(grid)
 
     def one_k(k: int):
@@ -552,13 +552,12 @@ def _closed_form_free_amplitude(scenario: Scenario) -> complex:
     return complex(norm * np.sqrt(np.pi / alpha) * np.exp(beta**2 / (4.0 * alpha) + gamma))
 
 
-def run_amplitude_study(scenario: Scenario, max_dense: int = reference.DENSE_SIZE_CAP,
-                        exact: WaveFunction | None = None) -> Report:
-    """Excised path-integral amplitudes vs split-step / dense / closed-form oracles.
+def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -> Report:
+    """Excised path-integral amplitudes vs split-step / reference / closed-form oracles.
 
-    ``exact`` is the state :func:`dense_evolution` returns for the scenario;
-    without it the dense oracle is computed here when the grid is within
-    ``max_dense``.
+    ``exact`` is the state :func:`dense_evolution` returns for the scenario,
+    computed here if not given; its pairing with the final state is the
+    reference row tagged ``dense``.
     """
     report = Report(scenario.name)
     start = time.perf_counter()
@@ -577,9 +576,9 @@ def run_amplitude_study(scenario: Scenario, max_dense: int = reference.DENSE_SIZ
     free = scenario.scalar is None and scenario.vector is None
     rel_tol = scenario.checks.get("amplitude_rel_tol")
 
-    if exact is None and grid.size <= max_dense:
-        exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario, max_dense)
-    dense_ref = pair_bilinear(phi_grid, exact) if exact is not None else None
+    if exact is None:
+        exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario)
+    dense_ref = pair_bilinear(phi_grid, exact)
 
     for k in slices_list:
         eps = scenario.time / k
@@ -623,8 +622,7 @@ def run_amplitude_study(scenario: Scenario, max_dense: int = reference.DENSE_SIZ
             rep_closed = pathint.amplitude_error_report(estimate, closed)
             report.add("amplitude", k, estimate.value, reference=closed, oracle="closed-form")
             primary_rel = rep_closed.rel_error
-        if dense_ref is not None:
-            report.add("amplitude", k, estimate.value, reference=dense_ref, oracle="dense")
+        report.add("amplitude", k, estimate.value, reference=dense_ref, oracle="dense")
 
         if not rep.converged:
             report.passed = False
@@ -634,19 +632,14 @@ def run_amplitude_study(scenario: Scenario, max_dense: int = reference.DENSE_SIZ
     return report
 
 
-def run_all(scenario: Scenario, max_dense: int = reference.DENSE_SIZE_CAP, threads: int = 1) -> Report:
+def run_all(scenario: Scenario, threads: int = 1) -> Report:
     report = Report(scenario.name)
     report.merge(run_gauge_check(scenario))
     # one reference evolution serves both the Trotter and the amplitude oracle
     start = time.perf_counter()
-    try:
-        exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario, max_dense)
-    except SizeError as exc:
-        exact = None
-        report.diagnostics["trotter_skipped"] = str(exc)
+    exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario)
     report.timings["dense_reference"] = time.perf_counter() - start
-    if exact is not None:
-        report.merge(run_trotter_study(scenario, max_dense=max_dense, threads=threads, exact=exact))
+    report.merge(run_trotter_study(scenario, threads=threads, exact=exact))
     if scenario.amplitude_params:
-        report.merge(run_amplitude_study(scenario, max_dense=max_dense, exact=exact))
+        report.merge(run_amplitude_study(scenario, exact=exact))
     return report

@@ -166,11 +166,14 @@ def evolve(op: SliceOperator, psi: WaveFunction, warn_boundary: bool = True) -> 
 
 
 def chernoff_derivative_residual(psi: WaveFunction, op: SliceOperator, hamiltonian) -> float:
-    """L2 norm of (slice(psi) - psi)/eps + i H psi; O(eps) for smooth data."""
+    """L2 norm of (slice(psi) - psi)/eps + i H psi; O(eps) for smooth data.
+
+    ``hamiltonian`` is a :class:`reference.HamiltonianAction` on the slice
+    operator's grid, so H psi is applied matrix-free.
+    """
     if psi.grid != op.grid:
         raise GridMismatchError("wavefunction grid does not match the slice operator grid")
     eps = op.eps
     sliced = apply_slice(op, psi)
-    h_psi = (hamiltonian.matrix @ psi.values.ravel()).reshape(psi.grid.shape)
-    resid = (sliced.values - psi.values) / eps + 1j * h_psi
+    resid = (sliced.values - psi.values) / eps + 1j * hamiltonian(psi.values)
     return l2_norm(WaveFunction(psi.grid, resid))

@@ -16,7 +16,7 @@ import gaugeslice as gs
 from gaugeslice import scenarios as sc
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
-SHIPPED = ("free_1d", "harmonic_1d", "constant_field_2d")
+SHIPPED = ("free_1d", "harmonic_1d", "constant_field_2d", "constant_field_2d_128")
 
 
 @contextmanager
@@ -56,7 +56,7 @@ def test_criterion_2_chernoff_derivative():
         grid = gs.Grid((-8.0,), (8.0,), (256,))
         scalar = harmonic_scalar()
         vector = smooth_vector_1d()
-        ham = gs.assemble_hamiltonian(grid, vector, scalar)
+        ham = gs.HamiltonianAction(grid, vector, scalar)
         psi = gs.gaussian_wave(grid, width=1.0, momentum=1.0)
         eps_values = [1e-2, 5e-3, 2.5e-3]
         residuals = []

@@ -75,8 +75,10 @@ class TestExitCodes:
         ({"slice_counts": [0, 2]}, "slice_counts"),
         ({"amplitude": {"slices": [0]}}, "amplitude slices"),
         ({"scalar_potential": {"family": "harmonic", "params": {"strenght": 5.0}}}, "strenght"),
+        ({"initial_state": {"width": [-1.0]}}, "initial_state width"),
+        ({"final_state": {"center": [0.3, 0.0]}}, "final_state center"),
     ], ids=["zero-time", "negative-time", "zero-slice-count", "zero-amplitude-slices",
-            "misspelled-family-param"])
+            "misspelled-family-param", "negative-width", "center-length"])
     def test_invalid_parameter_gives_exit_2(self, tmp_path, capsys, overrides, fragment):
         scen = write_scenario(tmp_path, **overrides)
         code = cli.main(["all", "--scenario", str(scen), "--out", str(tmp_path / "r")])
@@ -121,15 +123,6 @@ class TestOutputs:
         doc = json.loads((out / "cli_tiny_all.json").read_text())
         quantities = {row["quantity"] for row in doc["rows"]}
         assert {"conjugation_residual", "split_vs_dense_error", "norm_drift"} <= quantities
-
-    def test_max_dense_forwarded(self, tmp_path):
-        # a cap below the grid size forces the trotter study to fail with the
-        # dedicated size error, surfaced as exit code 2
-        scen = write_scenario(tmp_path)
-        code = cli.main(
-            ["trotter", "--scenario", str(scen), "--out", str(tmp_path / "r"), "--max-dense", "16"]
-        )
-        assert code == 2
 
     def test_missing_subcommand_rejected(self):
         with pytest.raises(SystemExit):

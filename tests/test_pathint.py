@@ -26,6 +26,7 @@ from gaugeslice import (
     operator_vs_kernel_consistency,
     slice_kernel,
 )
+from gaugeslice import gauge
 from gaugeslice.fields import Grid
 from gaugeslice.pathint import (
     AmplitudeEstimate,
@@ -181,6 +182,23 @@ class TestBruteForceDual:
         region = ExcisionRegion.build(1, 2.0, singular_points=[(0.3,)], gap=0.1)
         assert [p.spacing for p in region.axis_pieces(0, 0.5)] == pytest.approx([0.44, 0.4])
         self.assert_matches_nested_sum(region, 0.5)
+
+    def test_one_gauge_table_per_raw_sum(self, monkeypatch):
+        # in 1D the gauge phases telescope through the chain, so the
+        # antiderivative is tabulated once per raw sum, not once per slice
+        calls = []
+        original = gauge.cumulative_axis_integral
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gauge, "cumulative_axis_integral", counting)
+        vector = VectorPotentialSpec((lambda p: 0.4 * np.sin(p[..., 0]),))
+        phi = gaussian_evaluator(center=0.5, ndim=1)
+        psi = gaussian_evaluator(momentum=1.0, ndim=1)
+        raw_sliced_amplitude(phi, psi, 0.1, 4, ExcisionRegion.build(1, 3.0), 0.05, vector=vector)
+        assert len(calls) == 1
 
 
 class TestStructuredTransfer:

@@ -9,7 +9,6 @@ from scipy.special import jv
 from gaugeslice import (
     Grid,
     ScalarPotentialSpec,
-    SizeError,
     VectorPotentialSpec,
     assemble_hamiltonian,
     expm_evolve,
@@ -119,11 +118,6 @@ class TestAssembly:
         xi1[len(xi) // 2] = 0.0  # Nyquist mode dropped in the first derivative
         expected = np.sort(xi**2 - 2.0 * c * xi1 + c**2)
         assert np.max(np.abs(eigs - expected)) < 1e-9
-
-    def test_size_cap(self):
-        g = Grid((-4.0,), (4.0,), (64,))
-        with pytest.raises(SizeError):
-            assemble_hamiltonian(g, max_size=32)
 
 
 class TestEvolution:

@@ -108,7 +108,7 @@ class TestParsing:
         assert VECTOR_FAMILIES["constant-field-2d"](2, {"field": 0.5}) is not None
 
     def test_shipped_scenarios_parse(self):
-        for name in ("free_1d", "harmonic_1d", "constant_field_2d"):
+        for name in ("free_1d", "harmonic_1d", "constant_field_2d", "constant_field_2d_128"):
             s = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json")
             assert isinstance(s, Scenario)
             assert s.name == name
@@ -261,4 +261,13 @@ class TestStudies:
         assert "reference_evolution" in run_trotter_study(s).diagnostics
         assert "reference_evolution" in run_amplitude_study(s).diagnostics
         assert "reference_evolution" not in run_gauge_check(s).diagnostics
-        assert "reference_evolution" not in run_amplitude_study(s, max_dense=16).diagnostics
+
+    def test_128_squared_scenario_runs_every_study(self):
+        # 16384 points: the reference evolution builds no matrix, so no grid size is capped
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "constant_field_2d_128.json"
+        rep = run_all(load_scenario(path))
+        assert rep.passed
+        assert [r.k_or_step for r in rep.rows if r.quantity == "split_vs_dense_error"] == [
+            "2", "4", "8", "16"
+        ]
+        assert rep.diagnostics["reference_evolution"]["terms"] > 1
