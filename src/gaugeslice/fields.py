@@ -36,6 +36,16 @@ class Grid:
     shape: tuple[int, ...]
 
     def __post_init__(self):
+        # object arrays keep each entry's own type, so a bool, a string or a
+        # fractional count is rejected instead of converted
+        real, integer = (int, float, np.integer, np.floating), (int, np.integer)
+        for name, kinds, noun in (("lo", real, "a real number"), ("hi", real, "a real number"),
+                                  ("shape", integer, "an integer")):
+            for v in np.atleast_1d(np.asarray(getattr(self, name), dtype=object)):
+                if isinstance(v, (bool, np.bool_)) or not isinstance(v, kinds):
+                    raise ValueError(f"grid {name} entry {v!r} is not {noun}")
+                if not np.isfinite(v):
+                    raise ValueError(f"grid {name} entry {v!r} is not finite")
         lo = tuple(float(v) for v in np.atleast_1d(self.lo))
         hi = tuple(float(v) for v in np.atleast_1d(self.hi))
         shape = tuple(int(v) for v in np.atleast_1d(self.shape))
@@ -247,10 +257,25 @@ def sample_field(
 
 
 def fourier_multiply(values: np.ndarray, multiplier: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a periodic Fourier multiplier along one axis: ifft(multiplier * fft(values))."""
-    shape = [1] * values.ndim
-    shape[axis] = len(multiplier)
-    return np.fft.ifft(multiplier.reshape(shape) * np.fft.fft(values, axis=axis), axis=axis)
+    """Apply a periodic Fourier multiplier along one axis: ifft(multiplier * fft(values)).
+
+    A matrix of multipliers maps a stack of p inputs (``values`` of shape
+    (p, ...), ``axis`` counted within one input) to q outputs,
+    out_r = ifft(sum_s M[r, s] fft(values_s)), in one batched forward and one
+    batched inverse transform.  Its shape is (q, p) followed by a shape that
+    broadcasts against one input; broadcast over the whole grid it saves a
+    strided product per entry.  A single multiplier of shape (n,) is the 1x1
+    case.
+    """
+    if multiplier.ndim == 1:
+        shape = [1] * values.ndim
+        shape[axis] = len(multiplier)
+        return fourier_multiply(values[None], multiplier.reshape([1, 1] + shape), axis)[0]
+    spectra = np.fft.fft(values, axis=axis + 1)
+    mixed = multiplier[:, 0] * spectra[0]
+    for s in range(1, len(spectra)):
+        mixed += multiplier[:, s] * spectra[s]
+    return np.fft.ifft(mixed, axis=axis + 1)
 
 
 def pair_bilinear(phi: WaveFunction, psi: WaveFunction) -> complex:

@@ -23,7 +23,9 @@ brute-force nested sum on tiny meshes.
 In one dimension a mesh is a union of uniform pieces, the free kernel between
 two pieces is a chirp-modulated Toeplitz matrix and the gauge increment
 A(x) - A(y) is a pair of diagonal phases, so a transfer costs one FFT
-convolution per pair of pieces (Bluestein's chirp-z identity).  Higher
+convolution per pair of pieces (Bluestein's chirp-z identity).  The chirp
+spectra and diagonal chirps depend only on the mesh and eps, so a raw sum
+builds them once (:class:`_ChirpPlan`) and every slice reuses them.  Higher
 dimensions apply the dense kernel matrix, which also serves as the test oracle
 for the 1D path.
 """
@@ -273,15 +275,16 @@ def _transfer(
     return out
 
 
-def _chirp_block(target: MeshPiece, source: MeshPiece, v: np.ndarray, eps: float) -> np.ndarray:
-    """sum_j exp(i (x_i - y_j)^2 / 4 eps) v_j between two uniform pieces.
+def _chirp_pair(target: MeshPiece, source: MeshPiece, eps: float):
+    """Factors of sum_j exp(i (x_i - y_j)^2 / 4 eps) v_j between two uniform pieces.
 
     With x_i = x0 + i hx, y_j = y0 + j hy and d = x0 - y0 the square expands to
     d^2 + 2 d (i hx - j hy) + i^2 hx^2 + j^2 hy^2 - 2 i j hx hy.  Writing
     -2 i j = (i - j)^2 - i^2 - j^2 (Bluestein's chirp-z identity) turns the cross
     term into a convolution with the chirp exp(i hx hy k^2 / 4 eps), leaving
     diagonal chirps hx (hx - hy) i^2 and hy (hy - hx) j^2 that vanish when the
-    spacings agree.  The convolution is one zero-padded FFT product.
+    spacings agree.  Returns the zero-padded chirp spectrum, the source-side
+    and target-side diagonal chirps and the window of the convolution to keep.
     """
     hx, hy = target.spacing, source.spacing
     mt, ms = target.count, source.count
@@ -289,11 +292,36 @@ def _chirp_block(target: MeshPiece, source: MeshPiece, v: np.ndarray, eps: float
     i = np.arange(mt)
     j = np.arange(ms)
     k = np.arange(-(ms - 1), mt)
-    chirp = np.exp(1j * (hx * hy / (4.0 * eps)) * (k * k))
-    pre = np.exp(1j * (hy * (hy - hx) * j * j - 2.0 * d * hy * j) / (4.0 * eps)) * v
     size = 1 << (len(k) - 1).bit_length()
-    conv = np.fft.ifft(np.fft.fft(chirp, size) * np.fft.fft(pre, size))[ms - 1 : ms - 1 + mt]
-    return np.exp(1j * (d * d + 2.0 * d * hx * i + hx * (hx - hy) * i * i) / (4.0 * eps)) * conv
+    spectrum = np.fft.fft(np.exp(1j * (hx * hy / (4.0 * eps)) * (k * k)), size)
+    pre = np.exp(1j * (hy * (hy - hx) * j * j - 2.0 * d * hy * j) / (4.0 * eps))
+    post = np.exp(1j * (d * d + 2.0 * d * hx * i + hx * (hx - hy) * i * i) / (4.0 * eps))
+    return spectrum, pre, post, slice(ms - 1, ms - 1 + mt)
+
+
+class _ChirpPlan:
+    """The free 1D kernel transfer from one union of uniform pieces to another.
+
+    Built once per (meshes, eps): for every pair of pieces it holds the
+    :func:`_chirp_pair` factors, none of which depend on the vector moved, so
+    each application is one zero-padded FFT product per pair.
+    """
+
+    def __init__(self, target_pieces, source_pieces, eps: float):
+        self.splits = np.cumsum([p.count for p in source_pieces])[:-1]
+        self.rows = [[_chirp_pair(tp, sp, eps) for sp in source_pieces] for tp in target_pieces]
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        parts = np.split(u, self.splits)
+        return np.concatenate(
+            [
+                sum(
+                    post * np.fft.ifft(spectrum * np.fft.fft(pre * v, len(spectrum)))[window]
+                    for (spectrum, pre, post, window), v in zip(row, parts)
+                )
+                for row in self.rows
+            ]
+        )
 
 
 def _transfer_1d(
@@ -303,7 +331,7 @@ def _transfer_1d(
     eps: float,
     vector: VectorPotentialSpec | None,
 ) -> np.ndarray:
-    """Same result as :func:`_transfer` in one dimension, one FFT per pair of pieces.
+    """Same result as :func:`_transfer` in one dimension: one chirp plan, applied once.
 
     The 1D gauge increment is A(x) - A(y) with A the antiderivative of a, so it
     enters as a diagonal phase on each side of the kernel.
@@ -312,14 +340,7 @@ def _transfer_1d(
         nodes = np.concatenate([target.axes_nodes[0], source.axes_nodes[0]])
         big_a = gauge.cumulative_axis_integral(vector, 0, nodes, np.zeros((1, 1)))[:, 0]
         u = u * np.exp(-1j * big_a[target.size:])
-    source_pieces = source.axes_pieces[0]
-    parts = np.split(u, np.cumsum([p.count for p in source_pieces])[:-1])
-    out = np.concatenate(
-        [
-            sum(_chirp_block(tp, sp, v, eps) for sp, v in zip(source_pieces, parts))
-            for tp in target.axes_pieces[0]
-        ]
-    )
+    out = _ChirpPlan(target.axes_pieces[0], source.axes_pieces[0], eps)(u)
     if vector is not None:
         out *= np.exp(1j * big_a[: target.size])
     return out
@@ -501,17 +522,28 @@ def raw_sliced_amplitude(
 
     u = psi_fn(mesh.points) * mesh.weights
     phi = phi_fn(mesh.points)
-    if mesh.ndim == 1 and vector is not None:
-        # every factor but the free kernel is diagonal, so the chain
-        # e^{iA} K0 e^{-iA} D ... telescopes to e^{iA} (K0 D)^k e^{-iA}:
-        # one antiderivative table and free transfers in between
-        big_a = gauge.cumulative_axis_integral(vector, 0, mesh.axes_nodes[0], np.zeros((1, 1)))[:, 0]
-        u = u * np.exp(-1j * big_a)
-        phi = phi * np.exp(1j * big_a)
-        vector = None
-    potential_phase = np.exp(-1j * eps * scalar(mesh.points)) if scalar is not None else 1.0
+    if mesh.ndim == 1:
+        if vector is not None:
+            # every factor but the free kernel is diagonal, so the chain
+            # e^{iA} K0 e^{-iA} D ... telescopes to e^{iA} (K0 D)^k e^{-iA}:
+            # one antiderivative table and free transfers in between
+            big_a = gauge.cumulative_axis_integral(vector, 0, mesh.axes_nodes[0], np.zeros((1, 1)))[:, 0]
+            u = u * np.exp(-1j * big_a)
+            phi = phi * np.exp(1j * big_a)
+        # one plan serves all k slices
+        transfer = _ChirpPlan(mesh.axes_pieces[0], mesh.axes_pieces[0], eps)
+    else:
+        pair_gauge = _PairwiseGauge(vector, mesh, mesh) if vector is not None else None
+
+        def transfer(v):
+            return _transfer(mesh, mesh, v, eps, pair_gauge)
+
+    # every slice ends on the same diagonal: potential phase times quadrature weight
+    diagonal = mesh.weights
+    if scalar is not None:
+        diagonal = np.exp(-1j * eps * scalar(mesh.points)) * diagonal
     for _ in range(k):
-        u = _apply_kernel(mesh, mesh, u, eps, vector) * potential_phase * mesh.weights
+        u = transfer(u) * diagonal
     amp = np.sum(phi * u)
     return complex(kernel_prefactor(mesh.ndim, eps, k, prefactor) * amp)
 

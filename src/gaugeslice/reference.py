@@ -14,13 +14,15 @@ symbol (2/h^2)(1 - cos(xi h)).  ``spectral`` reproduces the split-step kinetic
 operator exactly on band-limited data and is the default for oracle
 comparisons.
 
-:class:`HamiltonianAction` applies H matrix-free through
-:func:`fields.fourier_multiply` and bounds its spectrum from the symbols and
-the sampled fields; :func:`chebyshev_evolve` expands exp(-itH) in Chebyshev
-polynomials of the rescaled action (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-3967 (1984)).  This is the reference evolution of every study, and the
-Chernoff derivative residual applies the same action; both need memory linear
-in the grid size, so no grid size is capped.  The dense matrix
+:class:`HamiltonianAction` applies H, or any affine map (H - shift) / scale of
+it, matrix-free through the stack form of :func:`fields.fourier_multiply`: per
+axis one batched forward and one batched inverse transform.  It bounds its
+spectrum from the symbols and the sampled fields; :func:`chebyshev_evolve`
+builds the map onto [-1, 1] once and expands exp(-itH) in Chebyshev
+polynomials of it (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  This
+is the reference evolution of every study, and the Chernoff derivative
+residual applies the same action; both need memory linear in the grid size,
+so no grid size is capped.  The dense matrix
 (:func:`assemble_hamiltonian`, each symbol applied to the identity and
 kron-lifted) with :func:`expm_evolve` by eigendecomposition is built
 independently of the action and serves only as the test oracle it is checked
@@ -154,16 +156,50 @@ class HamiltonianAction:
                 hi += 2.0 * float(np.max(np.abs(self.a_vals[axis]))) * float(np.max(np.abs(d1)))
         self.spectral_interval = (lo, hi)
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        out = self.diag * values
+    def affine(self, shift: float = 0.0, scale: float = 1.0):
+        """(H - shift) / scale as a function of grid values, its invariants built once.
+
+        The diagonal and every symbol are divided by ``scale`` here, not
+        multiplied by a rounded 1 / scale: a coherent relative error in the
+        scale is an error in the evolution time, which the Chebyshev series
+        amplifies by its radius.  Per axis one batched forward transform of
+        [psi, a psi] and one batched inverse transform give
+        [-lap psi^ + i d1 (a psi)^, d1 psi^], so the axis contributes the first
+        output plus i a times the second; without a field only the kinetic
+        symbol is applied.
+        """
+        diag = (self.diag - shift) / scale
+        stack = np.empty((2,) + self.grid.shape, dtype=complex)  # [psi, a psi], reused
+        axes = []
         for axis, (d1, lap) in enumerate(self.symbols):
-            out -= fourier_multiply(values, lap, axis)
-            if self.a_vals is not None:
+            shape = [1] * self.grid.ndim
+            shape[axis] = -1
+            lap, d1 = (np.broadcast_to(sym.reshape(shape), self.grid.shape) for sym in (lap, d1))
+            if self.a_vals is None:
+                axes.append((axis, np.array([[-lap]]) / scale, None, None))
+            else:
                 a = self.a_vals[axis]
-                # D psi and D(a psi) in one batched transform
-                d_psi, d_a_psi = fourier_multiply(np.stack([values, a * values]), d1, axis + 1)
-                out += 1j * (a * d_psi + d_a_psi)
-        return out
+                symbols = np.array([[-lap, 1j * d1], [d1, np.zeros(self.grid.shape)]]) / scale
+                axes.append((axis, symbols, a, 1j * a))
+
+        def apply(values: np.ndarray) -> np.ndarray:
+            out = diag * values
+            for axis, symbols, a, ia in axes:
+                if a is None:
+                    out += fourier_multiply(values[None], symbols, axis)[0]
+                else:
+                    stack[0] = values
+                    np.multiply(a, values, out=stack[1])
+                    kinetic, d_psi = fourier_multiply(stack, symbols, axis)
+                    out += kinetic
+                    d_psi *= ia
+                    out += d_psi
+            return out
+
+        return apply
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        return self.affine()(values)
 
 
 def chebyshev_coefficients(radius: float) -> np.ndarray:
@@ -191,23 +227,23 @@ def chebyshev_evolve(
 ) -> tuple[WaveFunction, int]:
     """psi(t) = exp(-i t H) psi by a Chebyshev series in the matrix-free action.
 
-    H is mapped onto [-1, 1] through its spectral interval, and the three-term
-    recurrence T_{k+1} = 2 x T_k - T_{k-1} costs one action per term.  Returns
-    the evolved state and the number of terms.
+    H is mapped onto [-1, 1] through its spectral interval, x = (H - c) / h.
+    The map 2x = (H - c) / (h / 2) is built once
+    (:meth:`HamiltonianAction.affine`), so the three-term recurrence
+    T_{k+1} = 2x T_k - T_{k-1} costs one application and no rescale per term.
+    Returns the evolved state and the number of terms.
     """
     if psi.grid != action.grid:
         raise ValueError("wavefunction grid does not match the Hamiltonian grid")
     lo, hi = action.spectral_interval
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     coeffs = chebyshev_coefficients(t * half)
-
-    def scaled(v):
-        return (action(v) - center * v) / half
+    step = action.affine(center, 0.5 * half)
 
     prev, cur = None, psi.values
     out = coeffs[0] * cur
     for c in coeffs[1:]:
-        prev, cur = cur, (scaled(cur) if prev is None else 2.0 * scaled(cur) - prev)
+        prev, cur = cur, (0.5 * step(cur) if prev is None else step(cur) - prev)
         out += c * cur
     return WaveFunction(psi.grid, np.exp(-1j * t * center) * out), len(coeffs)
 

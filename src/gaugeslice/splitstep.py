@@ -100,14 +100,17 @@ class SliceOperator:
         if self.potential_phase is not None:
             _check_unit_modulus(self.potential_phase, "potential")
 
-        # gauge phase tables are eps-independent, so they are sampled once here
-        self.gauge_tables: list[np.ndarray] | None
+        # gauge phases are eps-independent, so e^{+i lam_l} and e^{-i lam_l}
+        # are built once here and a slice only multiplies and transforms
+        self.gauge_phases: list[tuple[np.ndarray, np.ndarray]] | None
         if vector is not None:
-            self.gauge_tables = [gauge.gauge_phase_table(vector, l, grid) for l in range(grid.ndim)]
-            for l, tab in enumerate(self.gauge_tables):
-                _check_unit_modulus(np.exp(1j * tab), f"gauge axis {l}")
+            self.gauge_phases = []
+            for l in range(grid.ndim):
+                phase = np.exp(1j * gauge.gauge_phase_table(vector, l, grid))
+                _check_unit_modulus(phase, f"gauge axis {l}")
+                self.gauge_phases.append((phase, np.conj(phase)))
         else:
-            self.gauge_tables = None
+            self.gauge_phases = None
 
         self.kinetic_multipliers = [
             kinetic_multiplier(grid, l, eps) for l in range(grid.ndim)
@@ -127,11 +130,11 @@ def apply_slice(op: SliceOperator, psi: WaveFunction) -> WaveFunction:
     grid = op.grid
     v = psi.values
     for l in reversed(range(grid.ndim)):
-        if op.gauge_tables is not None:
-            v = np.exp(-1j * op.gauge_tables[l]) * v
+        if op.gauge_phases is not None:
+            v = op.gauge_phases[l][1] * v
         v = fourier_multiply(v, op.kinetic_multipliers[l], l)
-        if op.gauge_tables is not None:
-            v = np.exp(1j * op.gauge_tables[l]) * v
+        if op.gauge_phases is not None:
+            v = op.gauge_phases[l][0] * v
     if op.potential_phase is not None:
         v = op.potential_phase * v
     return WaveFunction(grid, v)

@@ -77,8 +77,12 @@ class TestExitCodes:
         ({"scalar_potential": {"family": "harmonic", "params": {"strenght": 5.0}}}, "strenght"),
         ({"initial_state": {"width": [-1.0]}}, "initial_state width"),
         ({"final_state": {"center": [0.3, 0.0]}}, "final_state center"),
+        ({"grid": {"lo": [-8.0], "hi": [8.0], "shape": [64.7]}}, "64.7"),
+        ({"grid": {"lo": [-8.0], "hi": [8.0], "shape": ["64"]}}, "'64'"),
+        ({"grid": {"lo": [float("-inf")], "hi": [8.0], "shape": [64]}}, "-inf"),
     ], ids=["zero-time", "negative-time", "zero-slice-count", "zero-amplitude-slices",
-            "misspelled-family-param", "negative-width", "center-length"])
+            "misspelled-family-param", "negative-width", "center-length",
+            "fractional-grid-shape", "string-grid-shape", "infinite-grid-bound"])
     def test_invalid_parameter_gives_exit_2(self, tmp_path, capsys, overrides, fragment):
         scen = write_scenario(tmp_path, **overrides)
         code = cli.main(["all", "--scenario", str(scen), "--out", str(tmp_path / "r")])

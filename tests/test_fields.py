@@ -56,6 +56,21 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid((0.0, 0.0), (1.0,), (4,))
 
+    @pytest.mark.parametrize("shape", [(256.7,), ("256",), (True,), (64.0,)],
+                             ids=["fractional", "string", "bool", "integral-float"])
+    def test_non_integer_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            Grid((0.0,), (1.0,), shape)
+
+    @pytest.mark.parametrize("lo, hi", [((-np.inf,), (1.0,)), ((0.0,), (np.inf,)), ((np.nan,), (1.0,))],
+                             ids=["lo-minus-infinity", "hi-infinity", "lo-nan"])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(lo, hi, (4,))
+
+    def test_numpy_integer_shape_accepted(self):
+        assert Grid((0.0, 0.0), (1.0, 1.0), np.array([4, 6])).shape == (4, 6)
+
 
 class TestWaveFunction:
     def test_shape_mismatch(self):

@@ -26,7 +26,7 @@ from gaugeslice import (
     operator_vs_kernel_consistency,
     slice_kernel,
 )
-from gaugeslice import gauge
+from gaugeslice import gauge, pathint
 from gaugeslice.fields import Grid
 from gaugeslice.pathint import (
     AmplitudeEstimate,
@@ -199,6 +199,22 @@ class TestBruteForceDual:
         psi = gaussian_evaluator(momentum=1.0, ndim=1)
         raw_sliced_amplitude(phi, psi, 0.1, 4, ExcisionRegion.build(1, 3.0), 0.05, vector=vector)
         assert len(calls) == 1
+
+
+    def test_one_chirp_plan_per_raw_sum(self, count_calls):
+        # the gap leaves two pieces, so four piece pairs; each chirp spectrum is
+        # transformed once per raw sum and each of the k slices costs one
+        # forward and one inverse transform per pair
+        region = ExcisionRegion.build(1, 2.0, singular_points=[(0.3,)], gap=0.1)
+        phi = gaussian_evaluator(center=0.5, ndim=1)
+        psi = gaussian_evaluator(momentum=1.0, ndim=1)
+        plans = count_calls(pathint, "_chirp_pair")
+        transforms = count_calls(np.fft, "fft", "ifft")
+        raw_sliced_amplitude(phi, psi, 0.25, 3, region, 0.5)
+        pairs = len(region.axis_pieces(0, 0.5)) ** 2
+        assert pairs == 4
+        assert plans == {"_chirp_pair": pairs}
+        assert transforms == {"fft": pairs + 3 * pairs, "ifft": 3 * pairs}
 
 
 class TestStructuredTransfer:

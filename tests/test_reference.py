@@ -204,6 +204,30 @@ class TestMatrixFreeAction:
         assert np.linalg.norm(action - dense) <= 1e-12 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("grid, vector, scalar, stencil", CASES)
+    def test_affine_action_matches_dense_oracle(self, grid, vector, scalar, stencil):
+        # the Chebyshev map (H - shift) / scale against the same map of the dense matrix
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        shift, scale = 3.7, 0.37
+        matrix = assemble_hamiltonian(grid, vector, scalar, stencil=stencil).matrix
+        dense = ((matrix - shift * np.eye(grid.size)) / scale) @ psi.ravel()
+        action = HamiltonianAction(grid, vector, scalar, stencil).affine(shift, scale)(psi).ravel()
+        assert np.linalg.norm(action - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_magnetic_term_costs_one_batched_transform_pair_per_axis(self, ndim, count_calls):
+        grid = Grid((-5.0,) * ndim, (5.0,) * ndim, (16,) * ndim)
+        action = HamiltonianAction(grid, sinusoidal_vector(ndim), harmonic_scalar())
+        psi = gaussian_wave(grid, width=0.8)
+        calls = count_calls(np.fft, "fft", "ifft")
+        action.affine(1.0, 2.0)(psi.values)
+        assert calls == {"fft": ndim, "ifft": ndim}
+        calls.update(fft=0, ifft=0)
+        _, terms = chebyshev_evolve(action, psi, 0.3)
+        # plus one FFT for the Bessel coefficients
+        assert calls == {"fft": ndim * (terms - 1) + 1, "ifft": ndim * (terms - 1)}
+
+    @pytest.mark.parametrize("grid, vector, scalar, stencil", CASES)
     def test_spectral_interval_encloses_spectrum(self, grid, vector, scalar, stencil):
         eigs = np.linalg.eigvalsh(assemble_hamiltonian(grid, vector, scalar, stencil=stencil).matrix)
         lo, hi = HamiltonianAction(grid, vector, scalar, stencil).spectral_interval
@@ -267,6 +291,21 @@ class TestChebyshevEvolution:
         out, terms = chebyshev_evolve(HamiltonianAction(g), psi, 0.0)
         assert terms == 1
         assert np.array_equal(out.values, psi.values)
+
+    @pytest.mark.parametrize("stencil", ["spectral", "fd2"])
+    def test_zero_time_with_fields_is_identity(self, stencil):
+        g = Grid((-5.0, -5.0), (5.0, 5.0), (12, 10))
+        psi = gaussian_wave(g, width=0.9, momentum=(0.5, -0.3))
+        action = HamiltonianAction(g, magnetic_2d(), harmonic_scalar(), stencil)
+        out, terms = chebyshev_evolve(action, psi, 0.0)
+        assert terms == 1
+        assert np.array_equal(out.values, psi.values)
+
+    @pytest.mark.parametrize("stencil", ["spectral", "fd2"])
+    def test_negative_time_matches_dense(self, stencil):
+        g = Grid((-5.0, -5.0), (5.0, 5.0), (20, 18))
+        psi = gaussian_wave(g, center=(0.5, -0.3), width=(0.9, 1.1), momentum=(0.8, 0.2))
+        self.assert_matches_dense(g, magnetic_2d(), harmonic_scalar(), psi, -0.4, stencil=stencil)
 
     def test_grid_mismatch(self):
         action = HamiltonianAction(Grid((-4.0,), (4.0,), (16,)))

@@ -16,7 +16,8 @@ from gaugeslice import (
     gaussian_wave,
     l2_norm,
 )
-from gaugeslice.fields import ScalarPotentialSpec
+from gaugeslice import gauge
+from gaugeslice.fields import ScalarPotentialSpec, sample_field
 from gaugeslice.reference import assemble_hamiltonian, exact_free_gaussian, expm_evolve
 from gaugeslice.splitstep import boundary_mass_fraction, kinetic_multiplier
 
@@ -124,6 +125,35 @@ class TestSliceOperator:
         op = SliceOperator(g, None, None, TimeSlicing(0.3, 1))
         dense = expm_evolve(assemble_hamiltonian(g), psi, 0.3)
         assert np.max(np.abs(apply_slice(op, psi).values - dense.values)) < 1e-10
+
+
+    def test_gauge_removal_identity_1d(self):
+        # in 1D every factor but the kinetic step is diagonal, so k slices
+        # telescope: (P e^{i lam} K e^{-i lam})^k = e^{i lam} (P K)^k e^{-i lam}
+        g = Grid((-8.0,), (8.0,), (128,))
+        vector, scalar, k = smooth_vector_1d(), harmonic(), 5
+        op = SliceOperator(g, scalar, vector, TimeSlicing(0.4, k))
+        psi = gaussian_wave(g, center=0.5, momentum=0.7)
+        gauge_phase = np.exp(1j * gauge.gauge_phase_table(vector, 0, g))
+        potential_phase = np.exp(-1j * op.eps * sample_field(scalar, g))
+        telescoped = psi.with_values(np.conj(gauge_phase) * psi.values)
+        sliced = psi
+        for _ in range(k):
+            sliced = apply_slice(op, sliced)
+            telescoped = free_propagate_axis(telescoped, 0, op.eps)
+            telescoped = telescoped.with_values(potential_phase * telescoped.values)
+        expected = gauge_phase * telescoped.values
+        assert np.max(np.abs(sliced.values - expected)) < 1e-12
+
+    def test_slice_evaluates_no_exponential(self, count_calls):
+        # every phase is tabulated when the operator is built
+        g = Grid((-5.0, -4.0), (5.0, 4.0), (16, 12))
+        vec = VectorPotentialSpec((lambda p: -0.35 * p[..., 1], lambda p: 0.35 * p[..., 0]))
+        op = SliceOperator(g, harmonic(), vec, TimeSlicing(0.2, 2))
+        psi = gaussian_wave(g, width=0.8)
+        calls = count_calls(np, "exp")
+        apply_slice(op, apply_slice(op, psi))
+        assert calls == {"exp": 0}
 
 
 class TestBoundaryDiagnostics:
