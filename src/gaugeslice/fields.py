@@ -22,6 +22,14 @@ SINGULAR_NODE_TOL = 1e-9
 DEDUP_TOL = 1e-12
 
 
+def _finite_real(value, what: str) -> float:
+    """``value`` as a float; a bool, a string or a non-finite number is rejected, not converted."""
+    kinds = (int, float, np.integer, np.floating)
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, kinds) or not np.isfinite(value):
+        raise ValueError(f"{what} {value!r} is not a finite real number")
+    return float(value)
+
+
 def _as_point_tuple(p) -> tuple[float, ...]:
     arr = np.atleast_1d(np.asarray(p, dtype=float))
     return tuple(float(v) for v in arr)
@@ -38,17 +46,14 @@ class Grid:
     def __post_init__(self):
         # object arrays keep each entry's own type, so a bool, a string or a
         # fractional count is rejected instead of converted
-        real, integer = (int, float, np.integer, np.floating), (int, np.integer)
-        for name, kinds, noun in (("lo", real, "a real number"), ("hi", real, "a real number"),
-                                  ("shape", integer, "an integer")):
-            for v in np.atleast_1d(np.asarray(getattr(self, name), dtype=object)):
-                if isinstance(v, (bool, np.bool_)) or not isinstance(v, kinds):
-                    raise ValueError(f"grid {name} entry {v!r} is not {noun}")
-                if not np.isfinite(v):
-                    raise ValueError(f"grid {name} entry {v!r} is not finite")
-        lo = tuple(float(v) for v in np.atleast_1d(self.lo))
-        hi = tuple(float(v) for v in np.atleast_1d(self.hi))
-        shape = tuple(int(v) for v in np.atleast_1d(self.shape))
+        lo, hi, shape = (np.atleast_1d(np.asarray(v, dtype=object))
+                         for v in (self.lo, self.hi, self.shape))
+        lo = tuple(_finite_real(v, "grid lo entry") for v in lo)
+        hi = tuple(_finite_real(v, "grid hi entry") for v in hi)
+        for v in shape:
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"grid shape entry {v!r} is not an integer")
+        shape = tuple(int(v) for v in shape)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "shape", shape)

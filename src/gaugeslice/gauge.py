@@ -29,6 +29,7 @@ from .fields import (
     Grid,
     VectorPotentialSpec,
     WaveFunction,
+    _check_nodes_off_singular,
     fourier_multiply,
     l2_norm,
     sample_field,
@@ -179,9 +180,7 @@ def midpoint_discrepancy(vector: VectorPotentialSpec, x1, x0) -> float:
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     mid = 0.5 * (x1 + x0)
-    for w in vector.singular_points:
-        if np.max(np.abs(mid - np.asarray(w, dtype=float))) <= PATH_SINGULAR_TOL:
-            raise SingularNodeError(f"midpoint {mid} coincides with singular point {w}")
+    _check_nodes_off_singular(mid, vector.singular_points, PATH_SINGULAR_TOL)
     a_mid = np.array([float(vector.component(l, mid)) for l in range(vector.ndim)])
     exact = slice_gauge_increment(vector, x1, x0)
     return float(abs(exact - np.dot(x1 - x0, a_mid)))

@@ -20,14 +20,16 @@ one kernel application per slice) instead of a literal loop over the product
 grid.  The two are identical term by term; tests check this against a
 brute-force nested sum on tiny meshes.
 
-In one dimension a mesh is a union of uniform pieces, the free kernel between
-two pieces is a chirp-modulated Toeplitz matrix and the gauge increment
+Every transfer, in every dimension, comes from one :func:`_kernel_plan`,
+built once per pair of meshes and eps and applied once per slice.  The slice
+gauge increments come from :class:`_PairwiseGauge` in every dimension.  In one
+dimension a mesh is a union of uniform pieces, the free kernel between two
+pieces is a chirp-modulated Toeplitz matrix and the gauge increment
 A(x) - A(y) is a pair of diagonal phases, so a transfer costs one FFT
-convolution per pair of pieces (Bluestein's chirp-z identity).  The chirp
-spectra and diagonal chirps depend only on the mesh and eps, so a raw sum
-builds them once (:class:`_ChirpPlan`) and every slice reuses them.  Higher
-dimensions apply the dense kernel matrix, which also serves as the test oracle
-for the 1D path.
+convolution per pair of pieces (Bluestein's chirp-z identity) between those
+phases; the chirp spectra and diagonal chirps (:class:`_ChirpPlan`) depend only
+on the meshes and eps.  Higher dimensions apply the dense kernel matrix, which
+also serves as the test oracle for the 1D plan.
 """
 
 from __future__ import annotations
@@ -131,18 +133,15 @@ class ExcisionRegion:
             per_axis = [(float(a), float(b)) for a, b in bounds]
             if len(per_axis) != ndim:
                 raise ValueError("bounds length must match ndim")
-        if np.isscalar(gap):
-            gap_lo = gap_hi = float(gap)
-        else:
-            gap_lo, gap_hi = (float(g) for g in gap)
+        gap = float(gap)
         axes = []
         for beta in range(ndim):
             lo, hi = per_axis[beta]
             cuts = []
-            if gap_lo > 0.0 or gap_hi > 0.0:
+            if gap > 0.0:
                 for w in singular_points:
                     wb = float(np.atleast_1d(np.asarray(w, float))[beta])
-                    cuts.append((wb - gap_lo, wb + gap_hi))
+                    cuts.append((wb - gap, wb + gap))
             axes.append(_subtract_gaps(lo, hi, cuts))
         return cls(tuple(axes))
 
@@ -225,13 +224,10 @@ class _PairwiseGauge:
             s_all = np.concatenate([tc, sc])
             other_axes = [b for b in range(n) if b != l]
             other_nodes = [source.axes_nodes[b] for b in other_axes]
-            if other_axes:
-                grids = np.meshgrid(*other_nodes, indexing="ij")
-                frozen = np.zeros((grids[0].size, n))
-                for b, gmesh in zip(other_axes, grids):
-                    frozen[:, b] = gmesh.ravel()
-            else:
-                frozen = np.zeros((1, n))
+            # one frozen line per combination of the other source coordinates (one in 1D)
+            frozen = np.zeros((math.prod(map(len, other_nodes)), n))
+            for b, gmesh in zip(other_axes, np.meshgrid(*other_nodes, indexing="ij")):
+                frozen[:, b] = gmesh.ravel()
             cum = gauge.cumulative_axis_integral(vector, l, s_all, frozen)
             tab_t = cum[: len(tc)]
             tab_s = cum[len(tc):]
@@ -324,40 +320,27 @@ class _ChirpPlan:
         )
 
 
-def _transfer_1d(
+def _kernel_plan(
     target: _TensorMesh,
     source: _TensorMesh,
-    u: np.ndarray,
     eps: float,
     vector: VectorPotentialSpec | None,
-) -> np.ndarray:
-    """Same result as :func:`_transfer` in one dimension: one chirp plan, applied once.
+):
+    """The one-slice kernel transfer (without prefactor) from source to target values.
 
-    The 1D gauge increment is A(x) - A(y) with A the antiderivative of a, so it
-    enters as a diagonal phase on each side of the kernel.
+    Everything that depends only on the meshes, eps and the field is built
+    here, so each application costs one transfer.  In 1D the gauge increment
+    A(x) - A(y) enters as a diagonal phase on each side of the chirp plan.
     """
-    if vector is not None:
-        nodes = np.concatenate([target.axes_nodes[0], source.axes_nodes[0]])
-        big_a = gauge.cumulative_axis_integral(vector, 0, nodes, np.zeros((1, 1)))[:, 0]
-        u = u * np.exp(-1j * big_a[target.size:])
-    out = _ChirpPlan(target.axes_pieces[0], source.axes_pieces[0], eps)(u)
-    if vector is not None:
-        out *= np.exp(1j * big_a[: target.size])
-    return out
-
-
-def _apply_kernel(
-    target: _TensorMesh,
-    source: _TensorMesh,
-    u: np.ndarray,
-    eps: float,
-    vector: VectorPotentialSpec | None,
-) -> np.ndarray:
-    """One-slice kernel transfer (without prefactor): structured in 1D, dense otherwise."""
-    if target.ndim == 1:
-        return _transfer_1d(target, source, u, eps, vector)
     pair_gauge = _PairwiseGauge(vector, target, source) if vector is not None else None
-    return _transfer(target, source, u, eps, pair_gauge)
+    if target.ndim > 1:
+        return lambda u: _transfer(target, source, u, eps, pair_gauge)
+    free = _ChirpPlan(target.axes_pieces[0], source.axes_pieces[0], eps)
+    if pair_gauge is None:
+        return free
+    post = np.exp(1j * pair_gauge.tables_t[0][:, 0])
+    pre = np.exp(-1j * pair_gauge.source_term)
+    return lambda u: post * free(pre * u)
 
 
 def kernel_prefactor(ndim: int, eps: float, slices: int, exponent: str = "composed") -> complex:
@@ -448,7 +431,6 @@ class BoxSchedule:
         gap: float = 0.0,
         gap_final: float | None = None,
         tail_window: int = DEFAULT_TAIL_WINDOW,
-        spacing: float | None = None,
     ) -> "BoxSchedule":
         """Radii spaced by roughly half a period of the dominant tail oscillation.
 
@@ -456,8 +438,7 @@ class BoxSchedule:
         4 pi eps / R, so consecutive radii differ by 2 pi eps / R and the tail
         mean over the last window cancels the oscillation.
         """
-        if spacing is None:
-            spacing = 2.0 * np.pi * eps / r_start
+        spacing = 2.0 * np.pi * eps / r_start
         radii = tuple(r_start + i * spacing for i in range(steps))
         if gap_final is None or gap_final == gap:
             gaps = tuple(float(gap) for _ in range(steps))
@@ -521,30 +502,14 @@ def raw_sliced_amplitude(
         )
 
     u = psi_fn(mesh.points) * mesh.weights
-    phi = phi_fn(mesh.points)
-    if mesh.ndim == 1:
-        if vector is not None:
-            # every factor but the free kernel is diagonal, so the chain
-            # e^{iA} K0 e^{-iA} D ... telescopes to e^{iA} (K0 D)^k e^{-iA}:
-            # one antiderivative table and free transfers in between
-            big_a = gauge.cumulative_axis_integral(vector, 0, mesh.axes_nodes[0], np.zeros((1, 1)))[:, 0]
-            u = u * np.exp(-1j * big_a)
-            phi = phi * np.exp(1j * big_a)
-        # one plan serves all k slices
-        transfer = _ChirpPlan(mesh.axes_pieces[0], mesh.axes_pieces[0], eps)
-    else:
-        pair_gauge = _PairwiseGauge(vector, mesh, mesh) if vector is not None else None
-
-        def transfer(v):
-            return _transfer(mesh, mesh, v, eps, pair_gauge)
-
+    transfer = _kernel_plan(mesh, mesh, eps, vector)
     # every slice ends on the same diagonal: potential phase times quadrature weight
     diagonal = mesh.weights
     if scalar is not None:
         diagonal = np.exp(-1j * eps * scalar(mesh.points)) * diagonal
     for _ in range(k):
         u = transfer(u) * diagonal
-    amp = np.sum(phi * u)
+    amp = np.sum(phi_fn(mesh.points) * u)
     return complex(kernel_prefactor(mesh.ndim, eps, k, prefactor) * amp)
 
 
@@ -625,8 +590,6 @@ def operator_vs_kernel_consistency(
     vector: VectorPotentialSpec,
     grid: Grid,
     eps: float,
-    psi_fn=None,
-    source_h: float | None = None,
 ) -> float:
     """L2 gap between the per-axis gauge-split slice and the single-kernel slice.
 
@@ -636,23 +599,21 @@ def operator_vs_kernel_consistency(
     For one dimension (or constant fields) the two coincide; in general the
     difference is O(eps) and is reported as a diagnostic, not asserted zero.
     """
-    if psi_fn is None:
-        center = [0.5 * (a + b) for a, b in zip(grid.lo, grid.hi)]
-        # narrow enough that the state's tails are negligible at the box edge
-        width = [(b - a) / 16.0 for a, b in zip(grid.lo, grid.hi)]
-        psi_fn = gaussian_evaluator(center=center, width=width, ndim=grid.ndim)
+    center = [0.5 * (a + b) for a, b in zip(grid.lo, grid.hi)]
+    # narrow enough that the state's tails are negligible at the box edge
+    width = [(b - a) / 16.0 for a, b in zip(grid.lo, grid.hi)]
+    psi_fn = gaussian_evaluator(center=center, width=width, ndim=grid.ndim)
 
     psi_grid = WaveFunction(grid, psi_fn(np.stack(grid.meshgrid(), axis=-1)))
     op = SliceOperator(grid, None, vector, TimeSlicing(eps, 1))
     via_operator = apply_slice(op, psi_grid)
 
-    if source_h is None:
-        diam = float(np.sqrt(sum((b - a) ** 2 for a, b in zip(grid.lo, grid.hi))))
-        source_h = min(min(grid.spacing), (np.pi / 4.0) * 2.0 * eps / diam)
+    diam = float(np.sqrt(sum((b - a) ** 2 for a, b in zip(grid.lo, grid.hi))))
+    source_h = min(min(grid.spacing), (np.pi / 4.0) * 2.0 * eps / diam)
     region = ExcisionRegion.build(grid.ndim, list(zip(grid.lo, grid.hi)))
     source = _TensorMesh.from_region(region, source_h)
     target = _TensorMesh.from_grid(grid)
     u = psi_fn(source.points) * source.weights
-    vals = kernel_prefactor(grid.ndim, eps, 1) * _apply_kernel(target, source, u, eps, vector)
+    vals = kernel_prefactor(grid.ndim, eps, 1) * _kernel_plan(target, source, eps, vector)(u)
     via_kernel = WaveFunction(grid, vals.reshape(grid.shape))
     return l2_norm(WaveFunction(grid, via_operator.values - via_kernel.values))

@@ -24,6 +24,7 @@ from .fields import (
     ScalarPotentialSpec,
     VectorPotentialSpec,
     WaveFunction,
+    _finite_real,
     collect_singularities,
     gaussian_evaluator,
     gaussian_wave,
@@ -242,6 +243,44 @@ def _state_from_config(cfg: dict, ndim: int, block: str) -> StateSpec:
     return StateSpec(tup("center", 0.0), width, tup("momentum", 0.0))
 
 
+def _count(value, what: str) -> int:
+    """A positive whole number: an integer, or an integral real such as 1e8."""
+    if not (_finite_real(value, what) >= 1 and float(value).is_integer()):
+        raise ValueError(f"{what} {value!r} is not a positive integer")
+    return int(value)
+
+
+def _amplitude_params(block: dict) -> dict:
+    """An ``amplitude`` block with its defaults filled in and every value checked."""
+    params = {"slices": [1], "r_start": 6.0, "steps": 16, "gap": 0.0,
+              "gap_final": block.get("gap", 0.0), "tail_window": pathint.DEFAULT_TAIL_WINDOW,
+              "max_evals": pathint.DEFAULT_EVAL_CAP, **block}
+    slices = params["slices"] if isinstance(params["slices"], (list, tuple)) else [params["slices"]]
+    params["slices"] = [_count(k, "amplitude slices") for k in slices]
+    for key in ("steps", "tail_window", "max_evals"):
+        params[key] = _count(params[key], f"amplitude {key}")
+    for key in ("r_start", "gap", "gap_final"):
+        params[key] = _finite_real(params[key], f"amplitude {key}")
+    r_start, gap, gap_final = params["r_start"], params["gap"], params["gap_final"]
+    if r_start <= 0 or gap < 0 or not (gap_final == gap or 0 < gap_final < gap):
+        raise ValueError(f"amplitude needs r_start > 0, gap >= 0 and gap_final equal to gap or in "
+                         f"(0, gap), got {r_start}, {gap} and {gap_final}")
+    return params
+
+
+def _checks(block: dict) -> dict:
+    """A ``checks`` block with every value checked: finite reals, the order band a pair."""
+    checks = {}
+    for key, value in block.items():
+        if key == "trotter_order_band":
+            if not (isinstance(value, (list, tuple)) and len(value) == 2):
+                raise ValueError(f"checks {key} {value!r} is not a pair [low, high]")
+            checks[key] = tuple(_finite_real(v, f"checks {key} entry") for v in value)
+        else:
+            checks[key] = _finite_real(value, f"checks {key}")
+    return checks
+
+
 def scenario_from_dict(cfg: dict) -> Scenario:
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -271,12 +310,9 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     t = float(cfg["time"])
     if not (np.isfinite(t) and t > 0):
         raise ValueError(f"time must be positive and finite, got {t}")
-    slice_counts = tuple(int(k) for k in cfg.get("slice_counts", (4, 8, 16, 32)))
-    amplitude = dict(cfg.get("amplitude", {}))
-    amplitude_slices = [int(k) for k in np.atleast_1d(amplitude.get("slices", 1))]
-    for key, counts in (("slice_counts", slice_counts), ("amplitude slices", amplitude_slices)):
-        if any(k < 1 for k in counts):
-            raise ValueError(f"{key} must be positive, got {list(counts)}")
+    slice_counts = tuple(_count(k, "slice_counts") for k in cfg.get("slice_counts", (4, 8, 16, 32)))
+    # an absent or empty block means no amplitude study in ``all``
+    amplitude = _amplitude_params(cfg["amplitude"]) if cfg.get("amplitude") else {}
     return Scenario(
         name=str(cfg["name"]),
         ndim=ndim,
@@ -288,7 +324,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         time=t,
         slice_counts=slice_counts,
         amplitude_params=amplitude,
-        checks=dict(cfg.get("checks", {})),
+        checks=_checks(cfg.get("checks", {})),
     )
 
 
@@ -561,10 +597,7 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -
     """
     report = Report(scenario.name)
     start = time.perf_counter()
-    params = scenario.amplitude_params
-    slices_list = params.get("slices", [1])
-    if np.isscalar(slices_list):
-        slices_list = [int(slices_list)]
+    params = scenario.amplitude_params or _amplitude_params({})
 
     singular = collect_singularities(scenario.scalar, scenario.vector)
     phi_fn = scenario.final_state.evaluator(scenario.ndim)
@@ -580,15 +613,15 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -
         exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario)
     dense_ref = pair_bilinear(phi_grid, exact)
 
-    for k in slices_list:
+    for k in params["slices"]:
         eps = scenario.time / k
         schedule = pathint.BoxSchedule.fresnel(
             eps,
-            float(params.get("r_start", 6.0)),
-            steps=int(params.get("steps", 16)),
-            gap=float(params.get("gap", 0.0)),
-            gap_final=params.get("gap_final"),
-            tail_window=int(params.get("tail_window", pathint.DEFAULT_TAIL_WINDOW)),
+            params["r_start"],
+            steps=params["steps"],
+            gap=params["gap"],
+            gap_final=params["gap_final"],
+            tail_window=params["tail_window"],
         )
         estimate = pathint.amplitude_quadrature(
             phi_fn,
@@ -600,7 +633,7 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -
             vector=scenario.vector,
             scalar=scenario.scalar,
             singular_points=singular.points,
-            max_evals=int(params.get("max_evals", pathint.DEFAULT_EVAL_CAP)),
+            max_evals=params["max_evals"],
         )
         report.diagnostics[f"amplitude_k{k}"] = {
             "raw": list(estimate.raw),

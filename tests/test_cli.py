@@ -80,9 +80,16 @@ class TestExitCodes:
         ({"grid": {"lo": [-8.0], "hi": [8.0], "shape": [64.7]}}, "64.7"),
         ({"grid": {"lo": [-8.0], "hi": [8.0], "shape": ["64"]}}, "'64'"),
         ({"grid": {"lo": [float("-inf")], "hi": [8.0], "shape": [64]}}, "-inf"),
+        ({"amplitude": {"steps": "abc"}}, "amplitude steps"),
+        ({"amplitude": {"max_evals": "x"}}, "amplitude max_evals"),
+        ({"amplitude": {"gap_final": 0.001}}, "gap_final equal to gap"),
+        ({"checks": {"trotter_order_band": 5}}, "checks trotter_order_band"),
+        ({"checks": {"gauge_residual_tol": "x"}}, "checks gauge_residual_tol"),
     ], ids=["zero-time", "negative-time", "zero-slice-count", "zero-amplitude-slices",
             "misspelled-family-param", "negative-width", "center-length",
-            "fractional-grid-shape", "string-grid-shape", "infinite-grid-bound"])
+            "fractional-grid-shape", "string-grid-shape", "infinite-grid-bound",
+            "string-amplitude-steps", "string-max-evals", "gap-final-without-gap",
+            "scalar-order-band", "string-residual-tol"])
     def test_invalid_parameter_gives_exit_2(self, tmp_path, capsys, overrides, fragment):
         scen = write_scenario(tmp_path, **overrides)
         code = cli.main(["all", "--scenario", str(scen), "--out", str(tmp_path / "r")])

@@ -160,6 +160,17 @@ class TestMidpointDiscrepancy:
         slope = np.polyfit(np.log(seps), np.log(disc), 1)[0]
         assert slope >= 2.9
 
+    def test_midpoint_on_singular_point_rejected(self):
+        # both axis segments from x0 miss (0.5, 0.5), so only the midpoint check sees it
+        w = (0.5, 0.5)
+
+        def inverse(p):
+            return 1.0 / np.hypot(p[..., 0] - w[0], p[..., 1] - w[1])
+
+        vec = VectorPotentialSpec((inverse, inverse), singular_points=(w,))
+        with pytest.raises(SingularNodeError, match="singular point"):
+            midpoint_discrepancy(vec, [1.0, 1.0], [0.0, 0.0])
+
 
 class TestTables:
     def test_cumulative_matches_pointwise(self):

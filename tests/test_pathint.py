@@ -9,6 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaugeslice import (
     BoxSchedule,
@@ -32,8 +33,8 @@ from gaugeslice.pathint import (
     AmplitudeEstimate,
     _PairwiseGauge,
     _TensorMesh,
+    _kernel_plan,
     _transfer,
-    _transfer_1d,
     phase_mesh_spacing,
     raw_sliced_amplitude,
 )
@@ -143,29 +144,27 @@ class TestBoxSchedule:
 
 class TestBruteForceDual:
     @staticmethod
-    def assert_matches_nested_sum(region, h):
-        # two slices, coarse 1D meshes: sum the integrand literally over the
+    def assert_matches_nested_sum(region, h, vector, phi, psi):
+        # two slices, coarse meshes: sum the integrand literally over the
         # product grid and compare with the factorized evaluation
         eps = 0.25
         scalar = ScalarPotentialSpec(lambda p: np.sum(p**2, axis=-1))
-        vector = VectorPotentialSpec((lambda p: 0.4 * np.sin(p[..., 0]),))
-        phi = gaussian_evaluator(center=0.5, ndim=1)
-        psi = gaussian_evaluator(momentum=1.0, ndim=1)
         fast = raw_sliced_amplitude(
             phi, psi, eps, 2, region, h, vector=vector, scalar=scalar
         )
 
-        nodes, weights = region.axis_mesh(0, h)
-        pref = kernel_prefactor(1, eps, 2)
+        axes = [region.axis_mesh(b, h) for b in range(region.ndim)]
+        points = [np.array(x) for x in itertools.product(*(nodes for nodes, _ in axes))]
+        weights = [np.prod(w) for w in itertools.product(*(w for _, w in axes))]
+        pref = kernel_prefactor(region.ndim, eps, 2)
         brute = 0.0j
         for (x0, w0), (x1, w1), (x2, w2) in itertools.product(
-            zip(nodes, weights), repeat=3
+            zip(points, weights), repeat=3
         ):
-            xs = [[x0], [x1], [x2]]
             brute += (
-                phi(np.array([x2]))
-                * np.exp(discrete_action(xs, eps, scalar=scalar, vector=vector))
-                * psi(np.array([x0]))
+                phi(x2)
+                * np.exp(discrete_action([x0, x1, x2], eps, scalar=scalar, vector=vector))
+                * psi(x0)
                 * w0
                 * w1
                 * w2
@@ -173,15 +172,36 @@ class TestBruteForceDual:
         brute *= pref
         assert fast == pytest.approx(complex(brute), rel=1e-9)
 
+    @classmethod
+    def assert_matches_nested_sum_1d(cls, region, h):
+        vector = VectorPotentialSpec((lambda p: 0.4 * np.sin(p[..., 0]),))
+        phi = gaussian_evaluator(center=0.5, ndim=1)
+        psi = gaussian_evaluator(momentum=1.0, ndim=1)
+        cls.assert_matches_nested_sum(region, h, vector, phi, psi)
+
     def test_chained_transfers_match_nested_sum(self):
-        self.assert_matches_nested_sum(ExcisionRegion.build(1, 2.0), 0.5)
+        self.assert_matches_nested_sum_1d(ExcisionRegion.build(1, 2.0), 0.5)
 
     def test_chained_transfers_match_nested_sum_excised(self):
         # the gap around 0.3 leaves pieces of 5 cells of 0.44 and 4 cells of
         # 0.4, so the cross-piece transfers have unequal spacings
         region = ExcisionRegion.build(1, 2.0, singular_points=[(0.3,)], gap=0.1)
         assert [p.spacing for p in region.axis_pieces(0, 0.5)] == pytest.approx([0.44, 0.4])
-        self.assert_matches_nested_sum(region, 0.5)
+        self.assert_matches_nested_sum_1d(region, 0.5)
+
+    def test_chained_transfers_match_nested_sum_excised_2d(self):
+        # the dense 2D transfer with the source-frozen gauge increments: the gap
+        # around (0.3, -0.3) leaves two pieces per axis and a 3 x 3 mesh, and
+        # each field component depends on both coordinates
+        region = ExcisionRegion.build(2, 1.0, singular_points=[(0.3, -0.3)], gap=0.1)
+        assert [len(region.axis_mesh(b, 0.7)[0]) for b in range(2)] == [3, 3]
+        vector = VectorPotentialSpec((
+            lambda p: 0.4 * np.sin(p[..., 1]) + 0.3 * p[..., 0],
+            lambda p: 0.5 * np.cos(p[..., 0]) * p[..., 1],
+        ))
+        phi = gaussian_evaluator(center=[0.5, -0.2], ndim=2)
+        psi = gaussian_evaluator(momentum=[1.0, 0.5], ndim=2)
+        self.assert_matches_nested_sum(region, 0.7, vector, phi, psi)
 
     def test_one_gauge_table_per_raw_sum(self, monkeypatch):
         # in 1D the gauge phases telescope through the chain, so the
@@ -218,7 +238,7 @@ class TestBruteForceDual:
 
 
 class TestStructuredTransfer:
-    """The 1D FFT transfer against the dense kernel matrix it replaces."""
+    """The 1D kernel plan against the dense kernel matrix it replaces."""
 
     MESHES = {
         # one piece at the size of the last free_1d schedule step
@@ -251,7 +271,32 @@ class TestStructuredTransfer:
         eps = 0.1
         pair_gauge = _PairwiseGauge(vector, target, source) if with_vector else None
         dense = _transfer(target, source, u, eps, pair_gauge)
-        fast = _transfer_1d(target, source, u, eps, vector)
+        fast = _kernel_plan(target, source, eps, vector)(u)
+        assert np.linalg.norm(fast - dense) <= 1e-10 * np.linalg.norm(dense)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        radii=st.tuples(st.floats(1.0, 4.0), st.floats(1.0, 4.0)),
+        singular=st.floats(-0.5, 0.5),
+        gaps=st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 0.3)),
+        spacings=st.tuples(st.floats(0.02, 0.2), st.floats(0.02, 0.2)),
+        eps=st.floats(0.05, 0.5),
+        amplitude=st.floats(-2.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_plan_matches_dense_transfer_on_random_meshes(
+        self, radii, singular, gaps, spacings, eps, amplitude, seed
+    ):
+        # a gap of 0 keeps one piece, any other gap cuts the mesh in two
+        target, source = (
+            _TensorMesh.from_region(ExcisionRegion.build(1, r, [(singular,)], g), h)
+            for r, g, h in zip(radii, gaps, spacings)
+        )
+        vector = VectorPotentialSpec((lambda p: amplitude * np.cos(1.3 * p[..., 0] + 0.4),))
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=source.size) + 1j * rng.normal(size=source.size)
+        dense = _transfer(target, source, u, eps, _PairwiseGauge(vector, target, source))
+        fast = _kernel_plan(target, source, eps, vector)(u)
         assert np.linalg.norm(fast - dense) <= 1e-10 * np.linalg.norm(dense)
 
 

@@ -71,6 +71,34 @@ class TestParsing:
         with pytest.raises(ValueError, match="centre"):
             scenario_from_dict(minimal_config(final_state={"centre": [0.3]}))
 
+    def test_amplitude_and_checks_converted(self):
+        s = scenario_from_dict(minimal_config(
+            amplitude={"slices": 2, "gap": 0.01, "max_evals": 1e8},
+            checks={"trotter_order_band": [1, 2], "amplitude_rel_tol": 1},
+        ))
+        assert s.amplitude_params == {
+            "slices": [2], "r_start": 6.0, "steps": 16, "gap": 0.01, "gap_final": 0.01,
+            "tail_window": 8, "max_evals": 100_000_000,
+        }
+        assert type(s.amplitude_params["max_evals"]) is int
+        assert s.checks == {"trotter_order_band": (1.0, 2.0), "amplitude_rel_tol": 1.0}
+
+    @pytest.mark.parametrize("block, values, fragment", [
+        ("amplitude", {"steps": 2.5}, "amplitude steps"),
+        ("amplitude", {"tail_window": True}, "amplitude tail_window"),
+        ("amplitude", {"slices": [1, "2"]}, "amplitude slices"),
+        ("amplitude", {"max_evals": 0}, "amplitude max_evals"),
+        ("amplitude", {"r_start": 0}, "r_start > 0"),
+        ("amplitude", {"r_start": float("nan")}, "amplitude r_start"),
+        ("amplitude", {"gap": -0.1}, "gap >= 0"),
+        ("amplitude", {"gap": 0.01, "gap_final": 0.02}, "gap_final equal to gap"),
+        ("checks", {"trotter_order_band": [0.7, 1.0, 1.3]}, "checks trotter_order_band"),
+        ("checks", {"trotter_floor": float("inf")}, "checks trotter_floor"),
+    ])
+    def test_bad_amplitude_and_check_values_rejected(self, block, values, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            scenario_from_dict(minimal_config(**{block: values}))
+
     def test_unknown_family_params_rejected(self):
         with pytest.raises(ValueError, match="strenght"):
             scenario_from_dict(minimal_config(
