@@ -20,7 +20,6 @@ from .errors import (
 from .fields import (
     Grid,
     ScalarPotentialSpec,
-    SingularPointSet,
     VectorPotentialSpec,
     WaveFunction,
     collect_singularities,
@@ -31,6 +30,7 @@ from .fields import (
     l2_norm,
     pair_bilinear,
     sample_field,
+    sample_points,
 )
 from .gauge import (
     LineIntegralResult,

@@ -4,7 +4,8 @@ Subcommands ``trotter``, ``amplitude``, ``gauge`` and ``all`` each load a
 scenario file, run the corresponding study, write a CSV table and a JSON
 diagnostics document into the output directory, and exit 0 only if every
 configured assertion passed, 1 if one failed and 2 if the run could not be
-completed (an unreadable or invalid scenario, or a tripped evaluation cap).
+completed (an unreadable or invalid scenario, a bad flag, a tripped evaluation
+cap, or a field evaluation on a registered singular point).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc)
         p.add_argument("--scenario", required=True, type=Path, help="scenario JSON file")
         p.add_argument("--out", type=Path, default=Path("reports"), help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--threads", type=int, default=1, help="worker threads (>= 1)")
     return parser
 
 
@@ -45,7 +46,10 @@ def _print_summary(report: scenarios.Report) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be a positive integer, got {args.threads}")
     try:
         scenario = scenarios.load_scenario(args.scenario)
     except (OSError, ValueError, KeyError, TypeError) as exc:

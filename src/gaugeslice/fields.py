@@ -4,22 +4,23 @@ Grids are uniform, periodic, cell-centered boxes: along axis ``b`` the nodes
 sit at ``lo + (i + 1/2) * h`` with ``h = (hi - lo) / N``.  Cell-centering means
 a singular point placed on a cell boundary (for example the origin of a
 symmetric box) is never a grid node.
+
+No field is evaluated within ``SINGULAR_TOL`` of a singular point its spec
+registers: such a node raises :class:`SingularNodeError`.  The amplitude
+quadrature excises singular points only for a positive gap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import GridMismatchError, NonFiniteError, SingularNodeError
 
-# Absolute distance below which a quadrature node counts as "on" a singular point.
-SINGULAR_NODE_TOL = 1e-9
-
-# Points closer than this are merged when singular sets are unioned.
-DEDUP_TOL = 1e-12
+# Max-norm distance below which a point counts as "on" a registered singular point.
+SINGULAR_TOL = 1e-9
 
 
 def _finite_real(value, what: str) -> float:
@@ -184,70 +185,39 @@ class VectorPotentialSpec:
         return np.asarray(self.components[axis](np.asarray(points, dtype=float)), dtype=float)
 
 
-@dataclass(frozen=True)
-class SingularPointSet:
-    """Deduplicated union of registered singular points with provenance."""
-
-    points: tuple[tuple[float, ...], ...]
-    sources: tuple[tuple[str, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 def collect_singularities(
     scalar: ScalarPotentialSpec | None = None,
     vector: VectorPotentialSpec | None = None,
-    phi_points: Sequence = (),
-    psi_points: Sequence = (),
-) -> SingularPointSet:
-    """Union the registered singular points of states and fields."""
-    tagged: list[tuple[tuple[float, ...], str]] = []
-    for p in phi_points:
-        tagged.append((_as_point_tuple(p), "phi"))
-    for p in psi_points:
-        tagged.append((_as_point_tuple(p), "psi"))
-    if scalar is not None:
-        for p in scalar.singular_points:
-            tagged.append((p, "scalar"))
-    if vector is not None:
-        for p in vector.singular_points:
-            tagged.append((p, "vector"))
-
-    points: list[tuple[float, ...]] = []
-    sources: list[list[str]] = []
-    for p, tag in tagged:
-        merged = False
-        for i, q in enumerate(points):
-            if len(p) == len(q) and max(abs(a - b) for a, b in zip(p, q)) <= DEDUP_TOL:
-                if tag not in sources[i]:
-                    sources[i].append(tag)
-                merged = True
-                break
-        if not merged:
-            points.append(p)
-            sources.append([tag])
-    return SingularPointSet(tuple(points), tuple(tuple(s) for s in sources))
+) -> tuple[tuple[float, ...], ...]:
+    """The registered singular points of the fields, each once, in order."""
+    points = ((scalar.singular_points if scalar is not None else ())
+              + (vector.singular_points if vector is not None else ()))
+    return tuple(dict.fromkeys(points))
 
 
-def _check_nodes_off_singular(points: np.ndarray, singular_points, tol: float) -> None:
+def _check_nodes_off_singular(points: np.ndarray, singular_points, what: str = "node") -> None:
+    """Raise :class:`SingularNodeError` if a point lies within ``SINGULAR_TOL`` of a singular point."""
     for w in singular_points:
         d = np.max(np.abs(points - np.asarray(w, dtype=float)), axis=-1)
         idx = np.argmin(d)
-        if d.flat[idx] <= tol:
+        if d.flat[idx] <= SINGULAR_TOL:
             raise SingularNodeError(
-                f"node {points.reshape(-1, points.shape[-1])[idx]} coincides with singular point {w}"
+                f"{what} {points.reshape(-1, points.shape[-1])[idx]} lies within {SINGULAR_TOL:g} "
+                f"of singular point {w}"
             )
 
 
-def sample_field(
+def sample_points(
     spec: ScalarPotentialSpec | VectorPotentialSpec,
-    grid: Grid,
+    points: np.ndarray,
     component: int | None = None,
 ) -> np.ndarray:
-    """Evaluate a scalar potential (or one vector component) on all grid nodes."""
-    pts = grid.points()
-    _check_nodes_off_singular(pts, spec.singular_points, SINGULAR_NODE_TOL)
+    """Evaluate a scalar potential (or one vector component) on (N, n) points, checked.
+
+    A point on a singular point or a non-finite value elsewhere raises a typed error.
+    """
+    pts = np.asarray(points, dtype=float)
+    _check_nodes_off_singular(pts, spec.singular_points)
     if isinstance(spec, VectorPotentialSpec):
         if component is None:
             raise ValueError("component index required for a vector potential")
@@ -258,7 +228,16 @@ def sample_field(
     if not np.all(np.isfinite(vals)):
         bad = pts[~np.isfinite(vals)][0]
         raise NonFiniteError(f"evaluator returned non-finite value at {bad}")
-    return vals.reshape(grid.shape)
+    return vals
+
+
+def sample_field(
+    spec: ScalarPotentialSpec | VectorPotentialSpec,
+    grid: Grid,
+    component: int | None = None,
+) -> np.ndarray:
+    """:func:`sample_points` on all grid nodes, shaped like the grid."""
+    return sample_points(spec, grid.points(), component).reshape(grid.shape)
 
 
 def fourier_multiply(values: np.ndarray, multiplier: np.ndarray, axis: int) -> np.ndarray:

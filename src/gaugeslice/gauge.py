@@ -16,6 +16,10 @@ the order-7 value on the same segment is the error estimate, and segments where
 the two differ by more than ``LINE_INTEGRAL_TOL`` on any line are bisected.  The
 phases enter unit-modulus exponents, so phase error has to sit well below
 per-slice phase scales.
+
+Every segment is axis-parallel, so its point nearest a singular point w takes
+the axis coordinate of w clipped into it; that point is checked like a node
+(``fields.SINGULAR_TOL``), and a crossing raises :class:`SingularNodeError`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureDivergenceError, SingularNodeError
+from .errors import QuadratureDivergenceError
 from .fields import (
     Grid,
     VectorPotentialSpec,
@@ -33,6 +37,7 @@ from .fields import (
     fourier_multiply,
     l2_norm,
     sample_field,
+    sample_points,
 )
 
 # Absolute bound on |order-15 - order-7| per segment and line before bisecting.
@@ -41,10 +46,6 @@ MAX_BISECTION_ROUNDS = 40
 # Refined segments times lines above this count are reported as divergence
 # rather than evaluated, bounding the memory of a field that never resolves.
 _MAX_REFINED_LINE_SEGMENTS = 1 << 18
-
-# Paths passing within this distance of a registered singular point are
-# flagged rather than evaluated; excised quadrature never requests them.
-PATH_SINGULAR_TOL = 1e-9
 
 _HIGH_NODES, _HIGH_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _LOW_NODES, _LOW_WEIGHTS = np.polynomial.legendre.leggauss(7)
@@ -55,23 +56,6 @@ _NODES = np.concatenate([_HIGH_NODES, _LOW_NODES])
 class LineIntegralResult:
     value: float
     estimated_error: float
-    crossed_singularity: bool
-
-
-def _segment_hits_singularity(p0: np.ndarray, p1: np.ndarray, singular_points, tol: float) -> bool:
-    """True if the segment p0 -> p1 passes within tol of a singular point."""
-    d = p1 - p0
-    dd = float(np.dot(d, d))
-    for w in singular_points:
-        w = np.asarray(w, dtype=float)
-        if dd == 0.0:
-            dist = float(np.linalg.norm(w - p0))
-        else:
-            t = float(np.clip(np.dot(w - p0, d) / dd, 0.0, 1.0))
-            dist = float(np.linalg.norm(p0 + t * d - w))
-        if dist <= tol:
-            return True
-    return False
 
 
 def _segment_integrals(
@@ -138,15 +122,23 @@ def cumulative_axis_integral(
     return cum[np.searchsorted(breaks, coords)]
 
 
+def _segment_integral(vector: VectorPotentialSpec, axis: int, start: np.ndarray, end: float):
+    """Integral of a_axis from ``start`` to coordinate ``end`` along ``axis``, and its error estimate."""
+    lo, hi = sorted((start[axis], end))
+    nearest = np.repeat(start[None, :], len(vector.singular_points), axis=0)
+    nearest[:, axis] = np.clip([w[axis] for w in vector.singular_points], lo, hi)
+    where = f"gauge segment along axis {axis} from {start} to {end} at"
+    _check_nodes_off_singular(nearest, vector.singular_points, where)
+    val, err = _segment_integrals(vector, axis, [start[axis]], [end], start[None, :])
+    return float(val[0, 0]), float(err[0, 0])
+
+
 def gauge_phase(vector: VectorPotentialSpec, axis: int, x) -> LineIntegralResult:
     """Line integral of component ``axis`` from 0 to ``x[axis]`` along that axis."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    p0 = x.copy()
-    p0[axis] = 0.0
-    if _segment_hits_singularity(p0, x, vector.singular_points, PATH_SINGULAR_TOL):
-        return LineIntegralResult(np.nan, np.inf, True)
-    val, err = _segment_integrals(vector, axis, [0.0], [x[axis]], x[None, :])
-    return LineIntegralResult(float(val[0, 0]), float(err[0, 0]), False)
+    origin = x.copy()
+    origin[axis] = 0.0
+    return LineIntegralResult(*_segment_integral(vector, axis, origin, x[axis]))
 
 
 def segment_gauge_increment(vector: VectorPotentialSpec, axis: int, x1, x0) -> float:
@@ -156,14 +148,7 @@ def segment_gauge_increment(vector: VectorPotentialSpec, axis: int, x1, x0) -> f
     """
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    p1 = x0.copy()
-    p1[axis] = x1[axis]
-    if _segment_hits_singularity(x0, p1, vector.singular_points, PATH_SINGULAR_TOL):
-        raise SingularNodeError(
-            f"gauge segment along axis {axis} from {x0} to {p1} crosses a singular point"
-        )
-    val, _ = _segment_integrals(vector, axis, [x0[axis]], [x1[axis]], x0[None, :])
-    return float(val[0, 0])
+    return _segment_integral(vector, axis, x0, x1[axis])[0]
 
 
 def slice_gauge_increment(vector: VectorPotentialSpec, x1, x0) -> float:
@@ -180,8 +165,7 @@ def midpoint_discrepancy(vector: VectorPotentialSpec, x1, x0) -> float:
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     mid = 0.5 * (x1 + x0)
-    _check_nodes_off_singular(mid, vector.singular_points, PATH_SINGULAR_TOL)
-    a_mid = np.array([float(vector.component(l, mid)) for l in range(vector.ndim)])
+    a_mid = np.array([sample_points(vector, mid[None], l)[0] for l in range(vector.ndim)])
     exact = slice_gauge_increment(vector, x1, x0)
     return float(abs(exact - np.dot(x1 - x0, a_mid)))
 

@@ -8,11 +8,11 @@ R^{n(k+1)} of
 where the discrete action S_k collects, per slice, a kinetic quadratic term,
 the potential at the later point, and the slice gauge increment.  The
 integration domain excises open neighborhoods of every registered singular
-point and truncates to nested boxes; box radii grow and gap radii shrink along
-a schedule, each limit independent of the others.  Raw box-truncated sums
-oscillate in the outer radius (the tails are Fresnel-like and converge only
-conditionally), so the reported value is the arithmetic mean of the last few
-schedule steps.
+point (only for a positive gap) and truncates to nested boxes; box radii grow
+and gap radii shrink along a schedule, each limit independent of the others.
+Raw box-truncated sums oscillate in the outer radius (the tails are
+Fresnel-like and converge only conditionally), so the reported value is the
+arithmetic mean of the last few schedule steps.
 
 Because the integrand factorizes across slices, the nested sum is evaluated
 exactly as a chain of per-slice transfer contractions (vector of mesh values,
@@ -50,6 +50,7 @@ from .fields import (
     _check_nodes_off_singular,
     gaussian_evaluator,
     l2_norm,
+    sample_points,
 )
 from .splitstep import SliceOperator, TimeSlicing, apply_slice
 
@@ -383,13 +384,13 @@ def discrete_action(
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[0] < 2:
         raise ValueError("need at least two slice points")
-    _check_nodes_off_singular(xs, singular_points, gauge.PATH_SINGULAR_TOL)
+    _check_nodes_off_singular(xs, singular_points)
     total = 0.0
     for j in range(xs.shape[0] - 1):
         x0, x1 = xs[j], xs[j + 1]
         total += 0.25 * float(np.sum(((x1 - x0) / eps) ** 2))
         if scalar is not None:
-            total -= float(scalar(x1))
+            total -= float(sample_points(scalar, x1[None])[0])
         if vector is not None:
             total += gauge.slice_gauge_increment(vector, x1, x0) / eps
     return 1j * eps * total
@@ -506,7 +507,7 @@ def raw_sliced_amplitude(
     # every slice ends on the same diagonal: potential phase times quadrature weight
     diagonal = mesh.weights
     if scalar is not None:
-        diagonal = np.exp(-1j * eps * scalar(mesh.points)) * diagonal
+        diagonal = np.exp(-1j * eps * sample_points(scalar, mesh.points)) * diagonal
     for _ in range(k):
         u = transfer(u) * diagonal
     amp = np.sum(phi_fn(mesh.points) * u)

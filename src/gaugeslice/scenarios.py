@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gauge, pathint, reference, splitstep
+from .errors import SingularNodeError
 from .fields import (
     Grid,
     ScalarPotentialSpec,
@@ -61,7 +62,8 @@ def _family(registry: dict, name: str, *keys: str):
     """Register a potential builder under ``name``; ``keys`` are the params it reads.
 
     The registered builder rejects any other params key, so a misspelled
-    parameter cannot fall back to its default.
+    parameter cannot fall back to its default, and hands the builder the
+    params as :class:`_Params`, whose name prefixes every value error.
     """
 
     def register(build):
@@ -69,7 +71,7 @@ def _family(registry: dict, name: str, *keys: str):
             unknown = sorted(set(params) - set(keys))
             if unknown:
                 raise ValueError(f"unknown key {unknown[0]!r} in {name} params")
-            return build(ndim, params)
+            return build(ndim, _Params(params, f"{name} params"))
 
         registry[name] = checked
         return build
@@ -77,10 +79,28 @@ def _family(registry: dict, name: str, *keys: str):
     return register
 
 
-def _broadcast(params, key, ndim, default):
-    val = params.get(key, default)
-    arr = np.broadcast_to(np.atleast_1d(np.asarray(val, float)), (ndim,))
-    return np.array(arr)
+class _Params(dict):
+    """A family's params block and the name its value errors start with."""
+
+    def __init__(self, params, name: str):
+        super().__init__(params)
+        self.name = name
+
+
+def _reals(value, ndim: int, what: str) -> tuple[float, ...]:
+    """``ndim`` finite reals from a number or a list of 1 or ``ndim`` of them."""
+    entries = value if isinstance(value, (list, tuple)) else [value]
+    if len(entries) not in (1, ndim):
+        raise ValueError(f"{what} needs 1 or {ndim} entries, got {value!r}")
+    return tuple(_finite_real(v, what) for v in entries) * (ndim // len(entries))
+
+
+def _real(params: _Params, key, default) -> float:
+    return _finite_real(params.get(key, default), f"{params.name} {key}")
+
+
+def _broadcast(params: _Params, key, ndim, default) -> np.ndarray:
+    return np.array(_reals(params.get(key, default), ndim, f"{params.name} {key}"))
 
 
 @_family(SCALAR_FAMILIES, "free")
@@ -90,7 +110,7 @@ def _scalar_free(ndim, params):
 
 @_family(SCALAR_FAMILIES, "harmonic", "strength", "center")
 def _scalar_harmonic(ndim, params):
-    strength = float(params.get("strength", 1.0))
+    strength = _real(params, "strength", 1.0)
     center = _broadcast(params, "center", ndim, 0.0)
 
     def evaluate(p):
@@ -101,7 +121,7 @@ def _scalar_harmonic(ndim, params):
 
 @_family(SCALAR_FAMILIES, "constant", "value")
 def _scalar_constant(ndim, params):
-    value = float(params.get("value", 1.0))
+    value = _real(params, "value", 1.0)
 
     def evaluate(p):
         return np.full(p.shape[:-1], value)
@@ -111,8 +131,8 @@ def _scalar_constant(ndim, params):
 
 @_family(SCALAR_FAMILIES, "step-discontinuity", "height", "edge")
 def _scalar_step(ndim, params):
-    height = float(params.get("height", 1.0))
-    edge = float(params.get("edge", 0.0))
+    height = _real(params, "height", 1.0)
+    edge = _real(params, "edge", 0.0)
     edge_point = tuple([edge] + [0.0] * (ndim - 1))
 
     def evaluate(p):
@@ -123,8 +143,8 @@ def _scalar_step(ndim, params):
 
 @_family(SCALAR_FAMILIES, "regularized-coulomb", "charge", "softening", "center")
 def _scalar_regularized_coulomb(ndim, params):
-    charge = float(params.get("charge", 1.0))
-    soft = float(params.get("softening", 0.1))
+    charge = _real(params, "charge", 1.0)
+    soft = _real(params, "softening", 0.1)
     center = _broadcast(params, "center", ndim, 0.0)
 
     def evaluate(p):
@@ -135,8 +155,8 @@ def _scalar_regularized_coulomb(ndim, params):
 
 @_family(SCALAR_FAMILIES, "inverse-power-singular", "coeff", "power", "center")
 def _scalar_inverse_power(ndim, params):
-    coeff = float(params.get("coeff", 1.0))
-    power = float(params.get("power", 0.5))
+    coeff = _real(params, "coeff", 1.0)
+    power = _real(params, "power", 0.5)
     center = _broadcast(params, "center", ndim, 0.0)
 
     def evaluate(p):
@@ -166,6 +186,8 @@ def _vector_constant(ndim, params):
 def _vector_sinusoidal(ndim, params):
     amplitude = _broadcast(params, "amplitude", ndim, 1.0)
     period = _broadcast(params, "period", ndim, 2.0 * np.pi)
+    if not np.all(period):
+        raise ValueError(f"{params.name} period must be nonzero, got {period.tolist()}")
 
     def make(l):
         freq = 2.0 * np.pi / period[l]
@@ -178,7 +200,7 @@ def _vector_sinusoidal(ndim, params):
 def _vector_constant_field_2d(ndim, params):
     if ndim != 2:
         raise ValueError("constant-field-2d requires dimension 2")
-    b = float(params.get("field", 1.0))
+    b = _real(params, "field", 1.0)
     comps = (
         lambda p: -0.5 * b * p[..., 1],
         lambda p: 0.5 * b * p[..., 0],
@@ -188,9 +210,11 @@ def _vector_constant_field_2d(ndim, params):
 
 @_family(VECTOR_FAMILIES, "linear", "matrix")
 def _vector_linear(ndim, params):
-    matrix = np.asarray(params.get("matrix"), dtype=float)
-    if matrix.shape != (ndim, ndim):
-        raise ValueError("linear vector potential needs an n x n coefficient matrix")
+    rows = params.get("matrix")
+    if not (isinstance(rows, (list, tuple)) and len(rows) == ndim
+            and all(isinstance(row, (list, tuple)) and len(row) == ndim for row in rows)):
+        raise ValueError(f"{params.name} matrix needs {ndim} rows of {ndim} entries")
+    matrix = np.array([_reals(row, ndim, f"{params.name} matrix") for row in rows])
 
     def make(l):
         return lambda p: np.einsum("m,...m->...", matrix[l], p)
@@ -232,14 +256,11 @@ class Scenario:
 
 def _state_from_config(cfg: dict, ndim: int, block: str) -> StateSpec:
     def tup(key, default):
-        val = np.atleast_1d(np.asarray(cfg.get(key, default), dtype=float))
-        if val.ndim != 1 or len(val) not in (1, ndim):
-            raise ValueError(f"{block} {key} needs 1 or {ndim} entries, got {val.tolist()}")
-        return tuple(float(v) for v in np.broadcast_to(val, (ndim,)))
+        return _reals(cfg.get(key, default), ndim, f"{block} {key}")
 
     width = tup("width", 1.0)
-    if not all(np.isfinite(w) and w > 0 for w in width):
-        raise ValueError(f"{block} width must be positive and finite, got {list(width)}")
+    if not all(w > 0 for w in width):
+        raise ValueError(f"{block} width must be positive, got {list(width)}")
     return StateSpec(tup("center", 0.0), width, tup("momentum", 0.0))
 
 
@@ -289,7 +310,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         unknown = sorted(set(cfg if block is None else cfg.get(block, {})) - allowed)
         if unknown:
             raise ValueError(f"unknown key {unknown[0]!r} in {block or 'the scenario'}")
-    ndim = int(cfg["dimension"])
+    ndim = _count(cfg["dimension"], "dimension")
     gcfg = cfg["grid"]
     grid = Grid(tuple(gcfg["lo"]), tuple(gcfg["hi"]), tuple(gcfg["shape"]))
     if grid.ndim != ndim:
@@ -307,9 +328,9 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         raise ValueError(f"unknown vector potential family {vfamily!r}")
     vector = VECTOR_FAMILIES[vfamily](ndim, vcfg.get("params", {}))
 
-    t = float(cfg["time"])
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError(f"time must be positive and finite, got {t}")
+    t = _finite_real(cfg["time"], "time")
+    if not t > 0:
+        raise ValueError(f"time must be positive, got {t}")
     slice_counts = tuple(_count(k, "slice_counts") for k in cfg.get("slice_counts", (4, 8, 16, 32)))
     # an absent or empty block means no amplitude study in ``all``
     amplitude = _amplitude_params(cfg["amplitude"]) if cfg.get("amplitude") else {}
@@ -599,7 +620,7 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -
     start = time.perf_counter()
     params = scenario.amplitude_params or _amplitude_params({})
 
-    singular = collect_singularities(scenario.scalar, scenario.vector)
+    singular_points = collect_singularities(scenario.scalar, scenario.vector)
     phi_fn = scenario.final_state.evaluator(scenario.ndim)
     psi_fn = scenario.initial_state.evaluator(scenario.ndim)
     grid = scenario.grid
@@ -623,18 +644,21 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -
             gap_final=params["gap_final"],
             tail_window=params["tail_window"],
         )
-        estimate = pathint.amplitude_quadrature(
-            phi_fn,
-            psi_fn,
-            scenario.time,
-            k,
-            schedule,
-            ndim=scenario.ndim,
-            vector=scenario.vector,
-            scalar=scenario.scalar,
-            singular_points=singular.points,
-            max_evals=params["max_evals"],
-        )
+        try:
+            estimate = pathint.amplitude_quadrature(
+                phi_fn,
+                psi_fn,
+                scenario.time,
+                k,
+                schedule,
+                ndim=scenario.ndim,
+                vector=scenario.vector,
+                scalar=scenario.scalar,
+                singular_points=singular_points,
+                max_evals=params["max_evals"],
+            )
+        except SingularNodeError as exc:
+            raise SingularNodeError(f"{exc}; set amplitude.gap > 0 to excise it") from exc
         report.diagnostics[f"amplitude_k{k}"] = {
             "raw": list(estimate.raw),
             "radii": list(estimate.radii),

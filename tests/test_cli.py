@@ -85,16 +85,58 @@ class TestExitCodes:
         ({"amplitude": {"gap_final": 0.001}}, "gap_final equal to gap"),
         ({"checks": {"trotter_order_band": 5}}, "checks trotter_order_band"),
         ({"checks": {"gauge_residual_tol": "x"}}, "checks gauge_residual_tol"),
+        ({"dimension": 1.5}, "dimension 1.5"),
+        ({"dimension": "1"}, "dimension '1'"),
+        ({"dimension": True}, "dimension True"),
+        ({"time": "0.2"}, "time '0.2'"),
+        ({"time": True}, "time True"),
+        ({"initial_state": {"width": ["1.0"]}}, "initial_state width '1.0'"),
+        ({"final_state": {"center": [True]}}, "final_state center True"),
+        ({"scalar_potential": {"family": "harmonic", "params": {"strength": "5"}}},
+         "harmonic params strength '5'"),
+        ({"scalar_potential": {"family": "harmonic", "params": {"strength": float("nan")}}},
+         "harmonic params strength nan"),
+        ({"scalar_potential": {"family": "harmonic", "params": {"center": True}}},
+         "harmonic params center True"),
+        ({"vector_potential": {"family": "sinusoidal", "params": {"period": 0}}},
+         "sinusoidal params period"),
     ], ids=["zero-time", "negative-time", "zero-slice-count", "zero-amplitude-slices",
             "misspelled-family-param", "negative-width", "center-length",
             "fractional-grid-shape", "string-grid-shape", "infinite-grid-bound",
             "string-amplitude-steps", "string-max-evals", "gap-final-without-gap",
-            "scalar-order-band", "string-residual-tol"])
+            "scalar-order-band", "string-residual-tol", "fractional-dimension",
+            "string-dimension", "bool-dimension", "string-time", "bool-time",
+            "string-state-width", "bool-state-center", "string-family-param",
+            "nan-family-param", "bool-family-center", "zero-sinusoidal-period"])
     def test_invalid_parameter_gives_exit_2(self, tmp_path, capsys, overrides, fragment):
         scen = write_scenario(tmp_path, **overrides)
         code = cli.main(["all", "--scenario", str(scen), "--out", str(tmp_path / "r")])
         assert code == 2
         assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-4", "1.5"],
+                             ids=["zero-threads", "negative-threads", "fractional-threads"])
+    def test_bad_thread_count_gives_exit_2(self, tmp_path, capsys, threads):
+        scen = write_scenario(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["all", "--scenario", str(scen), "--out", str(tmp_path / "r"),
+                      "--threads", threads])
+        assert exit_info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_mesh_node_on_singular_point_gives_exit_2(self, tmp_path, capsys):
+        # no gap: a schedule step with an odd mesh count puts a node on the origin
+        scen = write_scenario(
+            tmp_path,
+            scalar_potential={"family": "inverse-power-singular",
+                              "params": {"power": 0.5, "center": [0.0]}},
+            amplitude={"slices": [2], "r_start": 5.0, "steps": 8, "tail_window": 6},
+        )
+        code = cli.main(["amplitude", "--scenario", str(scen), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "singular point (0.0,)" in err
+        assert "amplitude.gap > 0" in err
 
     def test_trotter_pass(self, tmp_path):
         scen = write_scenario(tmp_path)

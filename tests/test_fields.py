@@ -19,7 +19,9 @@ from gaugeslice import (
     l2_norm,
     pair_bilinear,
     sample_field,
+    sample_points,
 )
+from gaugeslice.fields import SINGULAR_TOL
 
 
 class TestGrid:
@@ -130,13 +132,18 @@ class TestPairings:
 
 
 class TestSingularities:
-    def test_collect_dedups_and_tracks_provenance(self):
-        scalar = ScalarPotentialSpec(lambda p: p[..., 0], singular_points=((0.0,),))
+    def test_collect_lists_each_point_once_in_order(self):
+        scalar = ScalarPotentialSpec(lambda p: p[..., 0], singular_points=((2.0,), (0.0,)))
         vector = VectorPotentialSpec((lambda p: p[..., 0],), singular_points=((0.0,), (1.0,)))
-        sset = collect_singularities(scalar, vector, phi_points=[(0.0,)])
-        assert len(sset) == 2
-        idx = sset.points.index((0.0,))
-        assert set(sset.sources[idx]) == {"phi", "scalar", "vector"}
+        assert collect_singularities(scalar, vector) == ((2.0,), (0.0,), (1.0,))
+        assert collect_singularities(None, vector) == ((0.0,), (1.0,))
+        assert collect_singularities() == ()
+
+    def test_collect_keeps_points_that_differ_by_rounding(self):
+        # only exact duplicates are dropped; the excision cuts of near-duplicates overlap harmlessly
+        scalar = ScalarPotentialSpec(lambda p: p[..., 0], singular_points=((0.1 + 0.2,),))
+        vector = VectorPotentialSpec((lambda p: p[..., 0],), singular_points=((0.3,), (0.3,)))
+        assert collect_singularities(scalar, vector) == ((0.1 + 0.2,), (0.3,))
 
     def test_sample_field_rejects_singular_node(self):
         g = Grid((-1.5,), (1.5,), (3,))  # nodes -1, 0, 1
@@ -155,6 +162,12 @@ class TestSingularities:
         spec = ScalarPotentialSpec(unregistered_pole)
         with pytest.raises(NonFiniteError):
             sample_field(spec, g)
+
+    def test_sample_points_checks_any_point_set(self):
+        spec = ScalarPotentialSpec(lambda p: 1.0 / p[..., 0], singular_points=((0.5,),))
+        assert sample_points(spec, np.array([[0.25], [2.0]])) == pytest.approx([4.0, 0.5])
+        with pytest.raises(SingularNodeError, match=r"\[0.5\]"):
+            sample_points(spec, np.array([[2.0], [0.5 + 0.5 * SINGULAR_TOL]]))
 
     def test_sample_field_vector_component(self):
         g = Grid((-2.0,), (2.0,), (8,))

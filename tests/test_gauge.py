@@ -24,7 +24,7 @@ from gaugeslice import (
     segment_gauge_increment,
     slice_gauge_increment,
 )
-from gaugeslice.fields import fourier_multiply
+from gaugeslice.fields import SINGULAR_TOL, fourier_multiply
 from gaugeslice.gauge import cumulative_axis_integral
 from gaugeslice.scenarios import VECTOR_FAMILIES
 
@@ -44,7 +44,6 @@ class TestGaugePhase:
     def test_matches_antiderivative(self):
         # integral of sin from 0 to x is 1 - cos(x)
         res = gauge_phase(sin_potential_1d(), 0, [0.7])
-        assert not res.crossed_singularity
         assert res.value == pytest.approx(1.0 - np.cos(0.7), abs=1e-12)
 
     def test_long_oscillating_path_is_refined(self):
@@ -70,13 +69,12 @@ class TestGaugePhase:
         # integral of 2 s ds from 0 to 0.6
         assert res.value == pytest.approx(2.0 * 0.6**2 / 2.0, abs=1e-12)
 
-    def test_singular_crossing_flagged(self):
+    def test_singular_crossing_raises(self):
         vec = VectorPotentialSpec(
             (lambda p: 1.0 / p[..., 0],), singular_points=((0.0,),)
         )
-        res = gauge_phase(vec, 0, [1.0])
-        assert res.crossed_singularity
-        assert np.isnan(res.value)
+        with pytest.raises(SingularNodeError, match="singular point"):
+            gauge_phase(vec, 0, [1.0])
 
 
 class TestSegmentIncrement:
@@ -99,6 +97,40 @@ class TestSegmentIncrement:
         )
         with pytest.raises(SingularNodeError):
             segment_gauge_increment(vec, 0, [1.0], [-1.0])
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("offset, crosses", [
+        (0.0, True), (0.999 * SINGULAR_TOL, True), (-0.999 * SINGULAR_TOL, True),
+        (1.001 * SINGULAR_TOL, False), (-1.001 * SINGULAR_TOL, False),
+    ])
+    def test_singular_tolerance_off_the_axis(self, axis, offset, crosses):
+        # the segment runs along ``axis`` through w = (0.3, -0.2) shifted off it by ``offset``
+        w = np.array([0.3, -0.2])
+        vec = VectorPotentialSpec(
+            (lambda p: p[..., 1], lambda p: p[..., 0]), singular_points=(tuple(w),)
+        )
+        other = 1 - axis
+        x0 = w.copy()
+        x0[axis] -= 0.5
+        x0[other] += offset
+        x1 = x0.copy()
+        x1[axis] += 1.0
+        if crosses:
+            with pytest.raises(SingularNodeError, match="gauge segment along axis"):
+                segment_gauge_increment(vec, axis, x1, x0)
+        else:
+            assert segment_gauge_increment(vec, axis, x1, x0) == pytest.approx(x0[other], abs=1e-12)
+
+    @pytest.mark.parametrize("end, crosses", [
+        (0.3 - 0.999 * SINGULAR_TOL, True), (0.3 - 1.001 * SINGULAR_TOL, False),
+    ])
+    def test_singular_tolerance_at_the_segment_end(self, end, crosses):
+        vec = VectorPotentialSpec((lambda p: np.ones(p.shape[:-1]),), singular_points=((0.3,),))
+        if crosses:
+            with pytest.raises(SingularNodeError):
+                segment_gauge_increment(vec, 0, [end], [-1.0])
+        else:
+            assert segment_gauge_increment(vec, 0, [end], [-1.0]) == pytest.approx(end + 1.0)
 
     def test_quadrature_divergence_detected(self):
         # non-integrable pole inside the segment but not registered

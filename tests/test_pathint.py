@@ -114,6 +114,24 @@ class TestExcisionRegion:
         assert region.axis_intervals[0] == ((-1.0, 0.3), (0.7, 1.0))
         assert region.axis_intervals[1] == ((-1.0, -0.7), (-0.3, 1.0))
 
+    @pytest.mark.parametrize("gap, raises", [(0.0, True), (0.1, False)])
+    def test_raw_sum_samples_potential_off_singular_points(self, gap, raises):
+        # three cells of width 1 on [-1.5, 1.5]: with no gap the middle node is the singular point
+        scalar = ScalarPotentialSpec(
+            lambda p: np.abs(p[..., 0]) ** -0.5, singular_points=((0.0,),)
+        )
+        region = ExcisionRegion.build(1, 1.5, singular_points=[(0.0,)], gap=gap)
+        psi = gaussian_evaluator(0.3, 1.0, 0.0, 1)
+
+        def amplitude():
+            return raw_sliced_amplitude(psi, psi, 0.1, 2, region, 1.0, scalar=scalar)
+
+        if raises:
+            with pytest.raises(SingularNodeError, match=r"node \[0\.\] .* singular point \(0\.0,\)"):
+                amplitude()
+        else:
+            assert np.isfinite(amplitude())
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExcisionRegion((((0.0, 0.0),),))
