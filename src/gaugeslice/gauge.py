@@ -20,6 +20,8 @@ per-slice phase scales.
 Every segment is axis-parallel, so its point nearest a singular point w takes
 the axis coordinate of w clipped into it; that point is checked like a node
 (``fields.SINGULAR_TOL``), and a crossing raises :class:`SingularNodeError`.
+A cumulative table checks the hull of its breakpoints on every line before
+integrating, so a table that would pass through a singular point raises too.
 """
 
 from __future__ import annotations
@@ -56,6 +58,21 @@ _NODES = np.concatenate([_HIGH_NODES, _LOW_NODES])
 class LineIntegralResult:
     value: float
     estimated_error: float
+
+
+def _check_segment_off_singular(
+    vector: VectorPotentialSpec, axis: int, lo: float, hi: float, frozen: np.ndarray
+) -> None:
+    """Raise :class:`SingularNodeError` if a segment meets a singular point.
+
+    The segment is [lo, hi] along ``axis`` on each line of ``frozen``.  Its
+    point nearest a singular point w takes the axis coordinate of w clipped
+    into [lo, hi] and the line's other coordinates.
+    """
+    nearest = np.repeat(frozen[None, :, :], len(vector.singular_points), axis=0)
+    nearest[..., axis] = np.clip([w[axis] for w in vector.singular_points], lo, hi)[:, None]
+    where = f"gauge segment along axis {axis} over [{lo}, {hi}] at"
+    _check_nodes_off_singular(nearest, vector.singular_points, where)
 
 
 def _segment_integrals(
@@ -116,6 +133,7 @@ def cumulative_axis_integral(
     """
     coords = np.asarray(coords, dtype=float)
     breaks = np.unique(np.concatenate([coords, [0.0]]))
+    _check_segment_off_singular(vector, axis, breaks[0], breaks[-1], frozen)
     seg, _ = _segment_integrals(vector, axis, breaks[:-1], breaks[1:], frozen)
     cum = np.concatenate([np.zeros((1, frozen.shape[0])), np.cumsum(seg, axis=0)])
     cum -= cum[np.searchsorted(breaks, 0.0)]
@@ -124,11 +142,7 @@ def cumulative_axis_integral(
 
 def _segment_integral(vector: VectorPotentialSpec, axis: int, start: np.ndarray, end: float):
     """Integral of a_axis from ``start`` to coordinate ``end`` along ``axis``, and its error estimate."""
-    lo, hi = sorted((start[axis], end))
-    nearest = np.repeat(start[None, :], len(vector.singular_points), axis=0)
-    nearest[:, axis] = np.clip([w[axis] for w in vector.singular_points], lo, hi)
-    where = f"gauge segment along axis {axis} from {start} to {end} at"
-    _check_nodes_off_singular(nearest, vector.singular_points, where)
+    _check_segment_off_singular(vector, axis, *sorted((start[axis], end)), start[None, :])
     val, err = _segment_integrals(vector, axis, [start[axis]], [end], start[None, :])
     return float(val[0, 0]), float(err[0, 0])
 

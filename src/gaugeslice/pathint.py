@@ -21,15 +21,16 @@ grid.  The two are identical term by term; tests check this against a
 brute-force nested sum on tiny meshes.
 
 Every transfer, in every dimension, comes from one :func:`_kernel_plan`,
-built once per pair of meshes and eps and applied once per slice.  The slice
-gauge increments come from :class:`_PairwiseGauge` in every dimension.  In one
-dimension a mesh is a union of uniform pieces, the free kernel between two
-pieces is a chirp-modulated Toeplitz matrix and the gauge increment
-A(x) - A(y) is a pair of diagonal phases, so a transfer costs one FFT
-convolution per pair of pieces (Bluestein's chirp-z identity) between those
-phases; the chirp spectra and diagonal chirps (:class:`_ChirpPlan`) depend only
-on the meshes and eps.  Higher dimensions apply the dense kernel matrix, which
-also serves as the test oracle for the 1D plan.
+built once per pair of meshes and eps and applied once per slice.  The kinetic
+phase and the source-frozen gauge increment are sums over axes, so for each
+source point the kernel is a product of one table per axis
+(:func:`_axis_factors`, gauge from :func:`_axis_gauge`).  In 1D a mesh is a
+union of uniform pieces, the free kernel between two pieces is a
+chirp-modulated Toeplitz matrix and the gauge increment is a pair of diagonal
+phases, so a transfer costs one FFT convolution per pair of pieces (Bluestein's
+chirp-z identity, :class:`_ChirpPlan`) between those phases; the single table
+is the dense kernel matrix, its test oracle.  In more dimensions a transfer is
+one contraction of the tables with the source vector.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ from .splitstep import SliceOperator, TimeSlicing, apply_slice
 
 DEFAULT_EVAL_CAP = int(1e8)
 DEFAULT_TAIL_WINDOW = 8
-_CHUNK_ENTRIES = 4_000_000
+# An estimate whose tail spread stays below this counts as converged.
+TAIL_OSCILLATION_TOL = 1e-2
 
 
 def phase_mesh_spacing(eps: float, radius: float, adjacent_pairs: int = 2) -> float:
@@ -178,8 +180,6 @@ class _TensorMesh:
         self.points = np.stack([g.ravel() for g in grids], axis=-1)
         wgrids = np.meshgrid(*self.axes_weights, indexing="ij")
         self.weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-        flat = np.arange(self.size)
-        self.axis_index = list(np.unravel_index(flat, self.dims))
 
     @classmethod
     def from_region(cls, region: ExcisionRegion, h: float) -> "_TensorMesh":
@@ -191,85 +191,49 @@ class _TensorMesh:
             [(MeshPiece(grid.lo[b], grid.shape[b], grid.spacing[b]),) for b in range(grid.ndim)]
         )
 
-    def other_axis_raveled(self, axis: int) -> np.ndarray:
-        """Flat index over all axes except ``axis`` for every mesh point."""
-        dims = [d for b, d in enumerate(self.dims) if b != axis]
-        idx = [self.axis_index[b] for b in range(self.ndim) if b != axis]
-        if not dims:
-            return np.zeros(self.size, dtype=np.intp)
-        return np.ravel_multi_index(idx, dims)
 
+def _axis_gauge(vector: VectorPotentialSpec, axis: int, target: _TensorMesh, source: _TensorMesh):
+    """Antiderivatives of a_axis along the lines through the source points, as one table.
 
-class _PairwiseGauge:
-    """Slice gauge increments between every target/source point pair.
-
-    For axis l the increment is the line integral of a_l from the source
-    l-coordinate to the target l-coordinate, every other coordinate frozen at
-    the source.
-    Cumulative antiderivative tables are precomputed per frozen combination, so
-    per-pair evaluation is table lookups only.
+    Returns A(t; s_other) per target axis node, shape ``(target.dims[axis],)``
+    plus ``source.dims`` with the axis entry 1, and A(s; s_other) of shape
+    ``source.dims``; s_other freezes every coordinate but ``axis`` at the source.
     """
-
-    def __init__(self, vector: VectorPotentialSpec, target: _TensorMesh, source: _TensorMesh):
-        n = vector.ndim
-        if target.ndim != n or source.ndim != n:
-            raise ValueError("mesh dimension must match the vector potential")
-        self.target = target
-        self.source = source
-        self.tables_t = []  # per axis: (len target axis nodes, n_frozen_combos)
-        self.source_term = np.zeros(source.size)
-        self.source_uidx = []
-        for l in range(n):
-            tc = target.axes_nodes[l]
-            sc = source.axes_nodes[l]
-            s_all = np.concatenate([tc, sc])
-            other_axes = [b for b in range(n) if b != l]
-            other_nodes = [source.axes_nodes[b] for b in other_axes]
-            # one frozen line per combination of the other source coordinates (one in 1D)
-            frozen = np.zeros((math.prod(map(len, other_nodes)), n))
-            for b, gmesh in zip(other_axes, np.meshgrid(*other_nodes, indexing="ij")):
-                frozen[:, b] = gmesh.ravel()
-            cum = gauge.cumulative_axis_integral(vector, l, s_all, frozen)
-            tab_t = cum[: len(tc)]
-            tab_s = cum[len(tc):]
-            self.tables_t.append(tab_t)
-            uidx = source.other_axis_raveled(l)
-            self.source_uidx.append(uidx)
-            self.source_term += tab_s[source.axis_index[l], uidx]
-
-    def block(self, target_rows: np.ndarray) -> np.ndarray:
-        """Gauge increment matrix for a block of target rows vs all sources."""
-        out = np.zeros((len(target_rows), self.source.size))
-        for l, tab_t in enumerate(self.tables_t):
-            ti = self.target.axis_index[l][target_rows]
-            out += tab_t[ti[:, None], self.source_uidx[l][None, :]]
-        out -= self.source_term[None, :]
-        return out
+    if not vector.ndim == target.ndim == source.ndim:
+        raise ValueError("mesh dimension must match the vector potential")
+    coords = np.concatenate([target.axes_nodes[axis], source.axes_nodes[axis]])
+    # the axis column of a frozen line is ignored, so one zero stands for it
+    other = [np.zeros(1) if b == axis else nodes for b, nodes in enumerate(source.axes_nodes)]
+    frozen = np.stack([g.ravel() for g in np.meshgrid(*other, indexing="ij")], axis=-1)
+    cum = gauge.cumulative_axis_integral(vector, axis, coords, frozen)
+    cum = cum.reshape((len(coords),) + tuple(len(v) for v in other))
+    m = target.dims[axis]
+    return cum[:m], np.swapaxes(cum[m:], 0, axis + 1)[0]
 
 
-def _transfer(
-    target: _TensorMesh,
-    source: _TensorMesh,
-    u: np.ndarray,
-    eps: float,
-    pair_gauge: _PairwiseGauge | None,
-) -> np.ndarray:
-    """Apply the free-kernel phase (plus gauge increment) to a source vector."""
-    out = np.empty(target.size, dtype=complex)
-    chunk = max(1, _CHUNK_ENTRIES // max(1, source.size))
-    tp = target.points
-    sp = source.points
-    for start in range(0, target.size, chunk):
-        rows = np.arange(start, min(start + chunk, target.size))
-        phase = np.zeros((len(rows), source.size))
-        for l in range(target.points.shape[1]):
-            diff = tp[rows, l][:, None] - sp[None, :, l]
-            phase += diff * diff
-        phase /= 4.0 * eps
-        if pair_gauge is not None:
-            phase += pair_gauge.block(rows)
-        out[rows] = np.exp(1j * phase) @ u
-    return out
+def _axis_factors(
+    target: _TensorMesh, source: _TensorMesh, eps: float, vector: VectorPotentialSpec | None
+) -> list[np.ndarray]:
+    """Per-axis kernel tables F_l, each of shape ``(target.dims[l], source.size)``.
+
+        F_l[x_l, y] = exp(i[(x_l - y_l)^2 / 4 eps + A_l(x_l; y_other) - A_l(y_l; y_other)])
+
+    The kinetic phase and the source-frozen gauge increment are sums over axes
+    whose axis-l term sees the target only through x_l, so the one-slice kernel
+    (without prefactor) from y to x is the product over l of F_l[x_l, y].  In
+    1D the single table is the kernel matrix.
+    """
+    factors = []
+    for l in range(target.ndim):
+        m = target.dims[l]
+        t = target.axes_nodes[l].reshape((m,) + (1,) * source.ndim)
+        s = source.axes_nodes[l].reshape([1] + [-1 if b == l else 1 for b in range(source.ndim)])
+        phase = (t - s) ** 2 / (4.0 * eps)
+        if vector is not None:
+            at_target, at_source = _axis_gauge(vector, l, target, source)
+            phase = phase + at_target - at_source
+        factors.append(np.broadcast_to(np.exp(1j * phase), (m,) + source.dims).reshape(m, -1))
+    return factors
 
 
 def _chirp_pair(target: MeshPiece, source: MeshPiece, eps: float):
@@ -322,25 +286,27 @@ class _ChirpPlan:
 
 
 def _kernel_plan(
-    target: _TensorMesh,
-    source: _TensorMesh,
-    eps: float,
-    vector: VectorPotentialSpec | None,
+    target: _TensorMesh, source: _TensorMesh, eps: float, vector: VectorPotentialSpec | None
 ):
     """The one-slice kernel transfer (without prefactor) from source to target values.
 
     Everything that depends only on the meshes, eps and the field is built
     here, so each application costs one transfer.  In 1D the gauge increment
-    A(x) - A(y) enters as a diagonal phase on each side of the chirp plan.
+    A(x) - A(y) enters as a diagonal phase on each side of the chirp plan.  In
+    more dimensions a transfer contracts the :func:`_axis_factors` tables with
+    the source vector, F_0 diag(u) F_1^T in 2D.
     """
-    pair_gauge = _PairwiseGauge(vector, target, source) if vector is not None else None
     if target.ndim > 1:
-        return lambda u: _transfer(target, source, u, eps, pair_gauge)
+        factors = _axis_factors(target, source, eps, vector)
+        axes = "abcdefghijklmnopqrstuvwxy"[: target.ndim]
+        spec = ",".join(a + "z" for a in axes) + ",z->" + axes
+        return lambda u: np.einsum(spec, *factors, u, optimize=True).ravel()
     free = _ChirpPlan(target.axes_pieces[0], source.axes_pieces[0], eps)
-    if pair_gauge is None:
+    if vector is None:
         return free
-    post = np.exp(1j * pair_gauge.tables_t[0][:, 0])
-    pre = np.exp(-1j * pair_gauge.source_term)
+    at_target, at_source = _axis_gauge(vector, 0, target, source)
+    post = np.exp(1j * at_target[:, 0])
+    pre = np.exp(-1j * at_source)
     return lambda u: post * free(pre * u)
 
 
@@ -570,11 +536,7 @@ def amplitude_quadrature(
     )
 
 
-def amplitude_error_report(
-    estimate: AmplitudeEstimate,
-    reference: complex,
-    oscillation_threshold: float = 1e-2,
-) -> AmplitudeReport:
+def amplitude_error_report(estimate: AmplitudeEstimate, reference: complex) -> AmplitudeReport:
     """Absolute/relative error against a reference amplitude plus convergence flag."""
     abs_error = abs(estimate.value - reference)
     denom = abs(reference)
@@ -583,7 +545,7 @@ def amplitude_error_report(
         abs_error=float(abs_error),
         rel_error=float(rel_error),
         tail_oscillation=estimate.tail_oscillation,
-        converged=estimate.tail_oscillation < oscillation_threshold,
+        converged=estimate.tail_oscillation < TAIL_OSCILLATION_TOL,
     )
 
 

@@ -87,8 +87,6 @@ class SliceOperator:
         if vector is not None and vector.ndim != grid.ndim:
             raise ValueError("vector potential dimension must match the grid")
         self.grid = grid
-        self.scalar = scalar
-        self.vector = vector
         self.slicing = slicing
 
         eps = slicing.eps

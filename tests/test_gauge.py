@@ -250,6 +250,30 @@ class TestTables:
                 ref = quad(integrand, 0.0, point[axis], epsabs=1e-13, epsrel=1e-13)[0]
                 assert tab[idx] == pytest.approx(ref, abs=1e-12)
 
+    @pytest.mark.parametrize("hi, crosses", [(2.0, True), (0.25, False)])
+    def test_table_through_registered_singular_point_raises(self, hi, crosses):
+        # every table integrates from 0, so a grid reaching past 0.3 crosses it
+        vec = VectorPotentialSpec(
+            (lambda p: np.abs(p[..., 0] - 0.3) ** -0.5,), singular_points=((0.3,),)
+        )
+        g = Grid((-2.0,), (hi,), (16,))
+        if crosses:
+            with pytest.raises(SingularNodeError, match="gauge segment along axis 0"):
+                gauge_phase_table(vec, 0, g)
+        else:
+            assert np.all(np.isfinite(gauge_phase_table(vec, 0, g)))
+
+    def test_table_checks_every_frozen_line(self):
+        # of the two grids only the one with a line at y = 0.5 meets the point (0.3, 0.5)
+        vec = VectorPotentialSpec(
+            (lambda p: np.hypot(p[..., 0] - 0.3, p[..., 1] - 0.5) ** -0.5,
+             lambda p: np.zeros(p.shape[:-1])),
+            singular_points=((0.3, 0.5),),
+        )
+        assert np.all(np.isfinite(gauge_phase_table(vec, 0, Grid((-1.0, -1.0), (1.0, 1.0), (8, 3)))))
+        with pytest.raises(SingularNodeError, match="gauge segment along axis 0"):
+            gauge_phase_table(vec, 0, Grid((-1.0, -1.0), (1.0, 1.0), (8, 2)))
+
     def test_table_detects_unregistered_pole(self):
         # a_1 = 1 / (x - 0.36) is not integrable across the grid, nothing registers it
         vec = VectorPotentialSpec(

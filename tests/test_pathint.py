@@ -31,10 +31,9 @@ from gaugeslice import gauge, pathint
 from gaugeslice.fields import Grid
 from gaugeslice.pathint import (
     AmplitudeEstimate,
-    _PairwiseGauge,
     _TensorMesh,
+    _axis_factors,
     _kernel_plan,
-    _transfer,
     phase_mesh_spacing,
     raw_sliced_amplitude,
 )
@@ -287,8 +286,7 @@ class TestStructuredTransfer:
         rng = np.random.default_rng(3)
         u = rng.normal(size=source.size) + 1j * rng.normal(size=source.size)
         eps = 0.1
-        pair_gauge = _PairwiseGauge(vector, target, source) if with_vector else None
-        dense = _transfer(target, source, u, eps, pair_gauge)
+        dense = _axis_factors(target, source, eps, vector)[0] @ u
         fast = _kernel_plan(target, source, eps, vector)(u)
         assert np.linalg.norm(fast - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -313,9 +311,54 @@ class TestStructuredTransfer:
         vector = VectorPotentialSpec((lambda p: amplitude * np.cos(1.3 * p[..., 0] + 0.4),))
         rng = np.random.default_rng(seed)
         u = rng.normal(size=source.size) + 1j * rng.normal(size=source.size)
-        dense = _transfer(target, source, u, eps, _PairwiseGauge(vector, target, source))
+        dense = _axis_factors(target, source, eps, vector)[0] @ u
         fast = _kernel_plan(target, source, eps, vector)(u)
         assert np.linalg.norm(fast - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+class TestFactoredTransfer:
+    """The kernel plan against the per-pair slice kernel, whose gauge increment
+    is one segment integral per pair rather than a difference of tables."""
+
+    CASES = {
+        # dimension, field, target and source spacings
+        "free-2d": (2, None, 0.5, 0.45),
+        "mixed-2d": (2, VectorPotentialSpec((
+            lambda p: 0.6 * np.sin(p[..., 0] + 0.8 * p[..., 1]),
+            lambda p: 0.4 * p[..., 0] * np.cos(p[..., 1]),
+        )), 0.5, 0.45),
+        "mixed-3d": (3, VectorPotentialSpec((
+            lambda p: 0.5 * p[..., 1] * p[..., 2],
+            lambda p: 0.3 * np.cos(p[..., 0] + p[..., 2]),
+            lambda p: 0.4 * np.sin(p[..., 0] * p[..., 1]) + 0.2 * p[..., 2],
+        )), 1.0, 0.95),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_plan_matches_per_pair_kernel(self, case):
+        n, vector, target_h, source_h = self.CASES[case]
+        # the gaps cut every axis of both meshes in two, at different places
+        cut = [(0.2,) * n]
+        target = _TensorMesh.from_region(ExcisionRegion.build(n, 1.5, cut, 0.3), target_h)
+        source = _TensorMesh.from_region(ExcisionRegion.build(n, 1.7, cut, 0.2), source_h)
+        assert target.dims != source.dims
+        eps = 0.3
+        kernel = np.array(
+            [[slice_kernel(x, y, eps, vector) for y in source.points] for x in target.points]
+        ) / kernel_prefactor(n, eps, 1)
+        rng = np.random.default_rng(5)
+        u = rng.normal(size=source.size) + 1j * rng.normal(size=source.size)
+        fast = _kernel_plan(target, source, eps, vector)(u)
+        assert np.linalg.norm(fast - kernel @ u) <= 1e-12 * np.linalg.norm(kernel @ u)
+
+    def test_table_through_registered_singular_point_raises(self):
+        # the 1D gauge table integrates from 0 across the registered point 0.3
+        vector = VectorPotentialSpec(
+            (lambda p: np.abs(p[..., 0] - 0.3) ** -0.5,), singular_points=((0.3,),)
+        )
+        mesh = _TensorMesh.from_region(ExcisionRegion.build(1, 2.0, [(0.3,)], 0.1), 0.05)
+        with pytest.raises(SingularNodeError, match="gauge segment along axis 0"):
+            _kernel_plan(mesh, mesh, 0.2, vector)
 
 
 class TestKernelAgainstClosedForm:
