@@ -23,10 +23,8 @@ from .fields import (
     VectorPotentialSpec,
     WaveFunction,
     collect_singularities,
-    constant_wave,
     gaussian_evaluator,
     gaussian_wave,
-    inner_product,
     l2_norm,
     pair_bilinear,
     sample_field,
@@ -44,10 +42,8 @@ from .gauge import (
 from .splitstep import (
     SliceOperator,
     TimeSlicing,
-    apply_slice,
     chernoff_derivative_residual,
     evolve,
-    free_propagate_axis,
 )
 from .reference import (
     DiscretizedHamiltonian,

@@ -272,19 +272,8 @@ def pair_bilinear(phi: WaveFunction, psi: WaveFunction) -> complex:
     return complex(np.sum(phi.values * psi.values) * phi.grid.cell_volume)
 
 
-def inner_product(phi: WaveFunction, psi: WaveFunction) -> complex:
-    """Conjugated L2 inner product <phi|psi>, used for norms only."""
-    if phi.grid != psi.grid:
-        raise GridMismatchError("inner product requires both wavefunctions on the same grid")
-    return complex(np.sum(np.conj(phi.values) * psi.values) * phi.grid.cell_volume)
-
-
 def l2_norm(psi: WaveFunction) -> float:
     return float(np.sqrt(np.sum(np.abs(psi.values) ** 2) * psi.grid.cell_volume))
-
-
-def constant_wave(grid: Grid, value: complex = 1.0) -> WaveFunction:
-    return WaveFunction(grid, np.full(grid.shape, value, dtype=complex))
 
 
 def gaussian_wave(grid: Grid, center=0.0, width=1.0, momentum=0.0) -> WaveFunction:

@@ -53,7 +53,7 @@ from .fields import (
     l2_norm,
     sample_points,
 )
-from .splitstep import SliceOperator, TimeSlicing, apply_slice
+from .splitstep import SliceOperator
 
 DEFAULT_EVAL_CAP = int(1e8)
 DEFAULT_TAIL_WINDOW = 8
@@ -156,10 +156,6 @@ class ExcisionRegion:
             pieces.append(MeshPiece(a, m, (b - a) / m))
         return tuple(pieces)
 
-    def axis_mesh(self, axis: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """Midpoint nodes and weights along one axis, one submesh per interval."""
-        return _nodes_and_weights(self.axis_pieces(axis, h))
-
 
 class _TensorMesh:
     """Tensor-product midpoint mesh over an excised region.
@@ -193,22 +189,15 @@ class _TensorMesh:
 
 
 def _axis_gauge(vector: VectorPotentialSpec, axis: int, target: _TensorMesh, source: _TensorMesh):
-    """Antiderivatives of a_axis along the lines through the source points, as one table.
+    """Antiderivatives of a_axis along the lines through the source points.
 
-    Returns A(t; s_other) per target axis node, shape ``(target.dims[axis],)``
-    plus ``source.dims`` with the axis entry 1, and A(s; s_other) of shape
-    ``source.dims``; s_other freezes every coordinate but ``axis`` at the source.
+    :func:`gauge.mesh_line_integrals` at the target's axis nodes: A(t; s_other)
+    of shape ``(target.dims[axis],)`` plus ``source.dims`` with the axis entry
+    1, and A(s; s_other) of shape ``source.dims``.
     """
     if not vector.ndim == target.ndim == source.ndim:
         raise ValueError("mesh dimension must match the vector potential")
-    coords = np.concatenate([target.axes_nodes[axis], source.axes_nodes[axis]])
-    # the axis column of a frozen line is ignored, so one zero stands for it
-    other = [np.zeros(1) if b == axis else nodes for b, nodes in enumerate(source.axes_nodes)]
-    frozen = np.stack([g.ravel() for g in np.meshgrid(*other, indexing="ij")], axis=-1)
-    cum = gauge.cumulative_axis_integral(vector, axis, coords, frozen)
-    cum = cum.reshape((len(coords),) + tuple(len(v) for v in other))
-    m = target.dims[axis]
-    return cum[:m], np.swapaxes(cum[m:], 0, axis + 1)[0]
+    return gauge.mesh_line_integrals(vector, axis, target.axes_nodes[axis], source.axes_nodes)
 
 
 def _axis_factors(
@@ -568,8 +557,7 @@ def operator_vs_kernel_consistency(
     psi_fn = gaussian_evaluator(center=center, width=width, ndim=grid.ndim)
 
     psi_grid = WaveFunction(grid, psi_fn(np.stack(grid.meshgrid(), axis=-1)))
-    op = SliceOperator(grid, None, vector, TimeSlicing(eps, 1))
-    via_operator = apply_slice(op, psi_grid)
+    via_operator = SliceOperator(grid, None, vector).slice(eps)(psi_grid)
 
     diam = float(np.sqrt(sum((b - a) ** 2 for a, b in zip(grid.lo, grid.hi))))
     source_h = min(min(grid.spacing), (np.pi / 4.0) * 2.0 * eps / diam)

@@ -500,12 +500,10 @@ def run_trotter_study(scenario: Scenario, threads: int = 1,
     if exact is None:
         exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario)
     psi0 = scenario.initial_state.on_grid(grid)
+    op = splitstep.SliceOperator(grid, scenario.scalar, scenario.vector)
 
     def one_k(k: int):
-        op = splitstep.SliceOperator(
-            grid, scenario.scalar, scenario.vector, splitstep.TimeSlicing(scenario.time, k)
-        )
-        evolved = splitstep.evolve(op, psi0)
+        evolved = splitstep.evolve(op, psi0, splitstep.TimeSlicing(scenario.time, k))
         err = l2_norm(evolved.with_values(evolved.values - exact.values))
         drift = abs(l2_norm(evolved) - l2_norm(psi0))
         return err, drift
@@ -633,6 +631,7 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -
     if exact is None:
         exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario)
     dense_ref = pair_bilinear(phi_grid, exact)
+    op = splitstep.SliceOperator(grid, scenario.scalar, scenario.vector)
 
     for k in params["slices"]:
         eps = scenario.time / k
@@ -666,10 +665,8 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -
             "mesh_sizes": list(estimate.mesh_sizes),
         }
 
-        op = splitstep.SliceOperator(
-            grid, scenario.scalar, scenario.vector, splitstep.TimeSlicing(scenario.time, k)
-        )
-        split_ref = pair_bilinear(phi_grid, splitstep.evolve(op, psi_grid))
+        evolved = splitstep.evolve(op, psi_grid, splitstep.TimeSlicing(scenario.time, k))
+        split_ref = pair_bilinear(phi_grid, evolved)
         rep = pathint.amplitude_error_report(estimate, split_ref)
         report.add("amplitude", k, estimate.value, reference=split_ref, oracle="split-step")
         primary_rel = rep.rel_error

@@ -7,6 +7,12 @@ One slice of duration eps applies, right to left,
 where H0_l = -d^2/dx_l^2 acts spectrally (periodic boundary) and lam_l is the
 per-axis gauge phase.  Every factor is a unit-modulus multiplier or a spectral
 unitary, so each slice preserves the L2 norm to rounding.
+
+Neither lam_l nor the samples of V depend on eps, so a :class:`SliceOperator`
+tabulates them once per field and grid, and every slice count of a study
+shares it.  ``SliceOperator.slice(eps)`` builds exp(-i eps V) and the kinetic
+multipliers for one eps and returns the one-slice map.  The operator's tables
+are never written after construction, so threads may share it.
 """
 
 from __future__ import annotations
@@ -50,31 +56,28 @@ class TimeSlicing:
         return self.total_time / self.slices
 
 
+def _unit_phase(angle: np.ndarray, label: str) -> np.ndarray:
+    """exp(i angle), checked to have unit modulus."""
+    phase = np.exp(1j * angle)
+    dev = float(np.max(np.abs(np.abs(phase) - 1.0)))
+    if dev > PHASE_MODULUS_TOL:
+        raise ValueError(f"{label} phase table deviates from unit modulus by {dev}")
+    return phase
+
+
 def kinetic_multiplier(grid: Grid, axis: int, eps: float) -> np.ndarray:
     """Spectral multiplier exp(-i eps xi^2) for free propagation along one axis."""
     _, d2 = grid.derivative_symbols(axis)
-    return np.exp(1j * eps * d2)
-
-
-def free_propagate_axis(psi: WaveFunction, axis: int, eps: float) -> WaveFunction:
-    """Apply exp(-i eps H0_axis) spectrally; eps = 0 is the identity."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    mult = kinetic_multiplier(psi.grid, axis, eps)
-    return WaveFunction(psi.grid, fourier_multiply(psi.values, mult, axis))
-
-
-def _check_unit_modulus(table: np.ndarray, label: str) -> None:
-    dev = float(np.max(np.abs(np.abs(table) - 1.0)))
-    if dev > PHASE_MODULUS_TOL:
-        raise ValueError(f"{label} phase table deviates from unit modulus by {dev}")
+    return _unit_phase(eps * d2, f"kinetic axis {axis}")
 
 
 class SliceOperator:
-    """Precomputed phase tables and spectral multipliers for one time slice.
+    """The eps-free data of the gauge-split slice: potential samples and gauge phases.
 
-    The axis product is written left to right, axis 0 first; the rightmost
-    factor acts first, so axis n-1 is applied first and axis 0 last.
+    Neither depends on the slice length, so one operator serves every eps;
+    :meth:`slice` builds the one-slice map for a given eps.  The axis product
+    is written left to right, axis 0 first; the rightmost factor acts first,
+    so axis n-1 is applied first and axis 0 last.
     """
 
     def __init__(
@@ -82,60 +85,48 @@ class SliceOperator:
         grid: Grid,
         scalar: ScalarPotentialSpec | None,
         vector: VectorPotentialSpec | None,
-        slicing: TimeSlicing,
     ):
         if vector is not None and vector.ndim != grid.ndim:
             raise ValueError("vector potential dimension must match the grid")
         self.grid = grid
-        self.slicing = slicing
+        self.potential = None if scalar is None else sample_field(scalar, grid)
 
-        eps = slicing.eps
-        if scalar is not None:
-            v_vals = sample_field(scalar, grid)
-            self.potential_phase = np.exp(-1j * eps * v_vals)
-        else:
-            self.potential_phase = None
-        if self.potential_phase is not None:
-            _check_unit_modulus(self.potential_phase, "potential")
-
-        # gauge phases are eps-independent, so e^{+i lam_l} and e^{-i lam_l}
-        # are built once here and a slice only multiplies and transforms
-        self.gauge_phases: list[tuple[np.ndarray, np.ndarray]] | None
+        # per axis the pair (e^{+i lam_l}, e^{-i lam_l})
+        self.gauge_phases: list[tuple[np.ndarray, np.ndarray]] | None = None
         if vector is not None:
-            self.gauge_phases = []
-            for l in range(grid.ndim):
-                phase = np.exp(1j * gauge.gauge_phase_table(vector, l, grid))
-                _check_unit_modulus(phase, f"gauge axis {l}")
-                self.gauge_phases.append((phase, np.conj(phase)))
-        else:
-            self.gauge_phases = None
+            phases = [_unit_phase(gauge.gauge_phase_table(vector, l, grid), f"gauge axis {l}")
+                      for l in range(grid.ndim)]
+            self.gauge_phases = [(phase, np.conj(phase)) for phase in phases]
 
-        self.kinetic_multipliers = [
-            kinetic_multiplier(grid, l, eps) for l in range(grid.ndim)
-        ]
-        for l, mult in enumerate(self.kinetic_multipliers):
-            _check_unit_modulus(mult, f"kinetic axis {l}")
+    def slice(self, eps: float):
+        """The one-slice map of wavefunctions for slice length eps; eps = 0 is the identity.
 
-    @property
-    def eps(self) -> float:
-        return self.slicing.eps
+        exp(-i eps V) and the kinetic multipliers are built once here, so each
+        application only multiplies and transforms.
+        """
+        if eps < 0:
+            raise ValueError("eps must be nonnegative")
+        grid, gauge_phases = self.grid, self.gauge_phases
+        potential_phase = None
+        if self.potential is not None:
+            potential_phase = _unit_phase(-eps * self.potential, "potential")
+        kinetic = [kinetic_multiplier(grid, l, eps) for l in range(grid.ndim)]
 
+        def apply(psi: WaveFunction) -> WaveFunction:
+            if psi.grid != grid:
+                raise GridMismatchError("wavefunction grid does not match the slice operator grid")
+            v = psi.values
+            for l in reversed(range(grid.ndim)):
+                if gauge_phases is not None:
+                    v = gauge_phases[l][1] * v
+                v = fourier_multiply(v, kinetic[l], l)
+                if gauge_phases is not None:
+                    v = gauge_phases[l][0] * v
+            if potential_phase is not None:
+                v = potential_phase * v
+            return WaveFunction(grid, v)
 
-def apply_slice(op: SliceOperator, psi: WaveFunction) -> WaveFunction:
-    """Apply one gauge-split slice; rightmost product factor acts first."""
-    if psi.grid != op.grid:
-        raise GridMismatchError("wavefunction grid does not match the slice operator grid")
-    grid = op.grid
-    v = psi.values
-    for l in reversed(range(grid.ndim)):
-        if op.gauge_phases is not None:
-            v = op.gauge_phases[l][1] * v
-        v = fourier_multiply(v, op.kinetic_multipliers[l], l)
-        if op.gauge_phases is not None:
-            v = op.gauge_phases[l][0] * v
-    if op.potential_phase is not None:
-        v = op.potential_phase * v
-    return WaveFunction(grid, v)
+        return apply
 
 
 def boundary_mass_fraction(psi: WaveFunction) -> float:
@@ -152,29 +143,29 @@ def boundary_mass_fraction(psi: WaveFunction) -> float:
     return float((total - np.sum(inner)) / total)
 
 
-def evolve(op: SliceOperator, psi: WaveFunction, warn_boundary: bool = True) -> WaveFunction:
-    """k-fold application of the slice operator."""
+def evolve(op: SliceOperator, psi: WaveFunction, slicing: TimeSlicing,
+           warn_boundary: bool = True) -> WaveFunction:
+    """k-fold application of the slice of length ``slicing.eps``."""
     if warn_boundary and boundary_mass_fraction(psi) > BOUNDARY_MASS_WARN:
         warnings.warn(
             "wavepacket carries significant mass in the boundary cells; "
             "periodic wrap-around will contaminate the evolution",
             stacklevel=2,
         )
+    step = op.slice(slicing.eps)
     out = psi
-    for _ in range(op.slicing.slices):
-        out = apply_slice(op, out)
+    for _ in range(slicing.slices):
+        out = step(out)
     return out
 
 
-def chernoff_derivative_residual(psi: WaveFunction, op: SliceOperator, hamiltonian) -> float:
+def chernoff_derivative_residual(psi: WaveFunction, op: SliceOperator, eps: float,
+                                 hamiltonian) -> float:
     """L2 norm of (slice(psi) - psi)/eps + i H psi; O(eps) for smooth data.
 
     ``hamiltonian`` is a :class:`reference.HamiltonianAction` on the slice
     operator's grid, so H psi is applied matrix-free.
     """
-    if psi.grid != op.grid:
-        raise GridMismatchError("wavefunction grid does not match the slice operator grid")
-    eps = op.eps
-    sliced = apply_slice(op, psi)
+    sliced = op.slice(eps)(psi)
     resid = (sliced.values - psi.values) / eps + 1j * hamiltonian(psi.values)
     return l2_norm(WaveFunction(psi.grid, resid))

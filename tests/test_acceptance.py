@@ -59,10 +59,10 @@ def test_criterion_2_chernoff_derivative():
         ham = gs.HamiltonianAction(grid, vector, scalar)
         psi = gs.gaussian_wave(grid, width=1.0, momentum=1.0)
         eps_values = [1e-2, 5e-3, 2.5e-3]
+        op = gs.SliceOperator(grid, scalar, vector)
         residuals = []
         for eps in eps_values:
-            op = gs.SliceOperator(grid, scalar, vector, gs.TimeSlicing(eps, 1))
-            residuals.append(gs.splitstep.chernoff_derivative_residual(psi, op, ham))
+            residuals.append(gs.splitstep.chernoff_derivative_residual(psi, op, eps, ham))
         slope = np.polyfit(np.log(eps_values), np.log(residuals), 1)[0]
         elapsed = time.perf_counter() - start
         assert 0.7 <= slope <= 1.3
@@ -129,10 +129,10 @@ def test_criterion_5_amplitude_identity():
         phi_h = gs.gaussian_evaluator(center=0.5, width=1.0, ndim=1)
         psi_h = gs.gaussian_evaluator(center=0.0, width=1.0, momentum=1.0, ndim=1)
         grid = gs.Grid((-10.0,), (10.0,), (400,))
-        op = gs.SliceOperator(grid, scalar, None, gs.TimeSlicing(t, 3))
+        op = gs.SliceOperator(grid, scalar, None)
         split_ref = gs.pair_bilinear(
             gs.gaussian_wave(grid, center=0.5),
-            gs.evolve(op, gs.gaussian_wave(grid, momentum=1.0)),
+            gs.evolve(op, gs.gaussian_wave(grid, momentum=1.0), gs.TimeSlicing(t, 3)),
         )
         schedule = gs.BoxSchedule.fresnel(t / 3, 6.0, steps=12)
         estimate = gs.amplitude_quadrature(phi_h, psi_h, t, 3, schedule, scalar=scalar)
@@ -147,10 +147,10 @@ def test_criterion_6_prefactor_forcing():
         phi = gs.gaussian_evaluator(center=0.8, width=1.0, ndim=1)
         psi = gs.gaussian_evaluator(center=0.0, width=1.0, momentum=1.0, ndim=1)
         grid = gs.Grid((-12.0,), (12.0,), (512,))
-        op = gs.SliceOperator(grid, None, None, gs.TimeSlicing(t, 1))
+        op = gs.SliceOperator(grid, None, None)
         reference = gs.pair_bilinear(
             gs.gaussian_wave(grid, center=0.8),
-            gs.evolve(op, gs.gaussian_wave(grid, momentum=1.0)),
+            gs.evolve(op, gs.gaussian_wave(grid, momentum=1.0), gs.TimeSlicing(t, 1)),
         )
         schedule = gs.BoxSchedule.fresnel(t, 7.0, steps=12)
         composed = gs.amplitude_quadrature(phi, psi, t, 1, schedule)
@@ -198,10 +198,8 @@ def test_criterion_8_unitarity_suite():
             scenario = sc.load_scenario(SCENARIO_DIR / f"{name}.json")
             psi0 = scenario.initial_state.on_grid(scenario.grid)
             norm0 = gs.l2_norm(psi0)
+            op = gs.SliceOperator(scenario.grid, scenario.scalar, scenario.vector)
             for k in scenario.slice_counts:
-                op = gs.SliceOperator(
-                    scenario.grid, scenario.scalar, scenario.vector,
-                    gs.TimeSlicing(scenario.time, k),
-                )
-                evolved = gs.evolve(op, psi0, warn_boundary=False)
+                slicing = gs.TimeSlicing(scenario.time, k)
+                evolved = gs.evolve(op, psi0, slicing, warn_boundary=False)
                 assert abs(gs.l2_norm(evolved) - norm0) <= k * 1e-12, (name, k)

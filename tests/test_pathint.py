@@ -34,6 +34,7 @@ from gaugeslice.pathint import (
     _TensorMesh,
     _axis_factors,
     _kernel_plan,
+    _nodes_and_weights,
     phase_mesh_spacing,
     raw_sliced_amplitude,
 )
@@ -104,7 +105,7 @@ class TestExcisionRegion:
 
     def test_mesh_avoids_gap_and_conserves_length(self):
         region = ExcisionRegion.build(1, 2.0, singular_points=[(0.0,)], gap=0.1)
-        nodes, weights = region.axis_mesh(0, 0.05)
+        nodes, weights = _nodes_and_weights(region.axis_pieces(0, 0.05))
         assert np.min(np.abs(nodes)) >= 0.1
         assert np.sum(weights) == pytest.approx(3.8)
 
@@ -170,7 +171,7 @@ class TestBruteForceDual:
             phi, psi, eps, 2, region, h, vector=vector, scalar=scalar
         )
 
-        axes = [region.axis_mesh(b, h) for b in range(region.ndim)]
+        axes = [_nodes_and_weights(region.axis_pieces(b, h)) for b in range(region.ndim)]
         points = [np.array(x) for x in itertools.product(*(nodes for nodes, _ in axes))]
         weights = [np.prod(w) for w in itertools.product(*(w for _, w in axes))]
         pref = kernel_prefactor(region.ndim, eps, 2)
@@ -211,7 +212,7 @@ class TestBruteForceDual:
         # around (0.3, -0.3) leaves two pieces per axis and a 3 x 3 mesh, and
         # each field component depends on both coordinates
         region = ExcisionRegion.build(2, 1.0, singular_points=[(0.3, -0.3)], gap=0.1)
-        assert [len(region.axis_mesh(b, 0.7)[0]) for b in range(2)] == [3, 3]
+        assert [sum(p.count for p in region.axis_pieces(b, 0.7)) for b in range(2)] == [3, 3]
         vector = VectorPotentialSpec((
             lambda p: 0.4 * np.sin(p[..., 1]) + 0.3 * p[..., 0],
             lambda p: 0.5 * np.cos(p[..., 0]) * p[..., 1],
@@ -368,7 +369,7 @@ class TestKernelAgainstClosedForm:
         radius = 10.0
         region = ExcisionRegion.build(1, radius)
         h = phase_mesh_spacing(eps, radius, adjacent_pairs=1)
-        nodes, weights = region.axis_mesh(0, h)
+        nodes, weights = _nodes_and_weights(region.axis_pieces(0, h))
         psi = gaussian_evaluator(momentum=1.0, ndim=1)
         for x in (0.0, 0.7):
             total = sum(

@@ -1,6 +1,7 @@
 """Scenario parsing, potential families, report bookkeeping, studies."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,9 @@ from gaugeslice.scenarios import (
     run_gauge_check,
     run_trotter_study,
 )
-from gaugeslice import reference
+from gaugeslice import gauge, reference, splitstep
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def minimal_config(**overrides):
@@ -225,9 +228,16 @@ class TestStudies:
         assert errs[0] > errs[1] > errs[2]
 
     def test_trotter_threads_match_serial(self):
-        s = scenario_from_dict(minimal_config())
+        # the pool shares one operator; more threads than cores and a short
+        # switch interval interleave its readers as often as possible
+        s = scenario_from_dict(minimal_config(slice_counts=[2, 3, 4, 5, 6, 8]))
         serial = run_trotter_study(s, threads=1)
-        parallel = run_trotter_study(s, threads=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = run_trotter_study(s, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
         assert serial.diagnostics["trotter_errors"] == parallel.diagnostics["trotter_errors"]
 
     def test_closed_form_amplitude_far_from_origin(self):
@@ -283,6 +293,23 @@ class TestStudies:
         assert info["terms"] > 1
         lo, hi = info["spectral_interval"]
         assert lo < hi
+
+    def test_run_all_tabulates_one_gauge_table_per_study_axis(self, count_calls):
+        # the phases do not depend on eps: the gauge check, the Trotter study
+        # and the amplitude study each tabulate the one axis once
+        calls = count_calls(gauge, "gauge_phase_table")
+        assert run_all(load_scenario(SCENARIO_DIR / "harmonic_1d.json")).passed
+        assert calls == {"gauge_phase_table": 3}
+
+    def test_trotter_study_shares_one_operator(self, count_calls):
+        # one operator serves every slice count, so one table per axis
+        tables = count_calls(gauge, "gauge_phase_table")
+        operators = count_calls(splitstep, "SliceOperator")
+        scenario = load_scenario(SCENARIO_DIR / "constant_field_2d.json")
+        assert len(scenario.slice_counts) > 1
+        assert run_trotter_study(scenario).passed
+        assert tables == {"gauge_phase_table": scenario.ndim}
+        assert operators == {"SliceOperator": 1}
 
     def test_each_study_reports_its_reference_evolution(self):
         s = scenario_from_dict(minimal_config(amplitude={"slices": [1], "r_start": 5.0, "steps": 2}))

@@ -10,9 +10,7 @@ from gaugeslice import (
     TimeSlicing,
     VectorPotentialSpec,
     WaveFunction,
-    apply_slice,
     evolve,
-    free_propagate_axis,
     gaussian_wave,
     l2_norm,
 )
@@ -48,20 +46,20 @@ class TestFreePropagation:
         g = Grid((-12.0,), (12.0,), (384,))
         psi = gaussian_wave(g, center=0.0, width=1.0, momentum=1.0)
         t = 0.3
-        out = free_propagate_axis(psi, 0, t)
+        out = SliceOperator(g, None, None).slice(t)(psi)
         exact = exact_free_gaussian(g.axis_coords(0), t, 0.0, 1.0, 1.0)
         assert np.max(np.abs(out.values - exact)) < 1e-10
 
     def test_zero_time_is_identity(self):
         g = Grid((-6.0,), (6.0,), (64,))
         psi = gaussian_wave(g)
-        out = free_propagate_axis(psi, 0, 0.0)
+        out = SliceOperator(g, None, None).slice(0.0)(psi)
         assert np.allclose(out.values, psi.values)
 
     def test_negative_time_rejected(self):
         g = Grid((-6.0,), (6.0,), (64,))
         with pytest.raises(ValueError):
-            free_propagate_axis(gaussian_wave(g), 0, -0.1)
+            SliceOperator(g, None, None).slice(-0.1)
 
     def test_multiplier_unit_modulus(self):
         g = Grid((-6.0,), (6.0,), (64,))
@@ -71,9 +69,9 @@ class TestFreePropagation:
 class TestSliceOperator:
     def test_norm_preserved_one_slice(self):
         g = Grid((-8.0,), (8.0,), (128,))
-        op = SliceOperator(g, harmonic(), smooth_vector_1d(), TimeSlicing(0.1, 1))
+        step = SliceOperator(g, harmonic(), smooth_vector_1d()).slice(0.1)
         psi = gaussian_wave(g)
-        assert abs(l2_norm(apply_slice(op, psi)) - l2_norm(psi)) < 1e-13
+        assert abs(l2_norm(step(psi)) - l2_norm(psi)) < 1e-13
 
     def test_norm_preserved_2d(self):
         g = Grid((-5.0, -5.0), (5.0, 5.0), (32, 32))
@@ -83,76 +81,88 @@ class TestSliceOperator:
                 lambda p: 0.3 * np.sin(2.0 * np.pi * p[..., 0] / 10.0),
             )
         )
-        op = SliceOperator(g, harmonic(), vec, TimeSlicing(0.2, 2))
+        step = SliceOperator(g, harmonic(), vec).slice(0.1)
         psi = gaussian_wave(g, width=0.8)
-        assert abs(l2_norm(apply_slice(op, psi)) - l2_norm(psi)) < 1e-12
+        assert abs(l2_norm(step(psi)) - l2_norm(psi)) < 1e-12
 
     def test_evolve_iterates_the_slice(self):
         g = Grid((-8.0,), (8.0,), (128,))
-        op = SliceOperator(g, harmonic(), None, TimeSlicing(0.3, 3))
+        op = SliceOperator(g, harmonic(), None)
         psi = gaussian_wave(g)
         manual = psi
         for _ in range(3):
-            manual = apply_slice(op, manual)
-        assert np.allclose(evolve(op, psi).values, manual.values)
+            manual = op.slice(0.1)(manual)
+        assert np.allclose(evolve(op, psi, TimeSlicing(0.3, 3)).values, manual.values)
+
+    def test_one_operator_serves_every_slice_count(self):
+        # no eps state survives an evolution: k = 2 then k = 5 on one operator
+        # equals each on a freshly built one, bit for bit
+        g = Grid((-5.0, -4.0), (5.0, 4.0), (16, 12))
+        vec = VectorPotentialSpec((lambda p: -0.35 * p[..., 1], lambda p: 0.35 * p[..., 0]))
+        psi = gaussian_wave(g, width=0.6, momentum=[0.5, -0.3])
+        shared = SliceOperator(g, harmonic(), vec)
+        for k in (2, 5):
+            fresh = evolve(SliceOperator(g, harmonic(), vec), psi, TimeSlicing(0.4, k))
+            assert np.array_equal(evolve(shared, psi, TimeSlicing(0.4, k)).values, fresh.values)
 
     def test_vector_dimension_mismatch(self):
         g = Grid((-5.0, -5.0), (5.0, 5.0), (16, 16))
         with pytest.raises(ValueError):
-            SliceOperator(g, None, smooth_vector_1d(), TimeSlicing(0.1, 1))
+            SliceOperator(g, None, smooth_vector_1d())
 
     def test_grid_mismatch_on_apply(self):
         g = Grid((-8.0,), (8.0,), (128,))
-        op = SliceOperator(g, None, None, TimeSlicing(0.1, 1))
+        step = SliceOperator(g, None, None).slice(0.1)
         other = gaussian_wave(Grid((-8.0,), (8.0,), (64,)))
         with pytest.raises(GridMismatchError):
-            apply_slice(op, other)
+            step(other)
 
     def test_free_slice_matches_spectral_propagator(self):
         # with V = 0 and a = 0 a slice is exactly the spectral free step
         g = Grid((-8.0,), (8.0,), (128,))
-        op = SliceOperator(g, None, None, TimeSlicing(0.25, 1))
+        step = SliceOperator(g, None, None).slice(0.25)
         psi = gaussian_wave(g, momentum=0.7)
-        assert np.allclose(
-            apply_slice(op, psi).values, free_propagate_axis(psi, 0, 0.25).values
-        )
+        xi = 2.0 * np.pi * np.fft.fftfreq(128, d=g.spacing[0])
+        free = np.fft.ifft(np.exp(-0.25j * xi**2) * np.fft.fft(psi.values))
+        assert np.allclose(step(psi).values, free)
 
     def test_free_slice_2d_matches_dense(self):
         # the free axis propagators commute, so one slice is exact on a 2D grid;
         # unequal axis lengths catch a multiplier applied along the wrong axis
         g = Grid((-5.0, -4.0), (5.0, 4.0), (16, 12))
         psi = gaussian_wave(g, width=[1.2, 1.0], momentum=[0.6, -0.4])
-        op = SliceOperator(g, None, None, TimeSlicing(0.3, 1))
+        step = SliceOperator(g, None, None).slice(0.3)
         dense = expm_evolve(assemble_hamiltonian(g), psi, 0.3)
-        assert np.max(np.abs(apply_slice(op, psi).values - dense.values)) < 1e-10
+        assert np.max(np.abs(step(psi).values - dense.values)) < 1e-10
 
 
     def test_gauge_removal_identity_1d(self):
         # in 1D every factor but the kinetic step is diagonal, so k slices
         # telescope: (P e^{i lam} K e^{-i lam})^k = e^{i lam} (P K)^k e^{-i lam}
         g = Grid((-8.0,), (8.0,), (128,))
-        vector, scalar, k = smooth_vector_1d(), harmonic(), 5
-        op = SliceOperator(g, scalar, vector, TimeSlicing(0.4, k))
+        vector, scalar, k, eps = smooth_vector_1d(), harmonic(), 5, 0.08
+        step = SliceOperator(g, scalar, vector).slice(eps)
+        free = SliceOperator(g, None, None).slice(eps)
         psi = gaussian_wave(g, center=0.5, momentum=0.7)
         gauge_phase = np.exp(1j * gauge.gauge_phase_table(vector, 0, g))
-        potential_phase = np.exp(-1j * op.eps * sample_field(scalar, g))
+        potential_phase = np.exp(-1j * eps * sample_field(scalar, g))
         telescoped = psi.with_values(np.conj(gauge_phase) * psi.values)
         sliced = psi
         for _ in range(k):
-            sliced = apply_slice(op, sliced)
-            telescoped = free_propagate_axis(telescoped, 0, op.eps)
+            sliced = step(sliced)
+            telescoped = free(telescoped)
             telescoped = telescoped.with_values(potential_phase * telescoped.values)
         expected = gauge_phase * telescoped.values
         assert np.max(np.abs(sliced.values - expected)) < 1e-12
 
     def test_slice_evaluates_no_exponential(self, count_calls):
-        # every phase is tabulated when the operator is built
+        # every phase is tabulated when the slice map is built
         g = Grid((-5.0, -4.0), (5.0, 4.0), (16, 12))
         vec = VectorPotentialSpec((lambda p: -0.35 * p[..., 1], lambda p: 0.35 * p[..., 0]))
-        op = SliceOperator(g, harmonic(), vec, TimeSlicing(0.2, 2))
+        step = SliceOperator(g, harmonic(), vec).slice(0.1)
         psi = gaussian_wave(g, width=0.8)
         calls = count_calls(np, "exp")
-        apply_slice(op, apply_slice(op, psi))
+        step(step(psi))
         assert calls == {"exp": 0}
 
 
@@ -163,7 +173,7 @@ class TestBoundaryDiagnostics:
 
     def test_evolve_warns_on_wide_packet(self):
         g = Grid((-4.0,), (4.0,), (64,))
-        op = SliceOperator(g, None, None, TimeSlicing(0.1, 1))
+        op = SliceOperator(g, None, None)
         wide = gaussian_wave(g, width=3.0)
         with pytest.warns(UserWarning, match="boundary"):
-            evolve(op, wide)
+            evolve(op, wide, TimeSlicing(0.1, 1))
