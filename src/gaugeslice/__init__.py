@@ -55,16 +55,13 @@ from .reference import (
 )
 from .pathint import (
     AmplitudeEstimate,
-    AmplitudeReport,
     BoxSchedule,
     ExcisionRegion,
-    amplitude_error_report,
     amplitude_quadrature,
     discrete_action,
     kernel_prefactor,
     operator_vs_kernel_consistency,
     phase_mesh_spacing,
-    raw_sliced_amplitude,
     slice_kernel,
 )
 from .scenarios import (

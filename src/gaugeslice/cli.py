@@ -5,7 +5,9 @@ scenario file, run the corresponding study, write a CSV table and a JSON
 diagnostics document into the output directory, and exit 0 only if every
 configured assertion passed, 1 if one failed and 2 if the run could not be
 completed (an unreadable or invalid scenario, a bad flag, a tripped evaluation
-cap, or a field evaluation on a registered singular point).
+cap, an amplitude gap that excises a whole axis, a field evaluation on a
+registered singular point, or an output directory that cannot be made or
+written).
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
+        # made before any study runs, so a bad --out fails fast
+        args.out.mkdir(parents=True, exist_ok=True)
         if args.command == "trotter":
             report = scenarios.run_trotter_study(scenario, threads=args.threads)
         elif args.command == "amplitude":
@@ -66,20 +70,19 @@ def main(argv=None) -> int:
             report = scenarios.run_gauge_check(scenario)
         else:
             report = scenarios.run_all(scenario, threads=args.threads)
+        stem = f"{scenario.name}_{args.command}"
+        report.write_csv(args.out / f"{stem}.csv")
+        report.write_json(args.out / f"{stem}.json")
     except CapExceededError as exc:
         hint = ""
         if exc.suggested_slices is not None:
             hint = f" (try slices <= {exc.suggested_slices})"
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
-    except GaugesliceError as exc:
+    except (GaugesliceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    args.out.mkdir(parents=True, exist_ok=True)
-    stem = f"{scenario.name}_{args.command}"
-    report.write_csv(args.out / f"{stem}.csv")
-    report.write_json(args.out / f"{stem}.json")
     _print_summary(report)
     return 0 if report.passed else 1
 

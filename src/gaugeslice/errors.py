@@ -39,4 +39,4 @@ class CapExceededError(GaugesliceError):
 
 
 class ScheduleError(GaugesliceError):
-    """A box/gap schedule is not monotone."""
+    """A box/gap schedule is not monotone, or a gap excises a whole axis."""

@@ -12,7 +12,11 @@ point (only for a positive gap) and truncates to nested boxes; box radii grow
 and gap radii shrink along a schedule, each limit independent of the others.
 Raw box-truncated sums oscillate in the outer radius (the tails are
 Fresnel-like and converge only conditionally), so the reported value is the
-arithmetic mean of the last few schedule steps.
+arithmetic mean of the last few schedule steps, and the estimate counts as
+converged when their spread stays below :data:`TAIL_OSCILLATION_TOL`.
+
+:func:`amplitude_quadrature` meshes every schedule step and checks the
+evaluation cap against the largest before :func:`raw_sliced_amplitude` sums any.
 
 Because the integrand factorizes across slices, the nested sum is evaluated
 exactly as a chain of per-slice transfer contractions (vector of mesh values,
@@ -129,7 +133,10 @@ class ExcisionRegion:
 
     @classmethod
     def build(cls, ndim: int, bounds, singular_points=(), gap: float = 0.0) -> "ExcisionRegion":
-        """Box (per-axis bounds or a symmetric radius) minus per-singularity gaps."""
+        """Box (per-axis bounds or a symmetric radius) minus per-singularity gaps.
+
+        Raises :class:`ScheduleError` if the gaps leave an axis empty.
+        """
         if np.isscalar(bounds):
             per_axis = [(-float(bounds), float(bounds))] * ndim
         else:
@@ -145,7 +152,10 @@ class ExcisionRegion:
                 for w in singular_points:
                     wb = float(np.atleast_1d(np.asarray(w, float))[beta])
                     cuts.append((wb - gap, wb + gap))
-            axes.append(_subtract_gaps(lo, hi, cuts))
+            intervals = _subtract_gaps(lo, hi, cuts)
+            if not intervals:
+                raise ScheduleError(f"a gap of {gap:g} excises all of axis {beta} on [{lo:g}, {hi:g}]")
+            axes.append(intervals)
         return cls(tuple(axes))
 
     def axis_pieces(self, axis: int, h: float) -> tuple[MeshPiece, ...]:
@@ -419,13 +429,9 @@ class AmplitudeEstimate:
         if not self.raw:
             raise ValueError("estimate sequence must be nonempty")
 
-
-@dataclass(frozen=True)
-class AmplitudeReport:
-    abs_error: float
-    rel_error: float
-    tail_oscillation: float
-    converged: bool
+    @property
+    def converged(self) -> bool:
+        return self.tail_oscillation < TAIL_OSCILLATION_TOL
 
 
 def raw_sliced_amplitude(
@@ -433,40 +439,25 @@ def raw_sliced_amplitude(
     psi_fn,
     eps: float,
     slices: int,
-    region: ExcisionRegion,
-    mesh_h: float,
+    mesh: _TensorMesh,
     vector: VectorPotentialSpec | None = None,
     scalar: ScalarPotentialSpec | None = None,
     prefactor: str = "composed",
-    max_evals: int = DEFAULT_EVAL_CAP,
 ) -> complex:
     """One box-truncated nested midpoint sum, evaluated as chained transfers.
 
-    Every slice point x_0 .. x_k ranges over the same excision ``region``,
-    meshed once with spacing at most ``mesh_h``.
+    Every slice point x_0 .. x_k ranges over the same ``mesh``.
     """
-    k = slices
-    mesh = _TensorMesh.from_region(region, mesh_h)
-
-    per_pair = mesh.size**2
-    evals = k * per_pair
-    if evals > max_evals:
-        # halving k roughly halves the chain cost; suggest the largest feasible count
-        raise CapExceededError(
-            f"{evals} kernel evaluations exceed the cap {max_evals}",
-            suggested_slices=max(1, int(max_evals // per_pair)),
-        )
-
     u = psi_fn(mesh.points) * mesh.weights
     transfer = _kernel_plan(mesh, mesh, eps, vector)
     # every slice ends on the same diagonal: potential phase times quadrature weight
     diagonal = mesh.weights
     if scalar is not None:
         diagonal = np.exp(-1j * eps * sample_points(scalar, mesh.points)) * diagonal
-    for _ in range(k):
+    for _ in range(slices):
         u = transfer(u) * diagonal
     amp = np.sum(phi_fn(mesh.points) * u)
-    return complex(kernel_prefactor(mesh.ndim, eps, k, prefactor) * amp)
+    return complex(kernel_prefactor(mesh.ndim, eps, slices, prefactor) * amp)
 
 
 def amplitude_quadrature(
@@ -482,34 +473,33 @@ def amplitude_quadrature(
     prefactor: str = "composed",
     max_evals: int = DEFAULT_EVAL_CAP,
 ) -> AmplitudeEstimate:
-    """Run the box/gap schedule and tail-average the raw estimates."""
+    """Run the box/gap schedule and tail-average the raw estimates.
+
+    Every step's mesh is planned first, so the cap is checked once, against
+    the largest step, before any transfer.  ``max_evals`` counts target×source
+    kernel pairs summed over the slices of one raw sum.
+    """
     if slices < 1:
         raise ValueError("slice count must be at least 1")
     eps = t / slices
     pairs = 2 if slices >= 2 else 1
-    raw = []
-    sizes = []
-    for step in range(len(schedule)):
-        radius = schedule.radii[step]
-        gap_r = schedule.gaps[step]
-        region = ExcisionRegion.build(ndim, radius, singular_points, gap_r)
+    steps = []
+    for radius, gap in zip(schedule.radii, schedule.gaps):
+        region = ExcisionRegion.build(ndim, radius, singular_points, gap)
         h = phase_mesh_spacing(eps, radius, pairs)
-        value = raw_sliced_amplitude(
-            phi_fn,
-            psi_fn,
-            eps,
-            slices,
-            region,
-            h,
-            vector=vector,
-            scalar=scalar,
-            prefactor=prefactor,
-            max_evals=max_evals,
+        steps.append([region.axis_pieces(b, h) for b in range(ndim)])
+    sizes = tuple(math.prod(sum(p.count for p in pieces) for pieces in axes) for axes in steps)
+    per_pair = max(sizes) ** 2
+    if slices * per_pair > max_evals:
+        # halving k roughly halves the chain cost; suggest the largest feasible count
+        raise CapExceededError(
+            f"{slices * per_pair} kernel evaluations exceed the cap {max_evals}",
+            suggested_slices=max(1, int(max_evals // per_pair)),
         )
-        raw.append(value)
-        sizes.append(math.prod(
-            sum(p.count for p in region.axis_pieces(b, h)) for b in range(ndim)
-        ))
+    raw = [
+        raw_sliced_amplitude(phi_fn, psi_fn, eps, slices, _TensorMesh(axes), vector, scalar, prefactor)
+        for axes in steps
+    ]
     window = min(schedule.tail_window, len(raw))
     tail = np.asarray(raw[-window:])
     value = complex(np.mean(tail))
@@ -519,22 +509,9 @@ def amplitude_quadrature(
         radii=schedule.radii,
         value=value,
         tail_oscillation=oscillation,
-        mesh_sizes=tuple(sizes),
+        mesh_sizes=sizes,
         eps=eps,
         slices=slices,
-    )
-
-
-def amplitude_error_report(estimate: AmplitudeEstimate, reference: complex) -> AmplitudeReport:
-    """Absolute/relative error against a reference amplitude plus convergence flag."""
-    abs_error = abs(estimate.value - reference)
-    denom = abs(reference)
-    rel_error = abs_error / denom if denom > 0 else np.inf
-    return AmplitudeReport(
-        abs_error=float(abs_error),
-        rel_error=float(rel_error),
-        tail_oscillation=estimate.tail_oscillation,
-        converged=estimate.tail_oscillation < TAIL_OSCILLATION_TOL,
     )
 
 

@@ -120,8 +120,7 @@ def test_criterion_5_amplitude_identity():
         closed = complex(
             np.trapezoid(phi(x[:, None]) * gs.exact_free_gaussian(x, t, 0.0, 1.0, 1.0), x)
         )
-        report = gs.amplitude_error_report(estimate, closed)
-        assert report.rel_error <= 1e-2
+        assert abs(estimate.value - closed) / abs(closed) <= 1e-2
 
         # harmonic potential, three slices, against the iterated slice operator
         t = 0.3
@@ -136,8 +135,7 @@ def test_criterion_5_amplitude_identity():
         )
         schedule = gs.BoxSchedule.fresnel(t / 3, 6.0, steps=12)
         estimate = gs.amplitude_quadrature(phi_h, psi_h, t, 3, schedule, scalar=scalar)
-        report = gs.amplitude_error_report(estimate, split_ref)
-        assert report.rel_error <= 1e-2
+        assert abs(estimate.value - split_ref) / abs(split_ref) <= 1e-2
         assert time.perf_counter() - start < 10.0
 
 

@@ -138,6 +138,30 @@ class TestExitCodes:
         assert "singular point (0.0,)" in err
         assert "amplitude.gap > 0" in err
 
+    def test_gap_excising_a_whole_axis_gives_exit_2(self, tmp_path, capsys):
+        # a gap of 10 around the origin covers every box of the schedule
+        scen = write_scenario(
+            tmp_path,
+            scalar_potential={"family": "inverse-power-singular",
+                              "params": {"power": 0.5, "center": [0.0]}},
+            amplitude={"slices": [2], "r_start": 5.0, "gap": 10.0, "gap_final": 10.0},
+        )
+        code = cli.main(["all", "--scenario", str(scen), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "excises all of axis 0" in err
+        assert "amplitude.gap" in err
+
+    def test_out_naming_a_file_gives_exit_2(self, tmp_path, capsys, count_calls):
+        scen = write_scenario(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("")
+        studies = count_calls(cli.scenarios, "run_gauge_check")
+        code = cli.main(["gauge", "--scenario", str(scen), "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert studies == {"run_gauge_check": 0}
+
     def test_trotter_pass(self, tmp_path):
         scen = write_scenario(tmp_path)
         code = cli.main(["trotter", "--scenario", str(scen), "--out", str(tmp_path / "r")])

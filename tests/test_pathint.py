@@ -19,7 +19,6 @@ from gaugeslice import (
     ScheduleError,
     SingularNodeError,
     VectorPotentialSpec,
-    amplitude_error_report,
     amplitude_quadrature,
     discrete_action,
     gaussian_evaluator,
@@ -30,6 +29,7 @@ from gaugeslice import (
 from gaugeslice import gauge, pathint
 from gaugeslice.fields import Grid
 from gaugeslice.pathint import (
+    TAIL_OSCILLATION_TOL,
     AmplitudeEstimate,
     _TensorMesh,
     _axis_factors,
@@ -124,7 +124,9 @@ class TestExcisionRegion:
         psi = gaussian_evaluator(0.3, 1.0, 0.0, 1)
 
         def amplitude():
-            return raw_sliced_amplitude(psi, psi, 0.1, 2, region, 1.0, scalar=scalar)
+            return raw_sliced_amplitude(
+                psi, psi, 0.1, 2, _TensorMesh.from_region(region, 1.0), scalar=scalar
+            )
 
         if raises:
             with pytest.raises(SingularNodeError, match=r"node \[0\.\] .* singular point \(0\.0,\)"):
@@ -168,7 +170,7 @@ class TestBruteForceDual:
         eps = 0.25
         scalar = ScalarPotentialSpec(lambda p: np.sum(p**2, axis=-1))
         fast = raw_sliced_amplitude(
-            phi, psi, eps, 2, region, h, vector=vector, scalar=scalar
+            phi, psi, eps, 2, _TensorMesh.from_region(region, h), vector=vector, scalar=scalar
         )
 
         axes = [_nodes_and_weights(region.axis_pieces(b, h)) for b in range(region.ndim)]
@@ -235,7 +237,8 @@ class TestBruteForceDual:
         vector = VectorPotentialSpec((lambda p: 0.4 * np.sin(p[..., 0]),))
         phi = gaussian_evaluator(center=0.5, ndim=1)
         psi = gaussian_evaluator(momentum=1.0, ndim=1)
-        raw_sliced_amplitude(phi, psi, 0.1, 4, ExcisionRegion.build(1, 3.0), 0.05, vector=vector)
+        mesh = _TensorMesh.from_region(ExcisionRegion.build(1, 3.0), 0.05)
+        raw_sliced_amplitude(phi, psi, 0.1, 4, mesh, vector=vector)
         assert len(calls) == 1
 
 
@@ -246,9 +249,10 @@ class TestBruteForceDual:
         region = ExcisionRegion.build(1, 2.0, singular_points=[(0.3,)], gap=0.1)
         phi = gaussian_evaluator(center=0.5, ndim=1)
         psi = gaussian_evaluator(momentum=1.0, ndim=1)
+        mesh = _TensorMesh.from_region(region, 0.5)
         plans = count_calls(pathint, "_chirp_pair")
         transforms = count_calls(np.fft, "fft", "ifft")
-        raw_sliced_amplitude(phi, psi, 0.25, 3, region, 0.5)
+        raw_sliced_amplitude(phi, psi, 0.25, 3, mesh)
         pairs = len(region.axis_pieces(0, 0.5)) ** 2
         assert pairs == 4
         assert plans == {"_chirp_pair": pairs}
@@ -391,9 +395,8 @@ class TestAmplitudeQuadrature:
         closed = np.trapezoid(
             phi(x[:, None]) * exact_free_gaussian(x, t, 0.0, 1.0, 1.0), x
         )
-        report = amplitude_error_report(est, complex(closed))
-        assert report.rel_error < 1e-3
-        assert report.converged
+        assert abs(est.value - closed) / abs(closed) < 1e-3
+        assert est.converged
 
     def test_cap_exceeded_suggests_fewer_slices(self):
         schedule = BoxSchedule.fresnel(0.1, 5.0, steps=2)
@@ -404,6 +407,38 @@ class TestAmplitudeQuadrature:
             )
         assert info.value.suggested_slices is not None
         assert info.value.suggested_slices >= 0
+
+    @staticmethod
+    def growing_schedule():
+        # equal gaps and growing radii: the last step has the largest mesh
+        schedule = BoxSchedule.fresnel(0.1, 5.0, steps=3)
+        sizes = amplitude_quadrature(
+            gaussian_evaluator(), gaussian_evaluator(), 0.2, 2, schedule
+        ).mesh_sizes
+        assert sizes[-1] == max(sizes) > sizes[-2]
+        return schedule, sizes
+
+    def test_cap_checked_before_any_raw_sum(self, count_calls):
+        # only the last step exceeds the cap, and no step runs
+        schedule, sizes = self.growing_schedule()
+        calls = count_calls(pathint, "raw_sliced_amplitude")
+        with pytest.raises(CapExceededError):
+            amplitude_quadrature(
+                gaussian_evaluator(), gaussian_evaluator(), 0.2, 2, schedule,
+                max_evals=2 * sizes[-2] ** 2,
+            )
+        assert calls == {"raw_sliced_amplitude": 0}
+
+    def test_suggested_slices_fit_the_largest_mesh(self):
+        schedule, sizes = self.growing_schedule()
+        max_evals = 2 * sizes[-1] ** 2 - 1
+        with pytest.raises(CapExceededError) as info:
+            amplitude_quadrature(
+                gaussian_evaluator(), gaussian_evaluator(), 0.2, 2, schedule,
+                max_evals=max_evals,
+            )
+        assert info.value.suggested_slices == 1
+        assert info.value.suggested_slices * max(sizes) ** 2 <= max_evals
 
     def test_estimate_validates_nonempty(self):
         with pytest.raises(ValueError):
@@ -419,10 +454,14 @@ class TestAmplitudeQuadrature:
             eps=0.1,
             slices=1,
         )
-        rep = amplitude_error_report(est, 1.0 + 0j)
-        assert rep.abs_error == pytest.approx(0.01)
-        assert rep.rel_error == pytest.approx(0.01)
-        assert rep.converged
+        assert est.converged
+
+    def test_converged_flips_at_tail_tolerance(self):
+        def estimate(oscillation):
+            return AmplitudeEstimate((1.0 + 0j,), (5.0,), 1.0 + 0j, oscillation, (10,), 0.1, 1)
+
+        assert estimate(np.nextafter(TAIL_OSCILLATION_TOL, 0.0)).converged
+        assert not estimate(TAIL_OSCILLATION_TOL).converged
 
 
 class TestOperatorVsKernel:

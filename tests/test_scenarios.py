@@ -97,10 +97,18 @@ class TestParsing:
         ("amplitude", {"gap": 0.01, "gap_final": 0.02}, "gap_final equal to gap"),
         ("checks", {"trotter_order_band": [0.7, 1.0, 1.3]}, "checks trotter_order_band"),
         ("checks", {"trotter_floor": float("inf")}, "checks trotter_floor"),
+        ("amplitude", {"slices": [2, 2]}, "amplitude slices must be distinct"),
+        ("slice_counts", [4], "at least two entries"),
+        ("slice_counts", [4, 4], "strictly increasing"),
+        ("slice_counts", [8, 4], "strictly increasing"),
     ])
     def test_bad_amplitude_and_check_values_rejected(self, block, values, fragment):
         with pytest.raises(ValueError, match=fragment):
             scenario_from_dict(minimal_config(**{block: values}))
+
+    def test_single_slice_count_allowed_with_floor(self):
+        s = scenario_from_dict(minimal_config(slice_counts=[4], checks={"trotter_floor": 1e-8}))
+        assert s.slice_counts == (4,)
 
     def test_unknown_family_params_rejected(self):
         with pytest.raises(ValueError, match="strenght"):
@@ -253,6 +261,17 @@ class TestStudies:
         assert abs(closed[0].reference) > 0.5
         assert closed[0].rel_error < doc["checks"]["amplitude_rel_tol"]
         assert rep.passed
+
+    def test_amplitude_rel_tol_checks_the_primary_row(self):
+        amplitude = {"slices": [1], "r_start": 5.0, "steps": 2, "tail_window": 2}
+        s = scenario_from_dict(minimal_config(amplitude=amplitude))
+        rel = run_amplitude_study(s).rows[0].rel_error
+        assert rel > 0
+        for tol, passed in ((rel * (1 - 1e-9), False), (rel * (1 + 1e-9), True)):
+            checked = scenario_from_dict(minimal_config(
+                amplitude=amplitude, checks={"amplitude_rel_tol": tol}
+            ))
+            assert run_amplitude_study(checked).passed is passed
 
     def test_run_all_shares_one_dense_evolution(self, monkeypatch):
         amplitude = {"slices": [1], "r_start": 5.0, "steps": 2, "tail_window": 2}
