@@ -75,7 +75,9 @@ def main(argv=None) -> int:
         report.write_json(args.out / f"{stem}.json")
     except CapExceededError as exc:
         hint = ""
-        if exc.suggested_slices is not None:
+        if exc.suggested_slices == 0:
+            hint = " (one slice exceeds the cap: lower amplitude.r_start or raise amplitude.max_evals)"
+        elif exc.suggested_slices is not None:
             hint = f" (try slices <= {exc.suggested_slices})"
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2

@@ -106,23 +106,17 @@ class Grid:
         n = self.shape[axis]
         return 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing[axis])
 
-    def derivative_symbols(self, axis: int, stencil: str = "spectral") -> tuple[np.ndarray, np.ndarray]:
-        """Fourier symbols of d/dx and d^2/dx^2 along one axis.
+    def derivative_symbols(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """Spectral Fourier symbols of d/dx and d^2/dx^2 along one axis.
 
-        ``spectral`` is exact on the grid's band: i xi (Nyquist mode dropped,
-        since its odd derivative is unpaired) and -xi^2.  ``fd2`` is the
-        periodic central-difference pair: i sin(xi h)/h and -(2/h^2)(1 - cos xi h).
+        Exact on the grid's band: i xi (Nyquist mode dropped, since its odd
+        derivative is unpaired) and -xi^2, the split-step kinetic symbol.
         """
         xi = self.frequencies(axis)
-        if stencil == "spectral":
-            xi1 = xi.copy()
-            if self.shape[axis] % 2 == 0:
-                xi1[self.shape[axis] // 2] = 0.0
-            return 1j * xi1, -(xi**2)
-        if stencil == "fd2":
-            h = self.spacing[axis]
-            return 1j * np.sin(xi * h) / h, -(2.0 / h**2) * (1.0 - np.cos(xi * h))
-        raise ValueError(f"unknown stencil {stencil!r}")
+        xi1 = xi.copy()
+        if self.shape[axis] % 2 == 0:
+            xi1[self.shape[axis] // 2] = 0.0
+        return 1j * xi1, -(xi**2)
 
 
 @dataclass(frozen=True)

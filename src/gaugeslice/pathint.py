@@ -7,9 +7,10 @@ R^{n(k+1)} of
 
 where the discrete action S_k collects, per slice, a kinetic quadratic term,
 the potential at the later point, and the slice gauge increment.  The
-integration domain excises open neighborhoods of every registered singular
-point (only for a positive gap) and truncates to nested boxes; box radii grow
-and gap radii shrink along a schedule, each limit independent of the others.
+integration domain excises open neighborhoods of every singular point the
+fields register (only for a positive gap) and truncates to nested boxes; box
+radii grow and gap radii shrink along a schedule, each limit independent of
+the others.
 Raw box-truncated sums oscillate in the outer radius (the tails are
 Fresnel-like and converge only conditionally), so the reported value is the
 arithmetic mean of the last few schedule steps, and the estimate counts as
@@ -53,6 +54,7 @@ from .fields import (
     VectorPotentialSpec,
     WaveFunction,
     _check_nodes_off_singular,
+    collect_singularities,
     gaussian_evaluator,
     l2_norm,
     sample_points,
@@ -340,16 +342,17 @@ def discrete_action(
     eps: float,
     scalar: ScalarPotentialSpec | None = None,
     vector: VectorPotentialSpec | None = None,
-    singular_points=(),
 ) -> complex:
     """Exponent i eps sum_j [ kinetic/4 - V(x_{j+1}) + gauge_increment/eps ].
 
-    ``xs`` is the ordered tuple of k+1 slice points, shape (k+1, n).
+    ``xs`` is the ordered tuple of k+1 slice points, shape (k+1, n).  A slice
+    point on a singular point the fields register raises
+    :class:`SingularNodeError`.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[0] < 2:
         raise ValueError("need at least two slice points")
-    _check_nodes_off_singular(xs, singular_points)
+    _check_nodes_off_singular(xs, collect_singularities(scalar, vector))
     total = 0.0
     for j in range(xs.shape[0] - 1):
         x0, x1 = xs[j], xs[j + 1]
@@ -469,20 +472,24 @@ def amplitude_quadrature(
     ndim: int = 1,
     vector: VectorPotentialSpec | None = None,
     scalar: ScalarPotentialSpec | None = None,
-    singular_points=(),
     prefactor: str = "composed",
     max_evals: int = DEFAULT_EVAL_CAP,
 ) -> AmplitudeEstimate:
     """Run the box/gap schedule and tail-average the raw estimates.
 
-    Every step's mesh is planned first, so the cap is checked once, against
-    the largest step, before any transfer.  ``max_evals`` counts target×source
-    kernel pairs summed over the slices of one raw sum.
+    Each step excises a gap around exactly the singular points the fields
+    register (:func:`fields.collect_singularities`).  Every step's mesh is
+    planned first, so the cap is checked once, against the largest step,
+    before any transfer.  ``max_evals`` counts target×source kernel pairs
+    summed over the slices of one raw sum; the error's ``suggested_slices``
+    is the largest slice count that fits the largest mesh, 0 when even one
+    slice does not.
     """
     if slices < 1:
         raise ValueError("slice count must be at least 1")
     eps = t / slices
     pairs = 2 if slices >= 2 else 1
+    singular_points = collect_singularities(scalar, vector)
     steps = []
     for radius, gap in zip(schedule.radii, schedule.gaps):
         region = ExcisionRegion.build(ndim, radius, singular_points, gap)
@@ -491,10 +498,10 @@ def amplitude_quadrature(
     sizes = tuple(math.prod(sum(p.count for p in pieces) for pieces in axes) for axes in steps)
     per_pair = max(sizes) ** 2
     if slices * per_pair > max_evals:
-        # halving k roughly halves the chain cost; suggest the largest feasible count
+        # the chain cost is linear in k; suggest the largest feasible count
         raise CapExceededError(
             f"{slices * per_pair} kernel evaluations exceed the cap {max_evals}",
-            suggested_slices=max(1, int(max_evals // per_pair)),
+            suggested_slices=int(max_evals // per_pair),
         )
     raw = [
         raw_sliced_amplitude(phi_fn, psi_fn, eps, slices, _TensorMesh(axes), vector, scalar, prefactor)

@@ -8,11 +8,10 @@ with periodic one-dimensional derivatives on each axis.  The magnetic term is
 symmetrized so H is exactly Hermitian at any resolution; in the continuum it
 equals 2i a.grad + i div(a).
 
-Both stencils are Fourier symbols (:meth:`Grid.derivative_symbols`).  ``fd2``
-is the classic central-difference pair; its free spectrum is the discrete
-symbol (2/h^2)(1 - cos(xi h)).  ``spectral`` reproduces the split-step kinetic
-operator exactly on band-limited data and is the default for oracle
-comparisons.
+The derivatives are the spectral Fourier symbols of
+:meth:`Grid.derivative_symbols`, the split-step's own kinetic symbols, so the
+reference discretizes the operator the split-step evolution approximates and
+reproduces its kinetic step exactly on band-limited data.
 
 :class:`HamiltonianAction` applies H, or any affine map (H - shift) / scale of
 it, matrix-free through the stack form of :func:`fields.fourier_multiply`: per
@@ -55,7 +54,6 @@ CHEBYSHEV_TOL = 1e-15
 class DiscretizedHamiltonian:
     grid: Grid
     matrix: np.ndarray
-    stencil: str
     _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
@@ -83,14 +81,13 @@ def assemble_hamiltonian(
     grid: Grid,
     vector: VectorPotentialSpec | None = None,
     scalar: ScalarPotentialSpec | None = None,
-    stencil: str = "spectral",
 ) -> DiscretizedHamiltonian:
     """Dense periodic discretization of the magnetic Hamiltonian."""
     m = grid.size
     h_mat = np.zeros((m, m), dtype=complex)
     diag = np.zeros(m)
     for axis in range(grid.ndim):
-        d1_symbol, lap_symbol = grid.derivative_symbols(axis, stencil)
+        d1_symbol, lap_symbol = grid.derivative_symbols(axis)
         h_mat -= _axis_operator(grid, axis, lap_symbol)
         if vector is not None:
             a_vals = sample_field(vector, grid, component=axis).ravel()
@@ -105,7 +102,7 @@ def assemble_hamiltonian(
     dev = float(np.max(np.abs(h_mat - h_mat.conj().T)))
     if dev > HERMITICITY_TOL:
         raise EigenFailureError(f"assembled matrix deviates from Hermitian by {dev}")
-    return DiscretizedHamiltonian(grid, h_mat, stencil)
+    return DiscretizedHamiltonian(grid, h_mat)
 
 
 def expm_evolve(ham: DiscretizedHamiltonian, psi: WaveFunction, t: float) -> WaveFunction:
@@ -124,9 +121,8 @@ class HamiltonianAction:
     Fields are sampled once.  ``spectral_interval`` is a rigorous (lo, hi)
     enclosure of the spectrum.  Each kinetic term equals (-iD - A)^2 plus
     -Lap + D^2 minus A^2, and -Lap + D^2 has symbol xi^2 - xi1^2 >= 0
-    (``spectral``) or (1 - cos xi h)^2 / h^2 >= 0 (``fd2``), so H >= min V
-    (0 without V).  Above, each term is bounded by the largest symbol and
-    field moduli.
+    (nonzero only at the Nyquist mode), so H >= min V (0 without V).  Above,
+    each term is bounded by the largest symbol and field moduli.
     """
 
     def __init__(
@@ -134,10 +130,9 @@ class HamiltonianAction:
         grid: Grid,
         vector: VectorPotentialSpec | None = None,
         scalar: ScalarPotentialSpec | None = None,
-        stencil: str = "spectral",
     ):
         self.grid = grid
-        self.symbols = [grid.derivative_symbols(axis, stencil) for axis in range(grid.ndim)]
+        self.symbols = [grid.derivative_symbols(axis) for axis in range(grid.ndim)]
         self.a_vals = None
         diag = np.zeros(grid.shape)
         if vector is not None:

@@ -26,7 +26,6 @@ from .fields import (
     VectorPotentialSpec,
     WaveFunction,
     _finite_real,
-    collect_singularities,
     gaussian_evaluator,
     gaussian_wave,
     l2_norm,
@@ -334,6 +333,8 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     if not t > 0:
         raise ValueError(f"time must be positive, got {t}")
     slice_counts = tuple(_count(k, "slice_counts") for k in cfg.get("slice_counts", (4, 8, 16, 32)))
+    if not slice_counts:
+        raise ValueError("slice_counts needs at least one entry")
     if any(b <= a for a, b in zip(slice_counts, slice_counts[1:])):
         raise ValueError(f"slice_counts must be strictly increasing, got {list(slice_counts)}")
     checks = _checks(cfg.get("checks", {}))
@@ -519,11 +520,8 @@ def run_trotter_study(scenario: Scenario, threads: int = 1,
         return err, drift
 
     ks = list(scenario.slice_counts)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_k, ks))
-    else:
-        results = [one_k(k) for k in ks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(one_k, ks))
 
     errors = []
     for k, (err, drift) in zip(ks, results):
@@ -628,7 +626,6 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -
     start = time.perf_counter()
     params = scenario.amplitude_params or _amplitude_params({})
 
-    singular_points = collect_singularities(scenario.scalar, scenario.vector)
     phi_fn = scenario.final_state.evaluator(scenario.ndim)
     psi_fn = scenario.initial_state.evaluator(scenario.ndim)
     grid = scenario.grid
@@ -663,7 +660,6 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -
                 ndim=scenario.ndim,
                 vector=scenario.vector,
                 scalar=scenario.scalar,
-                singular_points=singular_points,
                 max_evals=params["max_evals"],
             )
         except SingularNodeError as exc:

@@ -50,6 +50,18 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_cap_exceeded_by_one_slice_names_the_mesh(self, tmp_path, capsys):
+        # one slice over the mesh already costs more than 10 evaluations: no slice count fits
+        scen = write_scenario(
+            tmp_path,
+            amplitude={"slices": [2], "r_start": 5.0, "steps": 2, "max_evals": 10},
+        )
+        code = cli.main(["amplitude", "--scenario", str(scen), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "amplitude.r_start" in err and "amplitude.max_evals" in err
+        assert "try slices" not in err
+
     def test_missing_scenario_gives_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "no_such_scenario.json"
         code = cli.main(["gauge", "--scenario", str(missing), "--out", str(tmp_path / "r")])

@@ -86,8 +86,10 @@ class TestDiscreteAction:
         assert act == pytest.approx(act_free + 1j * 0.7)
 
     def test_singular_point_rejected(self):
+        # the first slice point is never sampled, so only the registered set can reject it
+        scalar = ScalarPotentialSpec(lambda p: np.abs(p[..., 0]) ** -0.5, singular_points=((0.0,),))
         with pytest.raises(SingularNodeError):
-            discrete_action([[0.0], [1.0]], 0.5, singular_points=[(0.0,)])
+            discrete_action([[0.0], [1.0]], 0.5, scalar=scalar)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -397,6 +399,23 @@ class TestAmplitudeQuadrature:
         )
         assert abs(est.value - closed) / abs(closed) < 1e-3
         assert est.converged
+
+    def test_gap_excises_the_points_the_fields_register(self):
+        # no singular-point list: the scalar's own registered origin is excised at every step
+        nearest = {"dist": np.inf}
+
+        def inverse_sqrt(points):
+            r = np.abs(points[..., 0])
+            nearest["dist"] = min(nearest["dist"], float(np.min(r)))
+            with np.errstate(divide="ignore"):
+                return r**-0.5
+
+        scalar = ScalarPotentialSpec(inverse_sqrt, singular_points=((0.0,),))
+        schedule = BoxSchedule.fresnel(0.1, 5.0, steps=8, gap=1e-2, gap_final=1e-3, tail_window=6)
+        psi = gaussian_evaluator(center=2.0, width=0.4, ndim=1)
+        estimate = amplitude_quadrature(psi, psi, 0.2, 2, schedule, scalar=scalar)
+        assert np.isfinite(estimate.value)
+        assert nearest["dist"] >= 1e-3
 
     def test_cap_exceeded_suggests_fewer_slices(self):
         schedule = BoxSchedule.fresnel(0.1, 5.0, steps=2)

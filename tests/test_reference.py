@@ -1,4 +1,4 @@
-"""Reference Hamiltonian: stencil symbols, spectra, dense and Chebyshev evolution."""
+"""Reference Hamiltonian: spectral symbols, spectra, dense and Chebyshev evolution."""
 
 from pathlib import Path
 
@@ -38,41 +38,19 @@ def harmonic_scalar():
 
 
 class TestStencils:
-    def test_fd2_free_spectrum_matches_discrete_symbol(self):
-        # eigenvalues of the periodic 3-point Laplacian are (2/h^2)(1 - cos(xi h))
-        g = Grid((-4.0,), (4.0,), (32,))
-        h = g.spacing[0]
-        ham = assemble_hamiltonian(g, stencil="fd2")
-        eigs = np.sort(np.linalg.eigvalsh(ham.matrix))
-        xi = g.frequencies(0)
-        symbol = np.sort(2.0 / h**2 * (1.0 - np.cos(xi * h)))
-        assert np.max(np.abs(eigs - symbol)) < 1e-10
-
     def test_spectral_free_spectrum_is_xi_squared(self):
         g = Grid((-4.0,), (4.0,), (32,))
-        ham = assemble_hamiltonian(g, stencil="spectral")
+        ham = assemble_hamiltonian(g)
         eigs = np.sort(np.linalg.eigvalsh(ham.matrix))
         assert np.max(np.abs(eigs - np.sort(g.frequencies(0) ** 2))) < 1e-9
 
-    @staticmethod
-    def _plane_wave_action(stencil):
+    def test_spectral_plane_wave_is_shifted_momentum(self):
         # H = (-i d/dx - c)^2 with constant a = c, applied to e^{ikx}
         g = Grid((0.0,), (2.0 * np.pi,), (64,))
         c, k = 0.5, 3.0
         vec = VectorPotentialSpec((lambda p: np.full(p.shape[:-1], c),))
         wave = np.exp(1j * k * g.axis_coords(0))
-        h_wave = assemble_hamiltonian(g, vector=vec, stencil=stencil).matrix @ wave
-        return g.spacing[0], c, k, wave, h_wave
-
-    def test_fd2_plane_wave_matches_symbol(self):
-        # D has symbol i sin(kh)/h, so the wave's eigenvalue is
-        # (2/h^2)(1 - cos kh) - 2c sin(kh)/h + c^2; a backward D flips the c term
-        h, c, k, wave, h_wave = self._plane_wave_action("fd2")
-        value = 2.0 / h**2 * (1.0 - np.cos(k * h)) - 2.0 * c * np.sin(k * h) / h + c**2
-        assert np.max(np.abs(h_wave - value * wave)) < 1e-10
-
-    def test_spectral_plane_wave_is_shifted_momentum(self):
-        h, c, k, wave, h_wave = self._plane_wave_action("spectral")
+        h_wave = assemble_hamiltonian(g, vector=vec).matrix @ wave
         assert np.max(np.abs(h_wave - (k - c) ** 2 * wave)) < 1e-10
 
     def test_spectral_first_derivative_drops_nyquist(self):
@@ -81,11 +59,6 @@ class TestStencils:
         g = Grid((0.0,), (2.0 * np.pi,), (64,))
         d1, _ = g.derivative_symbols(0)
         assert np.max(np.abs(fourier_multiply((-1.0) ** np.arange(64), d1, 0))) < 1e-12
-
-    def test_unknown_stencil(self):
-        g = Grid((-4.0,), (4.0,), (8,))
-        with pytest.raises(ValueError):
-            assemble_hamiltonian(g, stencil="fd4")
 
 
 class TestAssembly:
@@ -181,10 +154,10 @@ class TestClosedForm:
             exact_free_gaussian(np.array([0.0]), -0.1)
 
 
+# the ids name the reference's one discretization, the spectral symbols
 CASES = [
-    pytest.param(grid, vector, scalar, stencil, id=f"{ndim}d-{stencil}-{tag}")
+    pytest.param(grid, vector, scalar, id=f"{ndim}d-spectral-{tag}")
     for ndim, grid in ((1, Grid((-6.0,), (6.0,), (40,))), (2, Grid((-5.0, -4.0), (5.0, 4.0), (12, 10))))
-    for stencil in ("spectral", "fd2")
     for tag, vector, scalar in (
         ("free", None, None),
         ("a", sinusoidal_vector(ndim), None),
@@ -192,26 +165,28 @@ CASES = [
         ("a-V", sinusoidal_vector(ndim), harmonic_scalar()),
     )
 ]
+# an id-only mark for single tests that name the discretization as CASES does
+SPECTRAL = pytest.mark.parametrize((), [pytest.param(id="spectral")])
 
 
 class TestMatrixFreeAction:
-    @pytest.mark.parametrize("grid, vector, scalar, stencil", CASES)
-    def test_action_matches_dense_matrix(self, grid, vector, scalar, stencil):
+    @pytest.mark.parametrize("grid, vector, scalar", CASES)
+    def test_action_matches_dense_matrix(self, grid, vector, scalar):
         rng = np.random.default_rng(3)
         psi = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-        dense = assemble_hamiltonian(grid, vector, scalar, stencil=stencil).matrix @ psi.ravel()
-        action = HamiltonianAction(grid, vector, scalar, stencil)(psi).ravel()
+        dense = assemble_hamiltonian(grid, vector, scalar).matrix @ psi.ravel()
+        action = HamiltonianAction(grid, vector, scalar)(psi).ravel()
         assert np.linalg.norm(action - dense) <= 1e-12 * np.linalg.norm(dense)
 
-    @pytest.mark.parametrize("grid, vector, scalar, stencil", CASES)
-    def test_affine_action_matches_dense_oracle(self, grid, vector, scalar, stencil):
+    @pytest.mark.parametrize("grid, vector, scalar", CASES)
+    def test_affine_action_matches_dense_oracle(self, grid, vector, scalar):
         # the Chebyshev map (H - shift) / scale against the same map of the dense matrix
         rng = np.random.default_rng(5)
         psi = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
         shift, scale = 3.7, 0.37
-        matrix = assemble_hamiltonian(grid, vector, scalar, stencil=stencil).matrix
+        matrix = assemble_hamiltonian(grid, vector, scalar).matrix
         dense = ((matrix - shift * np.eye(grid.size)) / scale) @ psi.ravel()
-        action = HamiltonianAction(grid, vector, scalar, stencil).affine(shift, scale)(psi).ravel()
+        action = HamiltonianAction(grid, vector, scalar).affine(shift, scale)(psi).ravel()
         assert np.linalg.norm(action - dense) <= 1e-12 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("ndim", [1, 2])
@@ -227,10 +202,10 @@ class TestMatrixFreeAction:
         # plus one FFT for the Bessel coefficients
         assert calls == {"fft": ndim * (terms - 1) + 1, "ifft": ndim * (terms - 1)}
 
-    @pytest.mark.parametrize("grid, vector, scalar, stencil", CASES)
-    def test_spectral_interval_encloses_spectrum(self, grid, vector, scalar, stencil):
-        eigs = np.linalg.eigvalsh(assemble_hamiltonian(grid, vector, scalar, stencil=stencil).matrix)
-        lo, hi = HamiltonianAction(grid, vector, scalar, stencil).spectral_interval
+    @pytest.mark.parametrize("grid, vector, scalar", CASES)
+    def test_spectral_interval_encloses_spectrum(self, grid, vector, scalar):
+        eigs = np.linalg.eigvalsh(assemble_hamiltonian(grid, vector, scalar).matrix)
+        lo, hi = HamiltonianAction(grid, vector, scalar).spectral_interval
         # the free spectral bounds are attained, so allow the eigensolver's rounding
         slack = 1e-12 * hi
         assert lo <= eigs[0] + slack and eigs[-1] <= hi + slack
@@ -253,9 +228,9 @@ class TestMatrixFreeAction:
 
 class TestChebyshevEvolution:
     @staticmethod
-    def assert_matches_dense(grid, vector, scalar, psi, t, stencil="spectral"):
-        dense = expm_evolve(assemble_hamiltonian(grid, vector, scalar, stencil=stencil), psi, t)
-        cheb, terms = chebyshev_evolve(HamiltonianAction(grid, vector, scalar, stencil), psi, t)
+    def assert_matches_dense(grid, vector, scalar, psi, t):
+        dense = expm_evolve(assemble_hamiltonian(grid, vector, scalar), psi, t)
+        cheb, terms = chebyshev_evolve(HamiltonianAction(grid, vector, scalar), psi, t)
         assert terms > 1
         err = np.linalg.norm(cheb.values - dense.values) / np.linalg.norm(dense.values)
         assert err <= 1e-10
@@ -264,11 +239,6 @@ class TestChebyshevEvolution:
     def test_matches_dense_on_shipped_scenarios(self, name):
         s = scenarios.load_scenario(SCENARIO_DIR / f"{name}.json")
         self.assert_matches_dense(s.grid, s.vector, s.scalar, s.initial_state.on_grid(s.grid), s.time)
-
-    def test_matches_dense_fd2_magnetic_2d(self):
-        g = Grid((-5.0, -5.0), (5.0, 5.0), (20, 18))
-        psi = gaussian_wave(g, center=(0.5, -0.3), width=(0.9, 1.1), momentum=(0.8, 0.2))
-        self.assert_matches_dense(g, magnetic_2d(), harmonic_scalar(), psi, 0.4, stencil="fd2")
 
     def test_free_evolution_matches_closed_form(self):
         g = Grid((-12.0,), (12.0,), (256,))
@@ -292,20 +262,20 @@ class TestChebyshevEvolution:
         assert terms == 1
         assert np.array_equal(out.values, psi.values)
 
-    @pytest.mark.parametrize("stencil", ["spectral", "fd2"])
-    def test_zero_time_with_fields_is_identity(self, stencil):
+    @SPECTRAL
+    def test_zero_time_with_fields_is_identity(self):
         g = Grid((-5.0, -5.0), (5.0, 5.0), (12, 10))
         psi = gaussian_wave(g, width=0.9, momentum=(0.5, -0.3))
-        action = HamiltonianAction(g, magnetic_2d(), harmonic_scalar(), stencil)
+        action = HamiltonianAction(g, magnetic_2d(), harmonic_scalar())
         out, terms = chebyshev_evolve(action, psi, 0.0)
         assert terms == 1
         assert np.array_equal(out.values, psi.values)
 
-    @pytest.mark.parametrize("stencil", ["spectral", "fd2"])
-    def test_negative_time_matches_dense(self, stencil):
+    @SPECTRAL
+    def test_negative_time_matches_dense(self):
         g = Grid((-5.0, -5.0), (5.0, 5.0), (20, 18))
         psi = gaussian_wave(g, center=(0.5, -0.3), width=(0.9, 1.1), momentum=(0.8, 0.2))
-        self.assert_matches_dense(g, magnetic_2d(), harmonic_scalar(), psi, -0.4, stencil=stencil)
+        self.assert_matches_dense(g, magnetic_2d(), harmonic_scalar(), psi, -0.4)
 
     def test_grid_mismatch(self):
         action = HamiltonianAction(Grid((-4.0,), (4.0,), (16,)))

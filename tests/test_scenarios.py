@@ -106,6 +106,11 @@ class TestParsing:
         with pytest.raises(ValueError, match=fragment):
             scenario_from_dict(minimal_config(**{block: values}))
 
+    def test_empty_slice_counts_rejected_with_floor(self):
+        # a floor checked against no slice count would pass vacuously
+        with pytest.raises(ValueError, match="at least one entry"):
+            scenario_from_dict(minimal_config(slice_counts=[], checks={"trotter_floor": 1e-8}))
+
     def test_single_slice_count_allowed_with_floor(self):
         s = scenario_from_dict(minimal_config(slice_counts=[4], checks={"trotter_floor": 1e-8}))
         assert s.slice_counts == (4,)
