@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import CapExceededError, GaugesliceError
+from .errors import GaugesliceError
 from . import scenarios
 
 
@@ -73,14 +73,6 @@ def main(argv=None) -> int:
         stem = f"{scenario.name}_{args.command}"
         report.write_csv(args.out / f"{stem}.csv")
         report.write_json(args.out / f"{stem}.json")
-    except CapExceededError as exc:
-        hint = ""
-        if exc.suggested_slices == 0:
-            hint = " (one slice exceeds the cap: lower amplitude.r_start or raise amplitude.max_evals)"
-        elif exc.suggested_slices is not None:
-            hint = f" (try slices <= {exc.suggested_slices})"
-        print(f"error: {exc}{hint}", file=sys.stderr)
-        return 2
     except (GaugesliceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -184,22 +184,19 @@ def midpoint_discrepancy(vector: VectorPotentialSpec, x1, x0) -> float:
     return float(abs(exact - np.dot(x1 - x0, a_mid)))
 
 
-def mesh_line_integrals(vector: VectorPotentialSpec, axis: int, target_nodes, source_axes):
-    """Antiderivatives of a_axis along the ``axis`` lines of a tensor mesh.
+def mesh_line_integrals(vector: VectorPotentialSpec, axis: int, axes) -> np.ndarray:
+    """Antiderivative A(s; s_other) of a_axis at every point s of a tensor mesh.
 
-    ``source_axes`` holds the mesh's per-axis nodes; a line freezes every
-    coordinate but ``axis`` at a mesh point.  Returns A(t; s_other) for each of
-    ``target_nodes``, shape ``(len(target_nodes),)`` plus the mesh shape with
-    the axis entry 1, and A(s; s_other) at every mesh point, of the mesh shape.
+    ``axes`` holds the mesh's per-axis nodes; the line through a mesh point
+    freezes every coordinate but ``axis`` there.  The result has the mesh
+    shape.
     """
-    coords = np.concatenate([np.asarray(target_nodes, dtype=float), source_axes[axis]])
     # the axis column of a frozen line is ignored, so one zero stands for it
-    other = [np.zeros(1) if b == axis else nodes for b, nodes in enumerate(source_axes)]
+    other = [np.zeros(1) if b == axis else nodes for b, nodes in enumerate(axes)]
     frozen = np.stack([g.ravel() for g in np.meshgrid(*other, indexing="ij")], axis=-1)
-    cum = cumulative_axis_integral(vector, axis, coords, frozen)
-    cum = cum.reshape((len(coords),) + tuple(len(v) for v in other))
-    m = len(target_nodes)
-    return cum[:m], np.swapaxes(cum[m:], 0, axis + 1)[0]
+    cum = cumulative_axis_integral(vector, axis, axes[axis], frozen)
+    cum = cum.reshape((len(axes[axis]),) + tuple(len(v) for v in other))
+    return np.swapaxes(cum, 0, axis + 1)[0]
 
 
 def gauge_phase_table(vector: VectorPotentialSpec, axis: int, grid: Grid) -> np.ndarray:
@@ -207,8 +204,7 @@ def gauge_phase_table(vector: VectorPotentialSpec, axis: int, grid: Grid) -> np.
 
     One vectorized call covers every grid line along ``axis``.
     """
-    axes = [grid.axis_coords(b) for b in range(grid.ndim)]
-    return mesh_line_integrals(vector, axis, [], axes)[1]
+    return mesh_line_integrals(vector, axis, [grid.axis_coords(b) for b in range(grid.ndim)])
 
 
 def gauge_conjugation_residual(vector: VectorPotentialSpec, axis: int, psi: WaveFunction) -> float:

@@ -25,11 +25,12 @@ one kernel application per slice) instead of a literal loop over the product
 grid.  The two are identical term by term; tests check this against a
 brute-force nested sum on tiny meshes.
 
-Every transfer, in every dimension, comes from one :func:`_kernel_plan`,
-built once per pair of meshes and eps and applied once per slice.  The kinetic
-phase and the source-frozen gauge increment are sums over axes, so for each
-source point the kernel is a product of one table per axis
-(:func:`_axis_factors`, gauge from :func:`_axis_gauge`).  In 1D a mesh is a
+Every slice point ranges over the same mesh, so every transfer, in every
+dimension, maps a mesh to itself; it comes from one :func:`_kernel_plan`,
+built once per mesh and eps and applied once per slice.  The kinetic phase and
+the source-frozen gauge increment are sums over axes, so for each source point
+the kernel is a product of one table per axis (:func:`_axis_factors`, gauge
+from :func:`gauge.mesh_line_integrals`).  In 1D a mesh is a
 union of uniform pieces, the free kernel between two pieces is a
 chirp-modulated Toeplitz matrix and the gauge increment is a pair of diagonal
 phases, so a transfer costs one FFT convolution per pair of pieces (Bluestein's
@@ -134,21 +135,15 @@ class ExcisionRegion:
         return len(self.axis_intervals)
 
     @classmethod
-    def build(cls, ndim: int, bounds, singular_points=(), gap: float = 0.0) -> "ExcisionRegion":
-        """Box (per-axis bounds or a symmetric radius) minus per-singularity gaps.
+    def build(cls, ndim: int, radius: float, singular_points=(), gap: float = 0.0) -> "ExcisionRegion":
+        """The box [-radius, radius]^ndim minus per-singularity gaps.
 
         Raises :class:`ScheduleError` if the gaps leave an axis empty.
         """
-        if np.isscalar(bounds):
-            per_axis = [(-float(bounds), float(bounds))] * ndim
-        else:
-            per_axis = [(float(a), float(b)) for a, b in bounds]
-            if len(per_axis) != ndim:
-                raise ValueError("bounds length must match ndim")
+        lo, hi = -float(radius), float(radius)
         gap = float(gap)
         axes = []
         for beta in range(ndim):
-            lo, hi = per_axis[beta]
             cuts = []
             if gap > 0.0:
                 for w in singular_points:
@@ -200,40 +195,27 @@ class _TensorMesh:
         )
 
 
-def _axis_gauge(vector: VectorPotentialSpec, axis: int, target: _TensorMesh, source: _TensorMesh):
-    """Antiderivatives of a_axis along the lines through the source points.
-
-    :func:`gauge.mesh_line_integrals` at the target's axis nodes: A(t; s_other)
-    of shape ``(target.dims[axis],)`` plus ``source.dims`` with the axis entry
-    1, and A(s; s_other) of shape ``source.dims``.
-    """
-    if not vector.ndim == target.ndim == source.ndim:
-        raise ValueError("mesh dimension must match the vector potential")
-    return gauge.mesh_line_integrals(vector, axis, target.axes_nodes[axis], source.axes_nodes)
-
-
-def _axis_factors(
-    target: _TensorMesh, source: _TensorMesh, eps: float, vector: VectorPotentialSpec | None
-) -> list[np.ndarray]:
-    """Per-axis kernel tables F_l, each of shape ``(target.dims[l], source.size)``.
+def _axis_factors(mesh: _TensorMesh, eps: float, vector: VectorPotentialSpec | None) -> list[np.ndarray]:
+    """Per-axis kernel tables F_l, each of shape ``(mesh.dims[l], mesh.size)``.
 
         F_l[x_l, y] = exp(i[(x_l - y_l)^2 / 4 eps + A_l(x_l; y_other) - A_l(y_l; y_other)])
 
     The kinetic phase and the source-frozen gauge increment are sums over axes
     whose axis-l term sees the target only through x_l, so the one-slice kernel
-    (without prefactor) from y to x is the product over l of F_l[x_l, y].  In
+    (without prefactor) from y to x is the product over l of F_l[x_l, y].  x_l
+    runs over the mesh's own nodes, so one gauge table serves both ends.  In
     1D the single table is the kernel matrix.
     """
     factors = []
-    for l in range(target.ndim):
-        m = target.dims[l]
-        t = target.axes_nodes[l].reshape((m,) + (1,) * source.ndim)
-        s = source.axes_nodes[l].reshape([1] + [-1 if b == l else 1 for b in range(source.ndim)])
+    for l in range(mesh.ndim):
+        m = mesh.dims[l]
+        t = mesh.axes_nodes[l].reshape((m,) + (1,) * mesh.ndim)
+        s = mesh.axes_nodes[l].reshape([1] + [-1 if b == l else 1 for b in range(mesh.ndim)])
         phase = (t - s) ** 2 / (4.0 * eps)
         if vector is not None:
-            at_target, at_source = _axis_gauge(vector, l, target, source)
-            phase = phase + at_target - at_source
-        factors.append(np.broadcast_to(np.exp(1j * phase), (m,) + source.dims).reshape(m, -1))
+            table = gauge.mesh_line_integrals(vector, l, mesh.axes_nodes)
+            phase = phase + np.expand_dims(np.moveaxis(table, l, 0), l + 1) - table
+        factors.append(np.broadcast_to(np.exp(1j * phase), (m,) + mesh.dims).reshape(m, -1))
     return factors
 
 
@@ -262,16 +244,16 @@ def _chirp_pair(target: MeshPiece, source: MeshPiece, eps: float):
 
 
 class _ChirpPlan:
-    """The free 1D kernel transfer from one union of uniform pieces to another.
+    """The free 1D kernel transfer on a union of uniform pieces, into itself.
 
-    Built once per (meshes, eps): for every pair of pieces it holds the
+    Built once per (pieces, eps): for every ordered pair of pieces it holds the
     :func:`_chirp_pair` factors, none of which depend on the vector moved, so
     each application is one zero-padded FFT product per pair.
     """
 
-    def __init__(self, target_pieces, source_pieces, eps: float):
-        self.splits = np.cumsum([p.count for p in source_pieces])[:-1]
-        self.rows = [[_chirp_pair(tp, sp, eps) for sp in source_pieces] for tp in target_pieces]
+    def __init__(self, pieces, eps: float):
+        self.splits = np.cumsum([p.count for p in pieces])[:-1]
+        self.rows = [[_chirp_pair(tp, sp, eps) for sp in pieces] for tp in pieces]
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         parts = np.split(u, self.splits)
@@ -286,28 +268,29 @@ class _ChirpPlan:
         )
 
 
-def _kernel_plan(
-    target: _TensorMesh, source: _TensorMesh, eps: float, vector: VectorPotentialSpec | None
-):
-    """The one-slice kernel transfer (without prefactor) from source to target values.
+def _kernel_plan(mesh: _TensorMesh, eps: float, vector: VectorPotentialSpec | None):
+    """The one-slice kernel transfer (without prefactor) of values on a mesh.
 
-    Everything that depends only on the meshes, eps and the field is built
-    here, so each application costs one transfer.  In 1D the gauge increment
+    Everything that depends only on the mesh, eps and the field is built here,
+    so each application costs one transfer.  In 1D the gauge increment
     A(x) - A(y) enters as a diagonal phase on each side of the chirp plan.  In
     more dimensions a transfer contracts the :func:`_axis_factors` tables with
     the source vector, F_0 diag(u) F_1^T in 2D.
     """
-    if target.ndim > 1:
-        factors = _axis_factors(target, source, eps, vector)
-        axes = "abcdefghijklmnopqrstuvwxy"[: target.ndim]
+    if vector is not None and vector.ndim != mesh.ndim:
+        raise ValueError("mesh dimension must match the vector potential")
+    if mesh.ndim > 1:
+        factors = _axis_factors(mesh, eps, vector)
+        axes = "abcdefghijklmnopqrstuvwxy"[: mesh.ndim]
         spec = ",".join(a + "z" for a in axes) + ",z->" + axes
         return lambda u: np.einsum(spec, *factors, u, optimize=True).ravel()
-    free = _ChirpPlan(target.axes_pieces[0], source.axes_pieces[0], eps)
+    free = _ChirpPlan(mesh.axes_pieces[0], eps)
     if vector is None:
         return free
-    at_target, at_source = _axis_gauge(vector, 0, target, source)
-    post = np.exp(1j * at_target[:, 0])
-    pre = np.exp(-1j * at_source)
+    table = gauge.mesh_line_integrals(vector, 0, mesh.axes_nodes)
+    # two exponentials rather than a conjugate keep the phases bit for bit
+    post = np.exp(1j * table)
+    pre = np.exp(-1j * table)
     return lambda u: post * free(pre * u)
 
 
@@ -452,7 +435,7 @@ def raw_sliced_amplitude(
     Every slice point x_0 .. x_k ranges over the same ``mesh``.
     """
     u = psi_fn(mesh.points) * mesh.weights
-    transfer = _kernel_plan(mesh, mesh, eps, vector)
+    transfer = _kernel_plan(mesh, eps, vector)
     # every slice ends on the same diagonal: potential phase times quadrature weight
     diagonal = mesh.weights
     if scalar is not None:
@@ -534,6 +517,8 @@ def operator_vs_kernel_consistency(
     earlier point.
     For one dimension (or constant fields) the two coincide; in general the
     difference is O(eps) and is reported as a diagnostic, not asserted zero.
+    The kernel slice is one transfer on the grid refined per axis by the
+    smallest odd factor meeting the pi/4 phase bound, read at the grid nodes.
     """
     center = [0.5 * (a + b) for a, b in zip(grid.lo, grid.hi)]
     # narrow enough that the state's tails are negligible at the box edge
@@ -544,11 +529,11 @@ def operator_vs_kernel_consistency(
     via_operator = SliceOperator(grid, None, vector).slice(eps)(psi_grid)
 
     diam = float(np.sqrt(sum((b - a) ** 2 for a, b in zip(grid.lo, grid.hi))))
-    source_h = min(min(grid.spacing), (np.pi / 4.0) * 2.0 * eps / diam)
-    region = ExcisionRegion.build(grid.ndim, list(zip(grid.lo, grid.hi)))
-    source = _TensorMesh.from_region(region, source_h)
-    target = _TensorMesh.from_grid(grid)
-    u = psi_fn(source.points) * source.weights
-    vals = kernel_prefactor(grid.ndim, eps, 1) * _kernel_plan(target, source, eps, vector)(u)
-    via_kernel = WaveFunction(grid, vals.reshape(grid.shape))
-    return l2_norm(WaveFunction(grid, via_operator.values - via_kernel.values))
+    bound = (np.pi / 4.0) * 2.0 * eps / diam
+    factors = [int(np.ceil(h / bound)) // 2 * 2 + 1 for h in grid.spacing]
+    shape = tuple(n * r for n, r in zip(grid.shape, factors))
+    fine = _TensorMesh.from_grid(Grid(grid.lo, grid.hi, shape))
+    u = psi_fn(fine.points) * fine.weights
+    vals = kernel_prefactor(grid.ndim, eps, 1) * _kernel_plan(fine, eps, vector)(u)
+    via_kernel = vals.reshape(fine.dims)[tuple(slice(r // 2, None, r) for r in factors)]
+    return l2_norm(WaveFunction(grid, via_operator.values - via_kernel))

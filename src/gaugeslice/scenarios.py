@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gauge, pathint, reference, splitstep
-from .errors import ScheduleError, SingularNodeError
+from .errors import CapExceededError, ScheduleError, SingularNodeError
 from .fields import (
     Grid,
     ScalarPotentialSpec,
@@ -291,15 +291,21 @@ def _amplitude_params(block: dict) -> dict:
 
 
 def _checks(block: dict) -> dict:
-    """A ``checks`` block with every value checked: finite reals, the order band a pair."""
+    """A ``checks`` block with every value checked, so that some run can honour it."""
     checks = {}
     for key, value in block.items():
         if key == "trotter_order_band":
             if not (isinstance(value, (list, tuple)) and len(value) == 2):
                 raise ValueError(f"checks {key} {value!r} is not a pair [low, high]")
             checks[key] = tuple(_finite_real(v, f"checks {key} entry") for v in value)
+            if checks[key][0] > checks[key][1]:
+                raise ValueError(f"checks {key} {value!r} needs low <= high")
         else:
             checks[key] = _finite_real(value, f"checks {key}")
+            if key in ("gauge_residual_tol", "trotter_floor", "amplitude_rel_tol") and checks[key] < 0:
+                raise ValueError(f"checks {key} {value!r} must be nonnegative")
+    if "trotter_floor" in checks and "trotter_order_band" in checks:
+        raise ValueError("checks trotter_floor replaces the order fit, so it excludes trotter_order_band")
     return checks
 
 
@@ -311,6 +317,11 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         unknown = sorted(set(cfg if block is None else cfg.get(block, {})) - allowed)
         if unknown:
             raise ValueError(f"unknown key {unknown[0]!r} in {block or 'the scenario'}")
+    name = cfg["name"]
+    # the reports are written as <name>_<study> inside the output directory
+    if not (isinstance(name, str) and name not in ("", ".", "..")
+            and not {"/", "\\", "\0"} & set(name)):
+        raise ValueError(f"name {name!r} is not a bare file name")
     ndim = _count(cfg["dimension"], "dimension")
     gcfg = cfg["grid"]
     grid = Grid(tuple(gcfg["lo"]), tuple(gcfg["hi"]), tuple(gcfg["shape"]))
@@ -345,7 +356,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     # an absent or empty block means no amplitude study in ``all``
     amplitude = _amplitude_params(cfg["amplitude"]) if cfg.get("amplitude") else {}
     return Scenario(
-        name=str(cfg["name"]),
+        name=name,
         ndim=ndim,
         grid=grid,
         scalar=scalar,
@@ -620,7 +631,9 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -
 
     ``exact`` is the state :func:`dense_evolution` returns for the scenario,
     computed here if not given; its pairing with the final state is the
-    reference row tagged ``dense``.
+    reference row tagged ``dense``.  A singular mesh node, a gap that excises
+    a whole axis and a tripped evaluation cap are re-raised with a hint naming
+    the ``amplitude`` key to change.
     """
     report = Report(scenario.name)
     start = time.perf_counter()
@@ -666,6 +679,12 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -
             raise SingularNodeError(f"{exc}; set amplitude.gap > 0 to excise it") from exc
         except ScheduleError as exc:
             raise ScheduleError(f"{exc}; lower amplitude.gap") from exc
+        except CapExceededError as exc:
+            if exc.suggested_slices == 0:
+                hint = "one slice exceeds the cap: lower amplitude.r_start or raise amplitude.max_evals"
+            else:
+                hint = f"try slices <= {exc.suggested_slices}"
+            raise CapExceededError(f"{exc} ({hint})", exc.suggested_slices) from exc
         report.diagnostics[f"amplitude_k{k}"] = {
             "raw": list(estimate.raw),
             "radii": list(estimate.radii),

@@ -6,7 +6,8 @@ One slice of duration eps applies, right to left,
 
 where H0_l = -d^2/dx_l^2 acts spectrally (periodic boundary) and lam_l is the
 per-axis gauge phase.  Every factor is a unit-modulus multiplier or a spectral
-unitary, so each slice preserves the L2 norm to rounding.
+unitary, so each slice preserves the L2 norm to rounding.  A phase that
+overflows is NaN, and applying the map raises :class:`NonFiniteError`.
 
 Neither lam_l nor the samples of V depend on eps, so a :class:`SliceOperator`
 tabulates them once per field and grid, and every slice count of a study
@@ -34,7 +35,6 @@ from .fields import (
     sample_field,
 )
 
-PHASE_MODULUS_TOL = 1e-12
 BOUNDARY_MASS_WARN = 1e-6
 
 
@@ -56,19 +56,10 @@ class TimeSlicing:
         return self.total_time / self.slices
 
 
-def _unit_phase(angle: np.ndarray, label: str) -> np.ndarray:
-    """exp(i angle), checked to have unit modulus."""
-    phase = np.exp(1j * angle)
-    dev = float(np.max(np.abs(np.abs(phase) - 1.0)))
-    if dev > PHASE_MODULUS_TOL:
-        raise ValueError(f"{label} phase table deviates from unit modulus by {dev}")
-    return phase
-
-
 def kinetic_multiplier(grid: Grid, axis: int, eps: float) -> np.ndarray:
     """Spectral multiplier exp(-i eps xi^2) for free propagation along one axis."""
     _, d2 = grid.derivative_symbols(axis)
-    return _unit_phase(eps * d2, f"kinetic axis {axis}")
+    return np.exp(1j * (eps * d2))
 
 
 class SliceOperator:
@@ -94,8 +85,7 @@ class SliceOperator:
         # per axis the pair (e^{+i lam_l}, e^{-i lam_l})
         self.gauge_phases: list[tuple[np.ndarray, np.ndarray]] | None = None
         if vector is not None:
-            phases = [_unit_phase(gauge.gauge_phase_table(vector, l, grid), f"gauge axis {l}")
-                      for l in range(grid.ndim)]
+            phases = [np.exp(1j * gauge.gauge_phase_table(vector, l, grid)) for l in range(grid.ndim)]
             self.gauge_phases = [(phase, np.conj(phase)) for phase in phases]
 
     def slice(self, eps: float):
@@ -104,12 +94,12 @@ class SliceOperator:
         exp(-i eps V) and the kinetic multipliers are built once here, so each
         application only multiplies and transforms.
         """
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not eps >= 0:
+            raise ValueError(f"eps must be nonnegative, got {eps}")
         grid, gauge_phases = self.grid, self.gauge_phases
         potential_phase = None
         if self.potential is not None:
-            potential_phase = _unit_phase(-eps * self.potential, "potential")
+            potential_phase = np.exp(1j * (-eps * self.potential))
         kinetic = [kinetic_multiplier(grid, l, eps) for l in range(grid.ndim)]
 
         def apply(psi: WaveFunction) -> WaveFunction:

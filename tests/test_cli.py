@@ -174,6 +174,13 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert studies == {"run_gauge_check": 0}
 
+    def test_name_leaving_out_gives_exit_2(self, tmp_path, capsys):
+        scen = write_scenario(tmp_path, name="../escaped")
+        code = cli.main(["gauge", "--scenario", str(scen), "--out", str(tmp_path / "out" / "r")])
+        assert code == 2
+        assert "not a bare file name" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
     def test_trotter_pass(self, tmp_path):
         scen = write_scenario(tmp_path)
         code = cli.main(["trotter", "--scenario", str(scen), "--out", str(tmp_path / "r")])

@@ -266,60 +266,53 @@ class TestStructuredTransfer:
 
     MESHES = {
         # one piece at the size of the last free_1d schedule step
-        "uniform": lambda: (
-            _TensorMesh.from_region(ExcisionRegion.build(1, 8.35), phase_mesh_spacing(0.1, 8.35)),
-        ) * 2,
-        # two pieces each; all four spacings differ
-        "excised": lambda: (
-            _TensorMesh.from_region(ExcisionRegion.build(1, 5.0, [(0.7,)], 1e-2), 0.01),
-            _TensorMesh.from_region(ExcisionRegion.build(1, 5.3, [(0.7,)], 3e-3), 0.011),
+        "uniform": lambda: _TensorMesh.from_region(
+            ExcisionRegion.build(1, 8.35), phase_mesh_spacing(0.1, 8.35)
         ),
-        # the operator_vs_kernel_consistency shape: grid target, finer source
-        "grid": lambda: (
-            _TensorMesh.from_grid(Grid((-6.0,), (6.0,), (64,))),
-            _TensorMesh.from_region(ExcisionRegion.build(1, [(-6.0, 6.0)]), 0.004),
+        # two pieces, of spacings 0.010984 and 0.010998
+        "excised": lambda: _TensorMesh.from_region(
+            ExcisionRegion.build(1, 5.3, [(0.7,)], 3e-3), 0.011
         ),
+        # the operator_vs_kernel_consistency shape: a grid's own nodes
+        "grid": lambda: _TensorMesh.from_grid(Grid((-6.0,), (6.0,), (64,))),
     }
 
     @pytest.mark.parametrize("mesh", sorted(MESHES))
     @pytest.mark.parametrize("with_vector", [False, True], ids=["free", "gauge"])
     def test_matches_dense_transfer(self, mesh, with_vector):
-        target, source = self.MESHES[mesh]()
+        mesh = self.MESHES[mesh]()
         vector = (
             VectorPotentialSpec((lambda p: 0.5 * np.sin(2.0 * np.pi * p[..., 0] / 16.0),))
             if with_vector
             else None
         )
         rng = np.random.default_rng(3)
-        u = rng.normal(size=source.size) + 1j * rng.normal(size=source.size)
+        u = rng.normal(size=mesh.size) + 1j * rng.normal(size=mesh.size)
         eps = 0.1
-        dense = _axis_factors(target, source, eps, vector)[0] @ u
-        fast = _kernel_plan(target, source, eps, vector)(u)
+        dense = _axis_factors(mesh, eps, vector)[0] @ u
+        fast = _kernel_plan(mesh, eps, vector)(u)
         assert np.linalg.norm(fast - dense) <= 1e-10 * np.linalg.norm(dense)
 
     @settings(max_examples=40, deadline=None)
     @given(
-        radii=st.tuples(st.floats(1.0, 4.0), st.floats(1.0, 4.0)),
+        radius=st.floats(1.0, 4.0),
         singular=st.floats(-0.5, 0.5),
-        gaps=st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 0.3)),
-        spacings=st.tuples(st.floats(0.02, 0.2), st.floats(0.02, 0.2)),
+        gap=st.floats(0.0, 0.3),
+        spacing=st.floats(0.02, 0.2),
         eps=st.floats(0.05, 0.5),
         amplitude=st.floats(-2.0, 2.0),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_plan_matches_dense_transfer_on_random_meshes(
-        self, radii, singular, gaps, spacings, eps, amplitude, seed
+        self, radius, singular, gap, spacing, eps, amplitude, seed
     ):
         # a gap of 0 keeps one piece, any other gap cuts the mesh in two
-        target, source = (
-            _TensorMesh.from_region(ExcisionRegion.build(1, r, [(singular,)], g), h)
-            for r, g, h in zip(radii, gaps, spacings)
-        )
+        mesh = _TensorMesh.from_region(ExcisionRegion.build(1, radius, [(singular,)], gap), spacing)
         vector = VectorPotentialSpec((lambda p: amplitude * np.cos(1.3 * p[..., 0] + 0.4),))
         rng = np.random.default_rng(seed)
-        u = rng.normal(size=source.size) + 1j * rng.normal(size=source.size)
-        dense = _axis_factors(target, source, eps, vector)[0] @ u
-        fast = _kernel_plan(target, source, eps, vector)(u)
+        u = rng.normal(size=mesh.size) + 1j * rng.normal(size=mesh.size)
+        dense = _axis_factors(mesh, eps, vector)[0] @ u
+        fast = _kernel_plan(mesh, eps, vector)(u)
         assert np.linalg.norm(fast - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
@@ -328,34 +321,31 @@ class TestFactoredTransfer:
     is one segment integral per pair rather than a difference of tables."""
 
     CASES = {
-        # dimension, field, target and source spacings
-        "free-2d": (2, None, 0.5, 0.45),
+        # dimension, field, spacing
+        "free-2d": (2, None, 0.5),
         "mixed-2d": (2, VectorPotentialSpec((
             lambda p: 0.6 * np.sin(p[..., 0] + 0.8 * p[..., 1]),
             lambda p: 0.4 * p[..., 0] * np.cos(p[..., 1]),
-        )), 0.5, 0.45),
+        )), 0.5),
         "mixed-3d": (3, VectorPotentialSpec((
             lambda p: 0.5 * p[..., 1] * p[..., 2],
             lambda p: 0.3 * np.cos(p[..., 0] + p[..., 2]),
             lambda p: 0.4 * np.sin(p[..., 0] * p[..., 1]) + 0.2 * p[..., 2],
-        )), 1.0, 0.95),
+        )), 1.0),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_plan_matches_per_pair_kernel(self, case):
-        n, vector, target_h, source_h = self.CASES[case]
-        # the gaps cut every axis of both meshes in two, at different places
-        cut = [(0.2,) * n]
-        target = _TensorMesh.from_region(ExcisionRegion.build(n, 1.5, cut, 0.3), target_h)
-        source = _TensorMesh.from_region(ExcisionRegion.build(n, 1.7, cut, 0.2), source_h)
-        assert target.dims != source.dims
+        n, vector, h = self.CASES[case]
+        # the gap cuts every axis in two pieces of different spacings
+        mesh = _TensorMesh.from_region(ExcisionRegion.build(n, 1.5, [(0.2,) * n], 0.3), h)
         eps = 0.3
         kernel = np.array(
-            [[slice_kernel(x, y, eps, vector) for y in source.points] for x in target.points]
+            [[slice_kernel(x, y, eps, vector) for y in mesh.points] for x in mesh.points]
         ) / kernel_prefactor(n, eps, 1)
         rng = np.random.default_rng(5)
-        u = rng.normal(size=source.size) + 1j * rng.normal(size=source.size)
-        fast = _kernel_plan(target, source, eps, vector)(u)
+        u = rng.normal(size=mesh.size) + 1j * rng.normal(size=mesh.size)
+        fast = _kernel_plan(mesh, eps, vector)(u)
         assert np.linalg.norm(fast - kernel @ u) <= 1e-12 * np.linalg.norm(kernel @ u)
 
     def test_table_through_registered_singular_point_raises(self):
@@ -365,7 +355,7 @@ class TestFactoredTransfer:
         )
         mesh = _TensorMesh.from_region(ExcisionRegion.build(1, 2.0, [(0.3,)], 0.1), 0.05)
         with pytest.raises(SingularNodeError, match="gauge segment along axis 0"):
-            _kernel_plan(mesh, mesh, 0.2, vector)
+            _kernel_plan(mesh, 0.2, vector)
 
 
 class TestKernelAgainstClosedForm:

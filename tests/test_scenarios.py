@@ -101,6 +101,19 @@ class TestParsing:
         ("slice_counts", [4], "at least two entries"),
         ("slice_counts", [4, 4], "strictly increasing"),
         ("slice_counts", [8, 4], "strictly increasing"),
+        ("checks", {"trotter_order_band": [1.3, 0.7]}, "checks trotter_order_band .* low <= high"),
+        ("checks", {"gauge_residual_tol": -1e-6}, "checks gauge_residual_tol .* nonnegative"),
+        ("checks", {"trotter_floor": -1e-8}, "checks trotter_floor .* nonnegative"),
+        ("checks", {"amplitude_rel_tol": -0.1}, "checks amplitude_rel_tol .* nonnegative"),
+        ("checks", {"trotter_floor": 1e-8, "trotter_order_band": [0.7, 1.3]}, "excludes trotter_order_band"),
+        ("name", "../escaped", "not a bare file name"),
+        ("name", "reports/escaped", "not a bare file name"),
+        ("name", "a\\b", "not a bare file name"),
+        ("name", "..", "not a bare file name"),
+        ("name", "a\0b", "not a bare file name"),
+        ("name", ".", "not a bare file name"),
+        ("name", "", "not a bare file name"),
+        ("name", 5, "name 5 is not a bare file name"),
     ])
     def test_bad_amplitude_and_check_values_rejected(self, block, values, fragment):
         with pytest.raises(ValueError, match=fragment):

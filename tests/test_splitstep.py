@@ -6,6 +6,7 @@ import pytest
 from gaugeslice import (
     Grid,
     GridMismatchError,
+    NonFiniteError,
     SliceOperator,
     TimeSlicing,
     VectorPotentialSpec,
@@ -60,6 +61,20 @@ class TestFreePropagation:
         g = Grid((-6.0,), (6.0,), (64,))
         with pytest.raises(ValueError):
             SliceOperator(g, None, None).slice(-0.1)
+
+    def test_nan_slice_length_rejected(self):
+        g = Grid((-6.0,), (6.0,), (64,))
+        with pytest.raises(ValueError, match="nonnegative"):
+            SliceOperator(g, None, None).slice(float("nan"))
+
+    def test_overflowing_phase_raises_on_application(self):
+        # exp(-i eps V) overflows to NaN: the map builds, and applying it raises
+        g = Grid((-6.0,), (6.0,), (64,))
+        huge = ScalarPotentialSpec(lambda p: np.full(p.shape[:-1], 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = SliceOperator(g, huge, None).slice(10.0)
+            with pytest.raises(NonFiniteError):
+                step(gaussian_wave(g))
 
     def test_multiplier_unit_modulus(self):
         g = Grid((-6.0,), (6.0,), (64,))
