@@ -56,7 +56,6 @@ from .reference import (
 from .pathint import (
     AmplitudeEstimate,
     BoxSchedule,
-    ExcisionRegion,
     amplitude_quadrature,
     discrete_action,
     kernel_prefactor,

@@ -10,7 +10,8 @@ class SingularNodeError(GaugesliceError):
 
 
 class NonFiniteError(GaugesliceError):
-    """An evaluator returned a non-finite value away from its registered singular set."""
+    """An evaluator returned a non-finite value away from its registered singular set,
+    or the reference's spectral interval is not a finite range with hi > lo."""
 
 
 class GridMismatchError(GaugesliceError):

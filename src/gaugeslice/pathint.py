@@ -18,6 +18,9 @@ converged when their spread stays below :data:`TAIL_OSCILLATION_TOL`.
 
 :func:`amplitude_quadrature` meshes every schedule step and checks the
 evaluation cap against the largest before :func:`raw_sliced_amplitude` sums any.
+A step's mesh is a tensor product of per-axis unions of uniform midpoint
+pieces, all from one rule, :func:`_excised_pieces`: the box minus, on each
+axis, the open gap around each singular point's coordinate.
 
 Because the integrand factorizes across slices, the nested sum is evaluated
 exactly as a chain of per-slice transfer contractions (vector of mesh values,
@@ -78,22 +81,6 @@ def phase_mesh_spacing(eps: float, radius: float, adjacent_pairs: int = 2) -> fl
     return (np.pi / 4.0) / rate
 
 
-def _subtract_gaps(lo: float, hi: float, cuts: list[tuple[float, float]]):
-    intervals = [(lo, hi)]
-    for a, b in cuts:
-        out = []
-        for c, d in intervals:
-            if b <= c or a >= d:
-                out.append((c, d))
-                continue
-            if a > c:
-                out.append((c, a))
-            if b < d:
-                out.append((b, d))
-        intervals = out
-    return tuple(intervals)
-
-
 class MeshPiece(NamedTuple):
     """``count`` midpoint cells of width ``spacing`` starting at ``lo``."""
 
@@ -112,56 +99,30 @@ def _nodes_and_weights(pieces) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class ExcisionRegion:
-    """Per-axis finite unions of disjoint intervals: outer box minus singular gaps."""
+def _excised_pieces(ndim: int, radius: float, singular_points, gap: float, h: float):
+    """Per axis, the midpoint pieces of spacing at most ``h`` covering [-radius, radius].
 
-    axis_intervals: tuple[tuple[tuple[float, float], ...], ...]
-
-    def __post_init__(self):
-        for intervals in self.axis_intervals:
-            if not intervals:
-                raise ValueError("an axis of the excision region is empty")
-            prev = None
-            for a, b in intervals:
-                if not b > a:
-                    raise ValueError(f"degenerate interval ({a}, {b})")
-                if prev is not None and a < prev:
-                    raise ValueError("axis intervals must be disjoint and ascending")
-                prev = b
-
-    @property
-    def ndim(self) -> int:
-        return len(self.axis_intervals)
-
-    @classmethod
-    def build(cls, ndim: int, radius: float, singular_points=(), gap: float = 0.0) -> "ExcisionRegion":
-        """The box [-radius, radius]^ndim minus per-singularity gaps.
-
-        Raises :class:`ScheduleError` if the gaps leave an axis empty.
-        """
-        lo, hi = -float(radius), float(radius)
-        gap = float(gap)
-        axes = []
-        for beta in range(ndim):
-            cuts = []
-            if gap > 0.0:
-                for w in singular_points:
-                    wb = float(np.atleast_1d(np.asarray(w, float))[beta])
-                    cuts.append((wb - gap, wb + gap))
-            intervals = _subtract_gaps(lo, hi, cuts)
-            if not intervals:
-                raise ScheduleError(f"a gap of {gap:g} excises all of axis {beta} on [{lo:g}, {hi:g}]")
-            axes.append(intervals)
-        return cls(tuple(axes))
-
-    def axis_pieces(self, axis: int, h: float) -> tuple[MeshPiece, ...]:
-        """Uniform midpoint submeshes along one axis, one per interval, spacing at most h."""
-        pieces = []
-        for a, b in self.axis_intervals[axis]:
-            m = max(1, int(np.ceil((b - a) / h)))
-            pieces.append(MeshPiece(a, m, (b - a) / m))
-        return tuple(pieces)
+    A positive ``gap`` cuts (w_b - gap, w_b + gap) out of axis b for every
+    singular point w.  A cut that only touches an interval leaves it whole,
+    overlapping cuts merge and a cut outside the box is ignored.  Raises
+    :class:`ScheduleError` if the cuts leave an axis empty.
+    """
+    lo, hi = -float(radius), float(radius)
+    axes = []
+    for b in range(ndim):
+        cuts = sorted((w[b] - gap, w[b] + gap) for w in singular_points) if gap > 0.0 else []
+        pieces, start = [], lo
+        # the sentinel cut at hi closes the last interval
+        for a, c in cuts + [(hi, hi)]:
+            end = min(a, hi)
+            if end > start:
+                m = max(1, math.ceil((end - start) / h))
+                pieces.append(MeshPiece(start, m, (end - start) / m))
+            start = max(start, c)
+        if not pieces:
+            raise ScheduleError(f"a gap of {gap:g} excises all of axis {b} on [{lo:g}, {hi:g}]")
+        axes.append(tuple(pieces))
+    return axes
 
 
 class _TensorMesh:
@@ -183,10 +144,6 @@ class _TensorMesh:
         self.points = np.stack([g.ravel() for g in grids], axis=-1)
         wgrids = np.meshgrid(*self.axes_weights, indexing="ij")
         self.weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-
-    @classmethod
-    def from_region(cls, region: ExcisionRegion, h: float) -> "_TensorMesh":
-        return cls([region.axis_pieces(b, h) for b in range(region.ndim)])
 
     @classmethod
     def from_grid(cls, grid: Grid) -> "_TensorMesh":
@@ -349,7 +306,7 @@ def discrete_action(
 
 @dataclass(frozen=True)
 class BoxSchedule:
-    """Monotone schedule of outer radii and gap radii."""
+    """Monotone schedule of positive outer radii and nonnegative gap radii."""
 
     radii: tuple[float, ...]
     gaps: tuple[float, ...]
@@ -364,6 +321,8 @@ class BoxSchedule:
             raise ScheduleError("schedule must contain at least one step")
         if len(gaps) != len(radii):
             raise ScheduleError("gap schedule length must match the radius schedule")
+        if not all(r > 0.0 for r in radii) or not all(g >= 0.0 for g in gaps):
+            raise ScheduleError(f"radii must be positive and gaps nonnegative, got {radii} and {gaps}")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ScheduleError("outer radii must be strictly increasing")
         if any(b > a for a, b in zip(gaps, gaps[1:])):
@@ -390,6 +349,8 @@ class BoxSchedule:
         4 pi eps / R, so consecutive radii differ by 2 pi eps / R and the tail
         mean over the last window cancels the oscillation.
         """
+        if not r_start > 0.0:
+            raise ScheduleError(f"r_start must be positive, got {r_start}")
         spacing = 2.0 * np.pi * eps / r_start
         radii = tuple(r_start + i * spacing for i in range(steps))
         if gap_final is None or gap_final == gap:
@@ -473,11 +434,10 @@ def amplitude_quadrature(
     eps = t / slices
     pairs = 2 if slices >= 2 else 1
     singular_points = collect_singularities(scalar, vector)
-    steps = []
-    for radius, gap in zip(schedule.radii, schedule.gaps):
-        region = ExcisionRegion.build(ndim, radius, singular_points, gap)
-        h = phase_mesh_spacing(eps, radius, pairs)
-        steps.append([region.axis_pieces(b, h) for b in range(ndim)])
+    steps = [
+        _excised_pieces(ndim, radius, singular_points, gap, phase_mesh_spacing(eps, radius, pairs))
+        for radius, gap in zip(schedule.radii, schedule.gaps)
+    ]
     sizes = tuple(math.prod(sum(p.count for p in pieces) for pieces in axes) for axes in steps)
     per_pair = max(sizes) ** 2
     if slices * per_pair > max_evals:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EigenFailureError
+from .errors import EigenFailureError, NonFiniteError
 from .fields import (
     Grid,
     ScalarPotentialSpec,
@@ -149,6 +149,11 @@ class HamiltonianAction:
             hi += float(np.max(np.abs(lap)))
             if self.a_vals is not None:
                 hi += 2.0 * float(np.max(np.abs(self.a_vals[axis]))) * float(np.max(np.abs(d1)))
+        if not (hi > lo and np.isfinite(hi - lo)):
+            raise NonFiniteError(
+                f"the reference's spectral interval [{lo:g}, {hi:g}] is not a finite range with hi > lo: "
+                f"the scalar potential (min {lo:g}) or the vector potential swamps the kinetic bound"
+            )
         self.spectral_interval = (lo, hi)
 
     def affine(self, shift: float = 0.0, scale: float = 1.0):

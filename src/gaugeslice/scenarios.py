@@ -67,6 +67,8 @@ def _family(registry: dict, name: str, *keys: str):
 
     def register(build):
         def checked(ndim, params):
+            if not isinstance(params, dict):
+                raise ValueError(f"{name} params must be a JSON object, got {type(params).__name__}")
             unknown = sorted(set(params) - set(keys))
             if unknown:
                 raise ValueError(f"unknown key {unknown[0]!r} in {name} params")
@@ -310,13 +312,16 @@ def _checks(block: dict) -> dict:
 
 
 def scenario_from_dict(cfg: dict) -> Scenario:
+    for block, allowed in _KEYS.items():
+        value = cfg if block is None else cfg.get(block, {})
+        if not isinstance(value, dict):
+            raise ValueError(f"{block or 'the scenario'} must be a JSON object, got {type(value).__name__}")
+        unknown = sorted(set(value) - allowed)
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in {block or 'the scenario'}")
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported scenario schema version {version!r}")
-    for block, allowed in _KEYS.items():
-        unknown = sorted(set(cfg if block is None else cfg.get(block, {})) - allowed)
-        if unknown:
-            raise ValueError(f"unknown key {unknown[0]!r} in {block or 'the scenario'}")
     name = cfg["name"]
     # the reports are written as <name>_<study> inside the output directory
     if not (isinstance(name, str) and name not in ("", ".", "..")

@@ -133,10 +133,9 @@ def boundary_mass_fraction(psi: WaveFunction) -> float:
     return float((total - np.sum(inner)) / total)
 
 
-def evolve(op: SliceOperator, psi: WaveFunction, slicing: TimeSlicing,
-           warn_boundary: bool = True) -> WaveFunction:
+def evolve(op: SliceOperator, psi: WaveFunction, slicing: TimeSlicing) -> WaveFunction:
     """k-fold application of the slice of length ``slicing.eps``."""
-    if warn_boundary and boundary_mass_fraction(psi) > BOUNDARY_MASS_WARN:
+    if boundary_mass_fraction(psi) > BOUNDARY_MASS_WARN:
         warnings.warn(
             "wavepacket carries significant mass in the boundary cells; "
             "periodic wrap-around will contaminate the evolution",

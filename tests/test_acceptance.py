@@ -196,5 +196,5 @@ def test_criterion_8_unitarity_suite():
             op = gs.SliceOperator(scenario.grid, scenario.scalar, scenario.vector)
             for k in scenario.slice_counts:
                 slicing = gs.TimeSlicing(scenario.time, k)
-                evolved = gs.evolve(op, psi0, slicing, warn_boundary=False)
+                evolved = gs.evolve(op, psi0, slicing)
                 assert abs(gs.l2_norm(evolved) - norm0) <= k * 1e-12, (name, k)

@@ -75,6 +75,28 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_object_document_gives_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[]")
+        code = cli.main(["gauge", "--scenario", str(bad), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "the scenario must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1e20, 1e308])
+    def test_potential_swamping_the_reference_gives_exit_2(self, tmp_path, capsys, recwarn, value):
+        # at 1e20 the kinetic bound rounds away from the spectral interval, at 1e308 its scale overflows
+        scen = write_scenario(
+            tmp_path,
+            scalar_potential={"family": "constant", "params": {"value": value}},
+            checks={"trotter_floor": 1e-8},
+        )
+        code = cli.main(["all", "--scenario", str(scen), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the reference's spectral interval")
+        assert "scalar potential" in err[0]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_unknown_check_key_gives_exit_2(self, tmp_path, capsys):
         scen = write_scenario(tmp_path, checks={"gauge_residual_tolerance": 1e-18})
         code = cli.main(["gauge", "--scenario", str(scen), "--out", str(tmp_path / "r")])

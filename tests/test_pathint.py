@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from gaugeslice import (
     BoxSchedule,
     CapExceededError,
-    ExcisionRegion,
     ScalarPotentialSpec,
     ScheduleError,
     SingularNodeError,
@@ -33,6 +32,7 @@ from gaugeslice.pathint import (
     AmplitudeEstimate,
     _TensorMesh,
     _axis_factors,
+    _excised_pieces,
     _kernel_plan,
     _nodes_and_weights,
     phase_mesh_spacing,
@@ -97,24 +97,38 @@ class TestDiscreteAction:
 
 
 class TestExcisionRegion:
+    """Route 3's excision rule, :func:`pathint._excised_pieces`."""
+
+    @staticmethod
+    def spans(pieces):
+        return [(p.lo, p.lo + p.count * p.spacing) for p in pieces]
+
     def test_gap_subtraction(self):
-        region = ExcisionRegion.build(1, 2.0, singular_points=[(0.0,)], gap=0.1)
-        assert region.axis_intervals == (((-2.0, -0.1), (0.1, 2.0)),)
+        (pieces,) = _excised_pieces(1, 2.0, [(0.0,)], 0.1, 0.05)
+        np.testing.assert_allclose(self.spans(pieces), [(-2.0, -0.1), (0.1, 2.0)])
 
     def test_zero_gap_keeps_box(self):
-        region = ExcisionRegion.build(1, 2.0, singular_points=[(0.0,)], gap=0.0)
-        assert region.axis_intervals == (((-2.0, 2.0),),)
+        (pieces,) = _excised_pieces(1, 2.0, [(0.0,)], 0.0, 0.05)
+        np.testing.assert_allclose(self.spans(pieces), [(-2.0, 2.0)])
 
     def test_mesh_avoids_gap_and_conserves_length(self):
-        region = ExcisionRegion.build(1, 2.0, singular_points=[(0.0,)], gap=0.1)
-        nodes, weights = _nodes_and_weights(region.axis_pieces(0, 0.05))
+        (pieces,) = _excised_pieces(1, 2.0, [(0.0,)], 0.1, 0.05)
+        nodes, weights = _nodes_and_weights(pieces)
         assert np.min(np.abs(nodes)) >= 0.1
         assert np.sum(weights) == pytest.approx(3.8)
 
     def test_per_axis_gaps_in_2d(self):
-        region = ExcisionRegion.build(2, 1.0, singular_points=[(0.5, -0.5)], gap=0.2)
-        assert region.axis_intervals[0] == ((-1.0, 0.3), (0.7, 1.0))
-        assert region.axis_intervals[1] == ((-1.0, -0.7), (-0.3, 1.0))
+        axis0, axis1 = _excised_pieces(2, 1.0, [(0.5, -0.5)], 0.2, 0.05)
+        np.testing.assert_allclose(self.spans(axis0), [(-1.0, 0.3), (0.7, 1.0)])
+        np.testing.assert_allclose(self.spans(axis1), [(-1.0, -0.7), (-0.3, 1.0)])
+
+    def test_overlapping_cuts_merge_and_outside_cuts_are_ignored(self):
+        # the gaps around -0.5 and -0.25 overlap, the one around 1.25 only
+        # touches the box edge at 1.0 and the one around 3.0 lies outside the box
+        points = [(-0.25,), (3.0,), (1.25,), (-0.5,)]
+        (pieces,) = _excised_pieces(1, 1.0, points, 0.25, 0.05)
+        assert [p.lo for p in pieces] == [-1.0, 0.0]
+        np.testing.assert_allclose(self.spans(pieces), [(-1.0, -0.75), (0.0, 1.0)])
 
     @pytest.mark.parametrize("gap, raises", [(0.0, True), (0.1, False)])
     def test_raw_sum_samples_potential_off_singular_points(self, gap, raises):
@@ -122,25 +136,17 @@ class TestExcisionRegion:
         scalar = ScalarPotentialSpec(
             lambda p: np.abs(p[..., 0]) ** -0.5, singular_points=((0.0,),)
         )
-        region = ExcisionRegion.build(1, 1.5, singular_points=[(0.0,)], gap=gap)
+        mesh = _TensorMesh(_excised_pieces(1, 1.5, [(0.0,)], gap, 1.0))
         psi = gaussian_evaluator(0.3, 1.0, 0.0, 1)
 
         def amplitude():
-            return raw_sliced_amplitude(
-                psi, psi, 0.1, 2, _TensorMesh.from_region(region, 1.0), scalar=scalar
-            )
+            return raw_sliced_amplitude(psi, psi, 0.1, 2, mesh, scalar=scalar)
 
         if raises:
             with pytest.raises(SingularNodeError, match=r"node \[0\.\] .* singular point \(0\.0,\)"):
                 amplitude()
         else:
             assert np.isfinite(amplitude())
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExcisionRegion((((0.0, 0.0),),))
-        with pytest.raises(ValueError):
-            ExcisionRegion((((0.0, 2.0), (1.0, 3.0)),))
 
 
 class TestBoxSchedule:
@@ -158,6 +164,14 @@ class TestBoxSchedule:
         diffs = np.diff(sched.radii)
         assert np.allclose(diffs, 2.0 * np.pi * 0.1 / 5.0)
 
+    def test_radii_positive_and_gaps_nonnegative(self):
+        # checked where the schedule is built, so no run meshes a box of non-positive radius
+        for radii, gaps in [((-2.0, -1.0), (0.0, 0.0)), ((0.0, 1.0), (0.0, 0.0)), ((1.0,), (-0.1,))]:
+            with pytest.raises(ScheduleError, match="radii must be positive and gaps nonnegative"):
+                BoxSchedule(radii, gaps)
+        with pytest.raises(ScheduleError, match="r_start must be positive"):
+            BoxSchedule.fresnel(0.1, 0.0)
+
     def test_fresnel_gap_shrinkage(self):
         sched = BoxSchedule.fresnel(0.1, 5.0, steps=3, gap=1e-2, gap_final=1e-3)
         assert sched.gaps[0] == pytest.approx(1e-2)
@@ -166,19 +180,19 @@ class TestBoxSchedule:
 
 class TestBruteForceDual:
     @staticmethod
-    def assert_matches_nested_sum(region, h, vector, phi, psi):
+    def assert_matches_nested_sum(pieces, vector, phi, psi):
         # two slices, coarse meshes: sum the integrand literally over the
         # product grid and compare with the factorized evaluation
         eps = 0.25
         scalar = ScalarPotentialSpec(lambda p: np.sum(p**2, axis=-1))
         fast = raw_sliced_amplitude(
-            phi, psi, eps, 2, _TensorMesh.from_region(region, h), vector=vector, scalar=scalar
+            phi, psi, eps, 2, _TensorMesh(pieces), vector=vector, scalar=scalar
         )
 
-        axes = [_nodes_and_weights(region.axis_pieces(b, h)) for b in range(region.ndim)]
+        axes = [_nodes_and_weights(p) for p in pieces]
         points = [np.array(x) for x in itertools.product(*(nodes for nodes, _ in axes))]
         weights = [np.prod(w) for w in itertools.product(*(w for _, w in axes))]
-        pref = kernel_prefactor(region.ndim, eps, 2)
+        pref = kernel_prefactor(len(pieces), eps, 2)
         brute = 0.0j
         for (x0, w0), (x1, w1), (x2, w2) in itertools.product(
             zip(points, weights), repeat=3
@@ -195,35 +209,35 @@ class TestBruteForceDual:
         assert fast == pytest.approx(complex(brute), rel=1e-9)
 
     @classmethod
-    def assert_matches_nested_sum_1d(cls, region, h):
+    def assert_matches_nested_sum_1d(cls, pieces):
         vector = VectorPotentialSpec((lambda p: 0.4 * np.sin(p[..., 0]),))
         phi = gaussian_evaluator(center=0.5, ndim=1)
         psi = gaussian_evaluator(momentum=1.0, ndim=1)
-        cls.assert_matches_nested_sum(region, h, vector, phi, psi)
+        cls.assert_matches_nested_sum(pieces, vector, phi, psi)
 
     def test_chained_transfers_match_nested_sum(self):
-        self.assert_matches_nested_sum_1d(ExcisionRegion.build(1, 2.0), 0.5)
+        self.assert_matches_nested_sum_1d(_excised_pieces(1, 2.0, (), 0.0, 0.5))
 
     def test_chained_transfers_match_nested_sum_excised(self):
         # the gap around 0.3 leaves pieces of 5 cells of 0.44 and 4 cells of
         # 0.4, so the cross-piece transfers have unequal spacings
-        region = ExcisionRegion.build(1, 2.0, singular_points=[(0.3,)], gap=0.1)
-        assert [p.spacing for p in region.axis_pieces(0, 0.5)] == pytest.approx([0.44, 0.4])
-        self.assert_matches_nested_sum_1d(region, 0.5)
+        pieces = _excised_pieces(1, 2.0, [(0.3,)], 0.1, 0.5)
+        assert [p.spacing for p in pieces[0]] == pytest.approx([0.44, 0.4])
+        self.assert_matches_nested_sum_1d(pieces)
 
     def test_chained_transfers_match_nested_sum_excised_2d(self):
         # the dense 2D transfer with the source-frozen gauge increments: the gap
         # around (0.3, -0.3) leaves two pieces per axis and a 3 x 3 mesh, and
         # each field component depends on both coordinates
-        region = ExcisionRegion.build(2, 1.0, singular_points=[(0.3, -0.3)], gap=0.1)
-        assert [sum(p.count for p in region.axis_pieces(b, 0.7)) for b in range(2)] == [3, 3]
+        pieces = _excised_pieces(2, 1.0, [(0.3, -0.3)], 0.1, 0.7)
+        assert [sum(p.count for p in axis) for axis in pieces] == [3, 3]
         vector = VectorPotentialSpec((
             lambda p: 0.4 * np.sin(p[..., 1]) + 0.3 * p[..., 0],
             lambda p: 0.5 * np.cos(p[..., 0]) * p[..., 1],
         ))
         phi = gaussian_evaluator(center=[0.5, -0.2], ndim=2)
         psi = gaussian_evaluator(momentum=[1.0, 0.5], ndim=2)
-        self.assert_matches_nested_sum(region, 0.7, vector, phi, psi)
+        self.assert_matches_nested_sum(pieces, vector, phi, psi)
 
     def test_one_gauge_table_per_raw_sum(self, monkeypatch):
         # in 1D the gauge phases telescope through the chain, so the
@@ -239,7 +253,7 @@ class TestBruteForceDual:
         vector = VectorPotentialSpec((lambda p: 0.4 * np.sin(p[..., 0]),))
         phi = gaussian_evaluator(center=0.5, ndim=1)
         psi = gaussian_evaluator(momentum=1.0, ndim=1)
-        mesh = _TensorMesh.from_region(ExcisionRegion.build(1, 3.0), 0.05)
+        mesh = _TensorMesh(_excised_pieces(1, 3.0, (), 0.0, 0.05))
         raw_sliced_amplitude(phi, psi, 0.1, 4, mesh, vector=vector)
         assert len(calls) == 1
 
@@ -248,14 +262,14 @@ class TestBruteForceDual:
         # the gap leaves two pieces, so four piece pairs; each chirp spectrum is
         # transformed once per raw sum and each of the k slices costs one
         # forward and one inverse transform per pair
-        region = ExcisionRegion.build(1, 2.0, singular_points=[(0.3,)], gap=0.1)
+        pieces = _excised_pieces(1, 2.0, [(0.3,)], 0.1, 0.5)
         phi = gaussian_evaluator(center=0.5, ndim=1)
         psi = gaussian_evaluator(momentum=1.0, ndim=1)
-        mesh = _TensorMesh.from_region(region, 0.5)
+        mesh = _TensorMesh(pieces)
         plans = count_calls(pathint, "_chirp_pair")
         transforms = count_calls(np.fft, "fft", "ifft")
         raw_sliced_amplitude(phi, psi, 0.25, 3, mesh)
-        pairs = len(region.axis_pieces(0, 0.5)) ** 2
+        pairs = len(pieces[0]) ** 2
         assert pairs == 4
         assert plans == {"_chirp_pair": pairs}
         assert transforms == {"fft": pairs + 3 * pairs, "ifft": 3 * pairs}
@@ -266,13 +280,11 @@ class TestStructuredTransfer:
 
     MESHES = {
         # one piece at the size of the last free_1d schedule step
-        "uniform": lambda: _TensorMesh.from_region(
-            ExcisionRegion.build(1, 8.35), phase_mesh_spacing(0.1, 8.35)
+        "uniform": lambda: _TensorMesh(
+            _excised_pieces(1, 8.35, (), 0.0, phase_mesh_spacing(0.1, 8.35))
         ),
         # two pieces, of spacings 0.010984 and 0.010998
-        "excised": lambda: _TensorMesh.from_region(
-            ExcisionRegion.build(1, 5.3, [(0.7,)], 3e-3), 0.011
-        ),
+        "excised": lambda: _TensorMesh(_excised_pieces(1, 5.3, [(0.7,)], 3e-3, 0.011)),
         # the operator_vs_kernel_consistency shape: a grid's own nodes
         "grid": lambda: _TensorMesh.from_grid(Grid((-6.0,), (6.0,), (64,))),
     }
@@ -307,7 +319,7 @@ class TestStructuredTransfer:
         self, radius, singular, gap, spacing, eps, amplitude, seed
     ):
         # a gap of 0 keeps one piece, any other gap cuts the mesh in two
-        mesh = _TensorMesh.from_region(ExcisionRegion.build(1, radius, [(singular,)], gap), spacing)
+        mesh = _TensorMesh(_excised_pieces(1, radius, [(singular,)], gap, spacing))
         vector = VectorPotentialSpec((lambda p: amplitude * np.cos(1.3 * p[..., 0] + 0.4),))
         rng = np.random.default_rng(seed)
         u = rng.normal(size=mesh.size) + 1j * rng.normal(size=mesh.size)
@@ -338,7 +350,7 @@ class TestFactoredTransfer:
     def test_plan_matches_per_pair_kernel(self, case):
         n, vector, h = self.CASES[case]
         # the gap cuts every axis in two pieces of different spacings
-        mesh = _TensorMesh.from_region(ExcisionRegion.build(n, 1.5, [(0.2,) * n], 0.3), h)
+        mesh = _TensorMesh(_excised_pieces(n, 1.5, [(0.2,) * n], 0.3, h))
         eps = 0.3
         kernel = np.array(
             [[slice_kernel(x, y, eps, vector) for y in mesh.points] for x in mesh.points]
@@ -353,7 +365,7 @@ class TestFactoredTransfer:
         vector = VectorPotentialSpec(
             (lambda p: np.abs(p[..., 0] - 0.3) ** -0.5,), singular_points=((0.3,),)
         )
-        mesh = _TensorMesh.from_region(ExcisionRegion.build(1, 2.0, [(0.3,)], 0.1), 0.05)
+        mesh = _TensorMesh(_excised_pieces(1, 2.0, [(0.3,)], 0.1, 0.05))
         with pytest.raises(SingularNodeError, match="gauge segment along axis 0"):
             _kernel_plan(mesh, 0.2, vector)
 
@@ -363,9 +375,9 @@ class TestKernelAgainstClosedForm:
         # integral of K_eps(x, y) psi(y) dy equals the exactly evolved Gaussian
         eps = 0.2
         radius = 10.0
-        region = ExcisionRegion.build(1, radius)
         h = phase_mesh_spacing(eps, radius, adjacent_pairs=1)
-        nodes, weights = _nodes_and_weights(region.axis_pieces(0, h))
+        (pieces,) = _excised_pieces(1, radius, (), 0.0, h)
+        nodes, weights = _nodes_and_weights(pieces)
         psi = gaussian_evaluator(momentum=1.0, ndim=1)
         for x in (0.0, 0.7):
             total = sum(

@@ -114,6 +114,17 @@ class TestParsing:
         ("name", ".", "not a bare file name"),
         ("name", "", "not a bare file name"),
         ("name", 5, "name 5 is not a bare file name"),
+        ("checks", [], "checks must be a JSON object, got list"),
+        ("amplitude", [], "amplitude must be a JSON object, got list"),
+        ("grid", [], "grid must be a JSON object, got list"),
+        ("initial_state", [], "initial_state must be a JSON object, got list"),
+        ("final_state", [], "final_state must be a JSON object, got list"),
+        ("scalar_potential", [], "scalar_potential must be a JSON object, got list"),
+        ("vector_potential", [], "vector_potential must be a JSON object, got list"),
+        ("scalar_potential", {"family": "harmonic", "params": []},
+         "harmonic params must be a JSON object, got list"),
+        ("vector_potential", {"family": "sinusoidal", "params": []},
+         "sinusoidal params must be a JSON object, got list"),
     ])
     def test_bad_amplitude_and_check_values_rejected(self, block, values, fragment):
         with pytest.raises(ValueError, match=fragment):
