@@ -55,7 +55,6 @@ from .reference import (
 )
 from .pathint import (
     AmplitudeEstimate,
-    BoxSchedule,
     amplitude_quadrature,
     discrete_action,
     kernel_prefactor,

@@ -32,7 +32,8 @@ class EigenFailureError(GaugesliceError):
 
 
 class CapExceededError(GaugesliceError):
-    """A quadrature run would exceed the configured evaluation cap."""
+    """A quadrature run would exceed the configured evaluation cap, or the
+    reference's Chebyshev series would exceed its radius bound."""
 
     def __init__(self, message, suggested_slices=None):
         super().__init__(message)
@@ -40,4 +41,8 @@ class CapExceededError(GaugesliceError):
 
 
 class ScheduleError(GaugesliceError):
-    """A box/gap schedule is not monotone, or a gap excises a whole axis."""
+    """A route-3 schedule is invalid, or a gap excises a whole axis.
+
+    A schedule needs t > 0, r_start > 0, at least one step, a positive tail
+    window, gap >= 0 and a gap_final equal to gap or in (0, gap).
+    """

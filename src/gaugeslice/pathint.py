@@ -11,13 +11,15 @@ integration domain excises open neighborhoods of every singular point the
 fields register (only for a positive gap) and truncates to nested boxes; box
 radii grow and gap radii shrink along a schedule, each limit independent of
 the others.
-Raw box-truncated sums oscillate in the outer radius (the tails are
-Fresnel-like and converge only conditionally), so the reported value is the
+Raw box-truncated sums oscillate in the outer radius with a period set by
+eps = t / k (the tails are Fresnel-like and converge only conditionally), so
+the radii are spaced by half that period, the reported value is the
 arithmetic mean of the last few schedule steps, and the estimate counts as
 converged when their spread stays below :data:`TAIL_OSCILLATION_TOL`.
 
-:func:`amplitude_quadrature` meshes every schedule step and checks the
-evaluation cap against the largest before :func:`raw_sliced_amplitude` sums any.
+:func:`amplitude_quadrature` builds the schedule from its own keywords, meshes
+every step and checks the evaluation cap against the largest before
+:func:`raw_sliced_amplitude` sums any.
 A step's mesh is a tensor product of per-axis unions of uniform midpoint
 pieces, all from one rule, :func:`_excised_pieces`: the box minus, on each
 axis, the open gap around each singular point's coordinate.
@@ -66,6 +68,7 @@ from .fields import (
 from .splitstep import SliceOperator
 
 DEFAULT_EVAL_CAP = int(1e8)
+DEFAULT_STEPS = 16
 DEFAULT_TAIL_WINDOW = 8
 # An estimate whose tail spread stays below this counts as converged.
 TAIL_OSCILLATION_TOL = 1e-2
@@ -251,20 +254,14 @@ def _kernel_plan(mesh: _TensorMesh, eps: float, vector: VectorPotentialSpec | No
     return lambda u: post * free(pre * u)
 
 
-def kernel_prefactor(ndim: int, eps: float, slices: int, exponent: str = "composed") -> complex:
-    """(1/(4 i pi eps))^(n q / 2) with the root of i taken as exp(i pi/4).
+def kernel_prefactor(ndim: int, eps: float, slices: int) -> complex:
+    """(1/(4 i pi eps))^(n k / 2) for k = ``slices``, the root of i taken as exp(i pi/4).
 
-    ``composed`` uses q = slices, forced by composing one-slice kernels;
-    ``displayed`` uses q = slices - 1 and is kept only as a regression guard
-    (it fails the one-slice identity by a factor (4 pi eps)^(n/2)).
+    The exponent n k / 2 is forced by composing k one-slice kernels.  The
+    displayed exponent n (k - 1) / 2 is ``kernel_prefactor(n, eps, k - 1)``; it
+    fails the one-slice identity by a factor (4 pi eps)^(n/2).
     """
-    if exponent == "composed":
-        q = slices
-    elif exponent == "displayed":
-        q = slices - 1
-    else:
-        raise ValueError(f"unknown prefactor convention {exponent!r}")
-    return (4.0 * np.pi * eps) ** (-ndim * q / 2.0) * np.exp(-1j * np.pi * ndim * q / 4.0)
+    return (4.0 * np.pi * eps) ** (-ndim * slices / 2.0) * np.exp(-1j * np.pi * ndim * slices / 4.0)
 
 
 def slice_kernel(x1, x0, eps: float, vector: VectorPotentialSpec | None = None) -> complex:
@@ -305,62 +302,6 @@ def discrete_action(
 
 
 @dataclass(frozen=True)
-class BoxSchedule:
-    """Monotone schedule of positive outer radii and nonnegative gap radii."""
-
-    radii: tuple[float, ...]
-    gaps: tuple[float, ...]
-    tail_window: int = DEFAULT_TAIL_WINDOW
-
-    def __post_init__(self):
-        radii = tuple(float(r) for r in self.radii)
-        gaps = tuple(float(g) for g in self.gaps)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "gaps", gaps)
-        if not radii:
-            raise ScheduleError("schedule must contain at least one step")
-        if len(gaps) != len(radii):
-            raise ScheduleError("gap schedule length must match the radius schedule")
-        if not all(r > 0.0 for r in radii) or not all(g >= 0.0 for g in gaps):
-            raise ScheduleError(f"radii must be positive and gaps nonnegative, got {radii} and {gaps}")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ScheduleError("outer radii must be strictly increasing")
-        if any(b > a for a, b in zip(gaps, gaps[1:])):
-            raise ScheduleError("gap radii must shrink monotonically")
-        if self.tail_window < 1:
-            raise ScheduleError("tail window must be positive")
-
-    def __len__(self) -> int:
-        return len(self.radii)
-
-    @classmethod
-    def fresnel(
-        cls,
-        eps: float,
-        r_start: float,
-        steps: int = 16,
-        gap: float = 0.0,
-        gap_final: float | None = None,
-        tail_window: int = DEFAULT_TAIL_WINDOW,
-    ) -> "BoxSchedule":
-        """Radii spaced by roughly half a period of the dominant tail oscillation.
-
-        Truncating at radius R leaves a tail oscillating in R with period about
-        4 pi eps / R, so consecutive radii differ by 2 pi eps / R and the tail
-        mean over the last window cancels the oscillation.
-        """
-        if not r_start > 0.0:
-            raise ScheduleError(f"r_start must be positive, got {r_start}")
-        spacing = 2.0 * np.pi * eps / r_start
-        radii = tuple(r_start + i * spacing for i in range(steps))
-        if gap_final is None or gap_final == gap:
-            gaps = tuple(float(gap) for _ in range(steps))
-        else:
-            gaps = tuple(float(g) for g in np.geomspace(gap, gap_final, steps))
-        return cls(radii, gaps, tail_window=tail_window)
-
-
-@dataclass(frozen=True)
 class AmplitudeEstimate:
     """Raw per-step estimates plus the tail-averaged value and diagnostics."""
 
@@ -369,12 +310,7 @@ class AmplitudeEstimate:
     value: complex
     tail_oscillation: float
     mesh_sizes: tuple[int, ...]
-    eps: float
     slices: int
-
-    def __post_init__(self):
-        if not self.raw:
-            raise ValueError("estimate sequence must be nonempty")
 
     @property
     def converged(self) -> bool:
@@ -389,7 +325,6 @@ def raw_sliced_amplitude(
     mesh: _TensorMesh,
     vector: VectorPotentialSpec | None = None,
     scalar: ScalarPotentialSpec | None = None,
-    prefactor: str = "composed",
 ) -> complex:
     """One box-truncated nested midpoint sum, evaluated as chained transfers.
 
@@ -404,7 +339,7 @@ def raw_sliced_amplitude(
     for _ in range(slices):
         u = transfer(u) * diagonal
     amp = np.sum(phi_fn(mesh.points) * u)
-    return complex(kernel_prefactor(mesh.ndim, eps, slices, prefactor) * amp)
+    return complex(kernel_prefactor(mesh.ndim, eps, slices) * amp)
 
 
 def amplitude_quadrature(
@@ -412,14 +347,25 @@ def amplitude_quadrature(
     psi_fn,
     t: float,
     slices: int,
-    schedule: BoxSchedule,
+    *,
+    r_start: float,
+    steps: int = DEFAULT_STEPS,
+    gap: float = 0.0,
+    gap_final: float | None = None,
+    tail_window: int = DEFAULT_TAIL_WINDOW,
     ndim: int = 1,
     vector: VectorPotentialSpec | None = None,
     scalar: ScalarPotentialSpec | None = None,
-    prefactor: str = "composed",
     max_evals: int = DEFAULT_EVAL_CAP,
 ) -> AmplitudeEstimate:
-    """Run the box/gap schedule and tail-average the raw estimates.
+    """Run the Fresnel box/gap schedule and tail-average the raw estimates.
+
+    With eps = t / slices, step i truncates to the box of radius
+    r_start + i 2 pi eps / r_start: truncating at radius R leaves a tail
+    oscillating in R with period about 4 pi eps / R, so the mean over the last
+    ``tail_window`` steps cancels the oscillation.  The gap is held at ``gap``,
+    or shrinks geometrically to a ``gap_final`` in (0, gap); any other schedule
+    raises :class:`ScheduleError`.
 
     Each step excises a gap around exactly the singular points the fields
     register (:func:`fields.collect_singularities`).  Every step's mesh is
@@ -431,14 +377,26 @@ def amplitude_quadrature(
     """
     if slices < 1:
         raise ValueError("slice count must be at least 1")
+    if gap_final is None:
+        gap_final = gap
+    if not (t > 0 and r_start > 0 and steps >= 1 and tail_window >= 1 and gap >= 0
+            and (gap_final == gap or 0 < gap_final < gap)):
+        raise ScheduleError(
+            f"the schedule needs t > 0, r_start > 0, steps >= 1, tail_window >= 1, gap >= 0 and "
+            f"gap_final equal to gap or in (0, gap), got t={t}, r_start={r_start}, steps={steps}, "
+            f"tail_window={tail_window}, gap={gap} and gap_final={gap_final}"
+        )
     eps = t / slices
+    spacing = 2.0 * np.pi * eps / r_start
+    radii = tuple(r_start + i * spacing for i in range(steps))
+    gaps = [gap] * steps if gap_final == gap else np.geomspace(gap, gap_final, steps)
     pairs = 2 if slices >= 2 else 1
     singular_points = collect_singularities(scalar, vector)
-    steps = [
-        _excised_pieces(ndim, radius, singular_points, gap, phase_mesh_spacing(eps, radius, pairs))
-        for radius, gap in zip(schedule.radii, schedule.gaps)
+    meshes = [
+        _excised_pieces(ndim, radius, singular_points, cut, phase_mesh_spacing(eps, radius, pairs))
+        for radius, cut in zip(radii, gaps)
     ]
-    sizes = tuple(math.prod(sum(p.count for p in pieces) for pieces in axes) for axes in steps)
+    sizes = tuple(math.prod(sum(p.count for p in pieces) for pieces in axes) for axes in meshes)
     per_pair = max(sizes) ** 2
     if slices * per_pair > max_evals:
         # the chain cost is linear in k; suggest the largest feasible count
@@ -447,20 +405,19 @@ def amplitude_quadrature(
             suggested_slices=int(max_evals // per_pair),
         )
     raw = [
-        raw_sliced_amplitude(phi_fn, psi_fn, eps, slices, _TensorMesh(axes), vector, scalar, prefactor)
-        for axes in steps
+        raw_sliced_amplitude(phi_fn, psi_fn, eps, slices, _TensorMesh(axes), vector, scalar)
+        for axes in meshes
     ]
-    window = min(schedule.tail_window, len(raw))
+    window = min(tail_window, len(raw))
     tail = np.asarray(raw[-window:])
     value = complex(np.mean(tail))
     oscillation = float(np.max(np.abs(tail - value))) if window > 1 else 0.0
     return AmplitudeEstimate(
         raw=tuple(raw),
-        radii=schedule.radii,
+        radii=radii,
         value=value,
         tail_oscillation=oscillation,
         mesh_sizes=sizes,
-        eps=eps,
         slices=slices,
     )
 

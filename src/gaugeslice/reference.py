@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EigenFailureError, NonFiniteError
+from .errors import CapExceededError, EigenFailureError, NonFiniteError
 from .fields import (
     Grid,
     ScalarPotentialSpec,
@@ -48,6 +48,9 @@ HERMITICITY_TOL = 1e-10
 # Chebyshev series of exp(-itH) stop at the first term past the Bessel turning
 # point whose coefficient is below this; every |T_k| <= 1 on the interval.
 CHEBYSHEV_TOL = 1e-15
+# The largest series radius t (hi - lo) / 2 the reference expands: about as many
+# terms, each one application of H.  The shipped scenarios stay below 754 terms.
+MAX_CHEBYSHEV_RADIUS = 1e6
 
 
 @dataclass
@@ -212,7 +215,14 @@ def chebyshev_coefficients(radius: float) -> np.ndarray:
     theta leaves an absolute error of about eps sqrt(|R|) in every c_k (4e-14
     at R = 1000), so for large R that floor, not the Bessel decay, picks the
     cut-off; should no coefficient fall below the tolerance, all n/2 are kept.
+    A radius above :data:`MAX_CHEBYSHEV_RADIUS` raises :class:`CapExceededError`
+    before anything is allocated.
     """
+    if not abs(radius) <= MAX_CHEBYSHEV_RADIUS:
+        raise CapExceededError(
+            f"the reference's Chebyshev series radius {abs(radius):g} exceeds the bound "
+            f"{MAX_CHEBYSHEV_RADIUS:g}: the potentials' spectral interval times the time is too large"
+        )
     n = 1 << int(np.ceil(np.log2(4.0 * (abs(radius) + 32.0))))
     theta = 2.0 * np.pi * np.arange(n) / n
     coeffs = (2.0 / n) * np.fft.fft(np.exp(-1j * radius * np.cos(theta)))[: n // 2]

@@ -274,7 +274,7 @@ def _count(value, what: str) -> int:
 
 def _amplitude_params(block: dict) -> dict:
     """An ``amplitude`` block with its defaults filled in and every value checked."""
-    params = {"slices": [1], "r_start": 6.0, "steps": 16, "gap": 0.0,
+    params = {"slices": [1], "r_start": 6.0, "steps": pathint.DEFAULT_STEPS, "gap": 0.0,
               "gap_final": block.get("gap", 0.0), "tail_window": pathint.DEFAULT_TAIL_WINDOW,
               "max_evals": pathint.DEFAULT_EVAL_CAP, **block}
     slices = params["slices"] if isinstance(params["slices"], (list, tuple)) else [params["slices"]]
@@ -643,6 +643,8 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -
     report = Report(scenario.name)
     start = time.perf_counter()
     params = scenario.amplitude_params or _amplitude_params({})
+    # every other key of the block is a keyword of the quadrature
+    schedule = {key: value for key, value in params.items() if key != "slices"}
 
     phi_fn = scenario.final_state.evaluator(scenario.ndim)
     psi_fn = scenario.initial_state.evaluator(scenario.ndim)
@@ -659,26 +661,16 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -
     op = splitstep.SliceOperator(grid, scenario.scalar, scenario.vector)
 
     for k in params["slices"]:
-        eps = scenario.time / k
-        schedule = pathint.BoxSchedule.fresnel(
-            eps,
-            params["r_start"],
-            steps=params["steps"],
-            gap=params["gap"],
-            gap_final=params["gap_final"],
-            tail_window=params["tail_window"],
-        )
         try:
             estimate = pathint.amplitude_quadrature(
                 phi_fn,
                 psi_fn,
                 scenario.time,
                 k,
-                schedule,
+                **schedule,
                 ndim=scenario.ndim,
                 vector=scenario.vector,
                 scalar=scenario.scalar,
-                max_evals=params["max_evals"],
             )
         except SingularNodeError as exc:
             raise SingularNodeError(f"{exc}; set amplitude.gap > 0 to excise it") from exc

@@ -1,10 +1,13 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from gaugeslice import cli
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def write_scenario(tmp_path, **overrides):
@@ -96,6 +99,19 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: the reference's spectral interval")
         assert "scalar potential" in err[0]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_vector_potential_beyond_the_chebyshev_bound_gives_exit_2(self, tmp_path, capsys):
+        # a^2 = 1e40 puts the series radius far past any allocatable number of terms
+        doc = json.loads((SCENARIO_DIR / "free_1d.json").read_text())
+        doc.pop("amplitude")
+        doc["vector_potential"] = {"family": "constant", "params": {"values": [1e20]}}
+        doc["checks"] = {"trotter_floor": 1e-8}
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(doc))
+        code = cli.main(["all", "--scenario", str(scen), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the reference's Chebyshev series radius")
 
     def test_unknown_check_key_gives_exit_2(self, tmp_path, capsys):
         scen = write_scenario(tmp_path, checks={"gauge_residual_tolerance": 1e-18})

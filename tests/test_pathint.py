@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaugeslice import (
-    BoxSchedule,
     CapExceededError,
     ScalarPotentialSpec,
     ScheduleError,
@@ -51,15 +50,6 @@ class TestPrefactor:
     def test_phase_is_root_of_inverse_i(self):
         pref = kernel_prefactor(1, 0.2, 1)
         assert np.angle(pref) == pytest.approx(-np.pi / 4.0)
-
-    def test_displayed_convention_off_by_one_slice(self):
-        eps = 0.2
-        ratio = kernel_prefactor(1, eps, 3, "displayed") / kernel_prefactor(1, eps, 3)
-        assert abs(ratio) == pytest.approx((4.0 * np.pi * eps) ** 0.5)
-
-    def test_unknown_convention(self):
-        with pytest.raises(ValueError):
-            kernel_prefactor(1, 0.2, 1, "bogus")
 
     def test_slice_kernel_modulus(self):
         val = slice_kernel([1.0], [0.3], 0.25)
@@ -149,33 +139,30 @@ class TestExcisionRegion:
             assert np.isfinite(amplitude())
 
 
-class TestBoxSchedule:
-    def test_monotonicity_enforced(self):
-        with pytest.raises(ScheduleError):
-            BoxSchedule((2.0, 1.0), (0.0, 0.0))
-        with pytest.raises(ScheduleError):
-            BoxSchedule((1.0, 2.0), (0.0, 0.1))
-        with pytest.raises(ScheduleError):
-            BoxSchedule((1.0,), (0.0, 0.0))
+class TestSchedule:
+    @pytest.mark.parametrize("t, keywords", [
+        pytest.param(0.0, {}, id="zero-t"),
+        pytest.param(-0.2, {}, id="negative-t"),
+        pytest.param(0.2, {"r_start": 0.0}, id="zero-r_start"),
+        pytest.param(0.2, {"gap": -0.1}, id="negative-gap"),
+        pytest.param(0.2, {"gap": 0.01, "gap_final": 0.0}, id="zero-gap_final"),
+        pytest.param(0.2, {"gap": 0.0, "gap_final": 0.01}, id="growing-gap"),
+        pytest.param(0.2, {"steps": 0}, id="no-steps"),
+        pytest.param(0.2, {"tail_window": 0}, id="empty-tail-window"),
+    ])
+    def test_invalid_schedule_raises(self, t, keywords):
+        # checked before any mesh, so no run meshes a box of non-positive radius
+        keywords = {"r_start": 5.0, **keywords}
+        with pytest.raises(ScheduleError, match="the schedule needs"):
+            amplitude_quadrature(gaussian_evaluator(), gaussian_evaluator(), t, 2, **keywords)
 
-    def test_fresnel_spacing(self):
-        sched = BoxSchedule.fresnel(0.1, 5.0, steps=4)
-        assert len(sched) == 4
-        diffs = np.diff(sched.radii)
-        assert np.allclose(diffs, 2.0 * np.pi * 0.1 / 5.0)
-
-    def test_radii_positive_and_gaps_nonnegative(self):
-        # checked where the schedule is built, so no run meshes a box of non-positive radius
-        for radii, gaps in [((-2.0, -1.0), (0.0, 0.0)), ((0.0, 1.0), (0.0, 0.0)), ((1.0,), (-0.1,))]:
-            with pytest.raises(ScheduleError, match="radii must be positive and gaps nonnegative"):
-                BoxSchedule(radii, gaps)
-        with pytest.raises(ScheduleError, match="r_start must be positive"):
-            BoxSchedule.fresnel(0.1, 0.0)
-
-    def test_fresnel_gap_shrinkage(self):
-        sched = BoxSchedule.fresnel(0.1, 5.0, steps=3, gap=1e-2, gap_final=1e-3)
-        assert sched.gaps[0] == pytest.approx(1e-2)
-        assert sched.gaps[-1] == pytest.approx(1e-3)
+    def test_radii_spaced_by_the_tail_period(self):
+        t, slices = 0.2, 2
+        est = amplitude_quadrature(
+            gaussian_evaluator(), gaussian_evaluator(), t, slices, r_start=5.0, steps=4
+        )
+        assert len(est.radii) == 4 and est.radii[0] == 5.0
+        assert np.allclose(np.diff(est.radii), 2.0 * np.pi * (t / slices) / 5.0)
 
 
 class TestBruteForceDual:
@@ -393,8 +380,7 @@ class TestAmplitudeQuadrature:
         t = 0.2
         phi = gaussian_evaluator(center=0.8, ndim=1)
         psi = gaussian_evaluator(momentum=1.0, ndim=1)
-        schedule = BoxSchedule.fresnel(t, 6.0, steps=6, tail_window=4)
-        est = amplitude_quadrature(phi, psi, t, 1, schedule)
+        est = amplitude_quadrature(phi, psi, t, 1, r_start=6.0, steps=6, tail_window=4)
         x = np.linspace(-30.0, 30.0, 60001)
         closed = np.trapezoid(
             phi(x[:, None]) * exact_free_gaussian(x, t, 0.0, 1.0, 1.0), x
@@ -413,57 +399,54 @@ class TestAmplitudeQuadrature:
                 return r**-0.5
 
         scalar = ScalarPotentialSpec(inverse_sqrt, singular_points=((0.0,),))
-        schedule = BoxSchedule.fresnel(0.1, 5.0, steps=8, gap=1e-2, gap_final=1e-3, tail_window=6)
         psi = gaussian_evaluator(center=2.0, width=0.4, ndim=1)
-        estimate = amplitude_quadrature(psi, psi, 0.2, 2, schedule, scalar=scalar)
+        estimate = amplitude_quadrature(
+            psi, psi, 0.2, 2, r_start=5.0, steps=8, gap=1e-2, gap_final=1e-3, tail_window=6,
+            scalar=scalar,
+        )
         assert np.isfinite(estimate.value)
         assert nearest["dist"] >= 1e-3
 
     def test_cap_exceeded_suggests_fewer_slices(self):
-        schedule = BoxSchedule.fresnel(0.1, 5.0, steps=2)
         with pytest.raises(CapExceededError) as info:
             amplitude_quadrature(
-                gaussian_evaluator(), gaussian_evaluator(), 0.2, 2, schedule,
+                gaussian_evaluator(), gaussian_evaluator(), 0.2, 2, r_start=5.0, steps=2,
                 max_evals=10,
             )
         assert info.value.suggested_slices is not None
         assert info.value.suggested_slices >= 0
 
-    @staticmethod
-    def growing_schedule():
+    SCHEDULE = {"r_start": 5.0, "steps": 3}
+
+    def growing_sizes(self):
         # equal gaps and growing radii: the last step has the largest mesh
-        schedule = BoxSchedule.fresnel(0.1, 5.0, steps=3)
         sizes = amplitude_quadrature(
-            gaussian_evaluator(), gaussian_evaluator(), 0.2, 2, schedule
+            gaussian_evaluator(), gaussian_evaluator(), 0.2, 2, **self.SCHEDULE
         ).mesh_sizes
         assert sizes[-1] == max(sizes) > sizes[-2]
-        return schedule, sizes
+        return sizes
 
     def test_cap_checked_before_any_raw_sum(self, count_calls):
         # only the last step exceeds the cap, and no step runs
-        schedule, sizes = self.growing_schedule()
+        sizes = self.growing_sizes()
         calls = count_calls(pathint, "raw_sliced_amplitude")
         with pytest.raises(CapExceededError):
             amplitude_quadrature(
-                gaussian_evaluator(), gaussian_evaluator(), 0.2, 2, schedule,
+                gaussian_evaluator(), gaussian_evaluator(), 0.2, 2, **self.SCHEDULE,
                 max_evals=2 * sizes[-2] ** 2,
             )
         assert calls == {"raw_sliced_amplitude": 0}
 
     def test_suggested_slices_fit_the_largest_mesh(self):
-        schedule, sizes = self.growing_schedule()
+        sizes = self.growing_sizes()
         max_evals = 2 * sizes[-1] ** 2 - 1
         with pytest.raises(CapExceededError) as info:
             amplitude_quadrature(
-                gaussian_evaluator(), gaussian_evaluator(), 0.2, 2, schedule,
+                gaussian_evaluator(), gaussian_evaluator(), 0.2, 2, **self.SCHEDULE,
                 max_evals=max_evals,
             )
         assert info.value.suggested_slices == 1
         assert info.value.suggested_slices * max(sizes) ** 2 <= max_evals
-
-    def test_estimate_validates_nonempty(self):
-        with pytest.raises(ValueError):
-            AmplitudeEstimate((), (), 0.0, 0.0, (), 0.1, 1)
 
     def test_error_report_fields(self):
         est = AmplitudeEstimate(
@@ -472,14 +455,13 @@ class TestAmplitudeQuadrature:
             value=1.01 + 0j,
             tail_oscillation=0.005,
             mesh_sizes=(10, 11),
-            eps=0.1,
             slices=1,
         )
         assert est.converged
 
     def test_converged_flips_at_tail_tolerance(self):
         def estimate(oscillation):
-            return AmplitudeEstimate((1.0 + 0j,), (5.0,), 1.0 + 0j, oscillation, (10,), 0.1, 1)
+            return AmplitudeEstimate((1.0 + 0j,), (5.0,), 1.0 + 0j, oscillation, (10,), 1)
 
         assert estimate(np.nextafter(TAIL_OSCILLATION_TOL, 0.0)).converged
         assert not estimate(TAIL_OSCILLATION_TOL).converged

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import jv
 
 from gaugeslice import (
+    CapExceededError,
     Grid,
     ScalarPotentialSpec,
     VectorPotentialSpec,
@@ -18,7 +19,12 @@ from gaugeslice import (
 )
 from gaugeslice import scenarios
 from gaugeslice.fields import fourier_multiply
-from gaugeslice.reference import HamiltonianAction, chebyshev_coefficients, chebyshev_evolve
+from gaugeslice.reference import (
+    MAX_CHEBYSHEV_RADIUS,
+    HamiltonianAction,
+    chebyshev_coefficients,
+    chebyshev_evolve,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -225,6 +231,11 @@ class TestMatrixFreeAction:
         tail = np.arange(len(coeffs), len(coeffs) + 200)
         assert 2.0 * np.sum(np.abs(jv(tail, radius))) < 1e-13
 
+
+    @pytest.mark.parametrize("radius", [np.nextafter(MAX_CHEBYSHEV_RADIUS, np.inf), -1e40])
+    def test_radius_beyond_the_bound_is_refused(self, radius):
+        with pytest.raises(CapExceededError, match="Chebyshev series radius"):
+            chebyshev_coefficients(radius)
 
 class TestChebyshevEvolution:
     @staticmethod
