@@ -6,8 +6,9 @@ diagnostics document into the output directory, and exit 0 only if every
 configured assertion passed, 1 if one failed and 2 if the run could not be
 completed (an unreadable or invalid scenario, a bad flag, a tripped evaluation
 cap, an amplitude gap that excises a whole axis, a scalar potential that
-swamps the reference's spectral interval, a field evaluation on a registered
-singular point, or an output directory that cannot be made or written).
+swamps the reference's spectral interval, a vector potential too large to
+square, a field evaluation on a registered singular point, or an output
+directory that cannot be made or written).
 """
 
 from __future__ import annotations

@@ -234,6 +234,23 @@ def sample_field(
     return sample_points(spec, grid.points(), component).reshape(grid.shape)
 
 
+def sample_vector_potential(vector: VectorPotentialSpec, grid: Grid) -> list[np.ndarray]:
+    """Every component of ``vector`` on the grid nodes, refused unless |a|^2 is finite.
+
+    The gauge study and the reference square the sampled field; one too large
+    to square raises :class:`NonFiniteError` here, before either does.
+    """
+    a_vals = [sample_field(vector, grid, component=axis) for axis in range(grid.ndim)]
+    with np.errstate(over="ignore"):
+        square = sum(a**2 for a in a_vals)
+    if not np.all(np.isfinite(square)):
+        peak = max(float(np.max(np.abs(a))) for a in a_vals)
+        raise NonFiniteError(
+            f"the vector potential reaches |a_l| = {peak:g} on the grid, so |a|^2 is not finite"
+        )
+    return a_vals
+
+
 def fourier_multiply(values: np.ndarray, multiplier: np.ndarray, axis: int) -> np.ndarray:
     """Apply a periodic Fourier multiplier along one axis: ifft(multiplier * fft(values)).
 

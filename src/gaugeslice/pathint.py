@@ -342,6 +342,23 @@ def raw_sliced_amplitude(
     return complex(kernel_prefactor(mesh.ndim, eps, slices) * amp)
 
 
+def check_schedule(t: float, r_start: float, steps: int, tail_window: int, gap: float,
+                   gap_final: float) -> None:
+    """Raise :class:`ScheduleError` unless the Fresnel box/gap schedule is valid.
+
+    A schedule needs t > 0, r_start > 0, steps >= 1, tail_window >= 1,
+    gap >= 0 and a gap_final equal to gap or in (0, gap).  The quadrature and
+    the scenario loader both hold a schedule to this one rule.
+    """
+    if not (t > 0 and r_start > 0 and steps >= 1 and tail_window >= 1 and gap >= 0
+            and (gap_final == gap or 0 < gap_final < gap)):
+        raise ScheduleError(
+            f"the schedule needs t > 0, r_start > 0, steps >= 1, tail_window >= 1, gap >= 0 and "
+            f"gap_final equal to gap or in (0, gap), got t={t}, r_start={r_start}, steps={steps}, "
+            f"tail_window={tail_window}, gap={gap} and gap_final={gap_final}"
+        )
+
+
 def amplitude_quadrature(
     phi_fn,
     psi_fn,
@@ -365,7 +382,7 @@ def amplitude_quadrature(
     oscillating in R with period about 4 pi eps / R, so the mean over the last
     ``tail_window`` steps cancels the oscillation.  The gap is held at ``gap``,
     or shrinks geometrically to a ``gap_final`` in (0, gap); any other schedule
-    raises :class:`ScheduleError`.
+    raises :class:`ScheduleError` (:func:`check_schedule`).
 
     Each step excises a gap around exactly the singular points the fields
     register (:func:`fields.collect_singularities`).  Every step's mesh is
@@ -379,13 +396,7 @@ def amplitude_quadrature(
         raise ValueError("slice count must be at least 1")
     if gap_final is None:
         gap_final = gap
-    if not (t > 0 and r_start > 0 and steps >= 1 and tail_window >= 1 and gap >= 0
-            and (gap_final == gap or 0 < gap_final < gap)):
-        raise ScheduleError(
-            f"the schedule needs t > 0, r_start > 0, steps >= 1, tail_window >= 1, gap >= 0 and "
-            f"gap_final equal to gap or in (0, gap), got t={t}, r_start={r_start}, steps={steps}, "
-            f"tail_window={tail_window}, gap={gap} and gap_final={gap_final}"
-        )
+    check_schedule(t, r_start, steps, tail_window, gap, gap_final)
     eps = t / slices
     spacing = 2.0 * np.pi * eps / r_start
     radii = tuple(r_start + i * spacing for i in range(steps))

@@ -14,9 +14,13 @@ reference discretizes the operator the split-step evolution approximates and
 reproduces its kinetic step exactly on band-limited data.
 
 :class:`HamiltonianAction` applies H, or any affine map (H - shift) / scale of
-it, matrix-free through the stack form of :func:`fields.fourier_multiply`: per
-axis one batched forward and one batched inverse transform.  It bounds its
-spectrum from the symbols and the sampled fields; :func:`chebyshev_evolve`
+it, matrix-free through :func:`fields.fourier_multiply`.  An axis whose
+sampled a_l is constant along it (no field, or a constant magnetic field in
+the symmetric or Landau gauge) commutes a_l with D_l on the grid, so its term
+is one multiplier: one single forward and one single inverse transform.  Any
+other axis takes one batched forward and one batched inverse transform of the
+stack [psi, a_l psi].  It bounds its spectrum from the symbols and the sampled
+fields; :func:`chebyshev_evolve`
 builds the map onto [-1, 1] once and expands exp(-itH) in Chebyshev
 polynomials of it (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  This
 is the reference evolution of every study, and the Chernoff derivative
@@ -42,6 +46,7 @@ from .fields import (
     WaveFunction,
     fourier_multiply,
     sample_field,
+    sample_vector_potential,
 )
 
 HERMITICITY_TOL = 1e-10
@@ -136,11 +141,14 @@ class HamiltonianAction:
     ):
         self.grid = grid
         self.symbols = [grid.derivative_symbols(axis) for axis in range(grid.ndim)]
-        self.a_vals = None
-        diag = np.zeros(grid.shape)
-        if vector is not None:
-            self.a_vals = [sample_field(vector, grid, component=axis) for axis in range(grid.ndim)]
-            diag += sum(a**2 for a in self.a_vals)
+        # no field is the a = 0 case of every rule below
+        self.a_vals = ([np.zeros(grid.shape)] * grid.ndim if vector is None
+                       else sample_vector_potential(vector, grid))
+        # an axis whose sampled a_l is constant along it: a_l commutes with D_l on the grid
+        self.line_constant = [
+            bool(np.all(a == a.take([0], axis=axis))) for axis, a in enumerate(self.a_vals)
+        ]
+        diag = sum(a**2 for a in self.a_vals)
         lo = 0.0
         if scalar is not None:
             v_vals = sample_field(scalar, grid)
@@ -148,10 +156,9 @@ class HamiltonianAction:
             lo = float(np.min(v_vals))
         self.diag = diag
         hi = float(np.max(diag))
-        for axis, (d1, lap) in enumerate(self.symbols):
+        for (d1, lap), a in zip(self.symbols, self.a_vals):
             hi += float(np.max(np.abs(lap)))
-            if self.a_vals is not None:
-                hi += 2.0 * float(np.max(np.abs(self.a_vals[axis]))) * float(np.max(np.abs(d1)))
+            hi += 2.0 * float(np.max(np.abs(a))) * float(np.max(np.abs(d1)))
         if not (hi > lo and np.isfinite(hi - lo)):
             raise NonFiniteError(
                 f"the reference's spectral interval [{lo:g}, {hi:g}] is not a finite range with hi > lo: "
@@ -165,23 +172,30 @@ class HamiltonianAction:
         The diagonal and every symbol are divided by ``scale`` here, not
         multiplied by a rounded 1 / scale: a coherent relative error in the
         scale is an error in the evolution time, which the Chebyshev series
-        amplifies by its radius.  Per axis one batched forward transform of
-        [psi, a psi] and one batched inverse transform give
-        [-lap psi^ + i d1 (a psi)^, d1 psi^], so the axis contributes the first
-        output plus i a times the second; without a field only the kinetic
-        symbol is applied.
+        amplifies by its radius.
+
+        An axis whose sampled a_l is constant along it (no field, or the
+        symmetric and Landau gauges of a constant magnetic field) is one
+        multiplier, (-lap + 2i a_l d1) / scale: the axis transform acts on each
+        line separately, where a_l is one number, so D_l a_l = a_l D_l exactly
+        and the axis costs one single forward and one single inverse
+        transform.  Any other axis takes one batched forward transform of
+        [psi, a psi] and one batched inverse transform, giving
+        [-lap psi^ + i d1 (a psi)^, d1 psi^], and contributes the first output
+        plus i a times the second.
         """
         diag = (self.diag - shift) / scale
         stack = np.empty((2,) + self.grid.shape, dtype=complex)  # [psi, a psi], reused
         axes = []
-        for axis, (d1, lap) in enumerate(self.symbols):
+        for axis, ((d1, lap), a) in enumerate(zip(self.symbols, self.a_vals)):
             shape = [1] * self.grid.ndim
             shape[axis] = -1
             lap, d1 = (np.broadcast_to(sym.reshape(shape), self.grid.shape) for sym in (lap, d1))
-            if self.a_vals is None:
-                axes.append((axis, np.array([[-lap]]) / scale, None, None))
+            if self.line_constant[axis]:
+                # -lap / scale stays a real quotient, so a zero field rounds as the bare kinetic symbol
+                multiplier = -lap / scale + 1j * (2.0 * a * d1 / scale)
+                axes.append((axis, multiplier[None, None], None, None))
             else:
-                a = self.a_vals[axis]
                 symbols = np.array([[-lap, 1j * d1], [d1, np.zeros(self.grid.shape)]]) / scale
                 axes.append((axis, symbols, a, 1j * a))
 
@@ -200,6 +214,11 @@ class HamiltonianAction:
             return out
 
         return apply
+
+    @property
+    def transforms_per_term(self) -> int:
+        """Single-axis grid transforms, forward plus inverse, in one application."""
+        return sum(2 if constant else 4 for constant in self.line_constant)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         return self.affine()(values)

@@ -30,6 +30,7 @@ from .fields import (
     gaussian_wave,
     l2_norm,
     pair_bilinear,
+    sample_vector_potential,
 )
 
 SCHEMA_VERSION = 1
@@ -272,8 +273,12 @@ def _count(value, what: str) -> int:
     return int(value)
 
 
-def _amplitude_params(block: dict) -> dict:
-    """An ``amplitude`` block with its defaults filled in and every value checked."""
+def _amplitude_params(block: dict, t: float) -> dict:
+    """An ``amplitude`` block with its defaults filled in and every value checked.
+
+    The schedule is held to :func:`pathint.check_schedule` at the scenario's
+    time ``t``, so a bad block fails at load.
+    """
     params = {"slices": [1], "r_start": 6.0, "steps": pathint.DEFAULT_STEPS, "gap": 0.0,
               "gap_final": block.get("gap", 0.0), "tail_window": pathint.DEFAULT_TAIL_WINDOW,
               "max_evals": pathint.DEFAULT_EVAL_CAP, **block}
@@ -285,10 +290,11 @@ def _amplitude_params(block: dict) -> dict:
         params[key] = _count(params[key], f"amplitude {key}")
     for key in ("r_start", "gap", "gap_final"):
         params[key] = _finite_real(params[key], f"amplitude {key}")
-    r_start, gap, gap_final = params["r_start"], params["gap"], params["gap_final"]
-    if r_start <= 0 or gap < 0 or not (gap_final == gap or 0 < gap_final < gap):
-        raise ValueError(f"amplitude needs r_start > 0, gap >= 0 and gap_final equal to gap or in "
-                         f"(0, gap), got {r_start}, {gap} and {gap_final}")
+    try:
+        pathint.check_schedule(t, params["r_start"], params["steps"], params["tail_window"],
+                               params["gap"], params["gap_final"])
+    except ScheduleError as exc:
+        raise ValueError(f"amplitude: {exc}") from exc
     return params
 
 
@@ -359,7 +365,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         raise ValueError(f"slice_counts needs at least two entries unless checks trotter_floor "
                          f"is set, got {list(slice_counts)}")
     # an absent or empty block means no amplitude study in ``all``
-    amplitude = _amplitude_params(cfg["amplitude"]) if cfg.get("amplitude") else {}
+    amplitude = _amplitude_params(cfg["amplitude"], t) if cfg.get("amplitude") else {}
     return Scenario(
         name=name,
         ndim=ndim,
@@ -504,13 +510,15 @@ def dense_evolution(scenario: Scenario) -> tuple[WaveFunction, dict]:
     Applies H matrix-free and expands exp(-itH) in Chebyshev polynomials
     (:func:`reference.chebyshev_evolve`), in memory linear in the grid size at
     any grid size.  Returns the evolved state and its ``reference_evolution``
-    diagnostics, whose term count is the cost: one action per term.
+    diagnostics: its cost is the term count times the single-axis transforms
+    one term takes.
     """
     action = reference.HamiltonianAction(scenario.grid, scenario.vector, scenario.scalar)
     evolved, terms = reference.chebyshev_evolve(
         action, scenario.initial_state.on_grid(scenario.grid), scenario.time
     )
-    info = {"method": "chebyshev", "terms": terms, "spectral_interval": list(action.spectral_interval)}
+    info = {"method": "chebyshev", "terms": terms, "spectral_interval": list(action.spectral_interval),
+            "transforms_per_term": action.transforms_per_term}
     return evolved, info
 
 
@@ -580,6 +588,8 @@ def run_gauge_check(scenario: Scenario) -> Report:
             report.add("conjugation_residual", f"axis{axis}", 0.0, reference=0.0,
                        oracle="spectral", rel_scale=1.0)
     else:
+        # a field too large to square is refused before a residual squares it
+        sample_vector_potential(scenario.vector, grid)
         for axis in range(scenario.ndim):
             resid = gauge.gauge_conjugation_residual(scenario.vector, axis, psi)
             report.add("conjugation_residual", f"axis{axis}", resid, reference=0.0,
@@ -642,7 +652,7 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -
     """
     report = Report(scenario.name)
     start = time.perf_counter()
-    params = scenario.amplitude_params or _amplitude_params({})
+    params = scenario.amplitude_params or _amplitude_params({}, scenario.time)
     # every other key of the block is a keyword of the quadrature
     schedule = {key: value for key, value in params.items() if key != "slices"}
 

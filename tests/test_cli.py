@@ -113,6 +113,21 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: the reference's Chebyshev series radius")
 
+    def test_vector_potential_too_large_to_square_gives_exit_2(self, tmp_path, capsys, recwarn):
+        # refused before the gauge study or the reference squares it
+        doc = json.loads((SCENARIO_DIR / "free_1d.json").read_text())
+        doc.pop("amplitude")
+        doc["vector_potential"] = {"family": "constant", "params": {"values": [1e200]}}
+        doc["checks"] = {"trotter_floor": 1e-8}
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(doc))
+        code = cli.main(["all", "--scenario", str(scen), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the vector potential")
+        assert "|a|^2 is not finite" in err[0]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_unknown_check_key_gives_exit_2(self, tmp_path, capsys):
         scen = write_scenario(tmp_path, checks={"gauge_residual_tolerance": 1e-18})
         code = cli.main(["gauge", "--scenario", str(scen), "--out", str(tmp_path / "r")])

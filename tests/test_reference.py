@@ -39,6 +39,19 @@ def magnetic_2d(b=0.7):
     return VectorPotentialSpec((lambda p: -0.5 * b * p[..., 1], lambda p: 0.5 * b * p[..., 0]))
 
 
+def landau_2d(b=0.7):
+    return VectorPotentialSpec((lambda p: -b * p[..., 1], lambda p: np.zeros(p.shape[:-1])))
+
+
+def constant_vector_1d(c=0.4):
+    return VectorPotentialSpec((lambda p: np.full(p.shape[:-1], c),))
+
+
+def mixed_2d():
+    # a_0 = sin y is constant along axis 0, a_1 = sin y varies along axis 1
+    return VectorPotentialSpec((lambda p: np.sin(p[..., 1]), lambda p: np.sin(p[..., 1])))
+
+
 def harmonic_scalar():
     return ScalarPotentialSpec(lambda p: 0.5 * np.sum(p**2, axis=-1) - 1.0)
 
@@ -171,6 +184,18 @@ CASES = [
         ("a-V", sinusoidal_vector(ndim), harmonic_scalar()),
     )
 ]
+# fields whose sampled a_l is constant along axis l take the one-multiplier
+# branch of the action; the mixed field takes both branches in one operator
+CASES += [
+    pytest.param(grid, vector, scalar, id=f"{ndim}d-spectral-{tag}{suffix}")
+    for ndim, tag, grid, vector in (
+        (1, "const-a", Grid((-6.0,), (6.0,), (40,)), constant_vector_1d()),
+        (2, "symmetric-B", Grid((-5.0, -4.0), (5.0, 4.0), (12, 10)), magnetic_2d()),
+        (2, "landau-B", Grid((-5.0, -4.0), (5.0, 4.0), (12, 10)), landau_2d()),
+        (2, "mixed-a", Grid((-5.0, -4.0), (5.0, 4.0), (12, 10)), mixed_2d()),
+    )
+    for suffix, scalar in (("", None), ("-V", harmonic_scalar()))
+]
 # an id-only mark for single tests that name the discretization as CASES does
 SPECTRAL = pytest.mark.parametrize((), [pytest.param(id="spectral")])
 
@@ -207,6 +232,34 @@ class TestMatrixFreeAction:
         _, terms = chebyshev_evolve(action, psi, 0.3)
         # plus one FFT for the Bessel coefficients
         assert calls == {"fft": ndim * (terms - 1) + 1, "ifft": ndim * (terms - 1)}
+
+    @pytest.mark.parametrize("vector, line_constant", [
+        pytest.param(None, [True, True], id="free"),
+        pytest.param(magnetic_2d(), [True, True], id="symmetric-B"),
+        pytest.param(landau_2d(), [True, True], id="landau-B"),
+        pytest.param(mixed_2d(), [True, False], id="mixed-a"),
+        pytest.param(sinusoidal_vector(2), [False, False], id="a"),
+    ])
+    def test_line_constant_axes_are_read_from_the_samples(self, vector, line_constant):
+        action = HamiltonianAction(Grid((-5.0, -4.0), (5.0, 4.0), (12, 10)), vector)
+        assert action.line_constant == line_constant
+        assert action.transforms_per_term == sum(2 if c else 4 for c in line_constant)
+
+    def test_line_constant_field_halves_the_transformed_values(self, monkeypatch):
+        # one term of the symmetric gauge transforms each value once per axis
+        # each way; the [psi, a psi] stack would transform it twice
+        grid = Grid((-5.0, -5.0), (5.0, 5.0), (16, 16))
+        action = HamiltonianAction(grid, magnetic_2d(), harmonic_scalar())
+        sizes = {"fft": 0, "ifft": 0}
+        for name in sizes:
+            def counting(a, *args, _name=name, _original=getattr(np.fft, name), **kwargs):
+                sizes[_name] += np.size(a)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        action.affine(1.0, 2.0)(gaussian_wave(grid, width=0.8).values)
+        assert sizes == {"fft": grid.ndim * grid.size, "ifft": grid.ndim * grid.size}
+        assert action.transforms_per_term == 2 * grid.ndim
 
     @pytest.mark.parametrize("grid, vector, scalar", CASES)
     def test_spectral_interval_encloses_spectrum(self, grid, vector, scalar):

@@ -365,6 +365,13 @@ class TestStudies:
         assert "reference_evolution" in run_amplitude_study(s).diagnostics
         assert "reference_evolution" not in run_gauge_check(s).diagnostics
 
+    @pytest.mark.parametrize("name, transforms", [("constant_field_2d", 4), ("harmonic_1d", 4)])
+    def test_reference_evolution_reports_transforms_per_term(self, name, transforms):
+        # the symmetric gauge is constant along each own axis: one pair per axis;
+        # the sinusoidal field varies along its axis: one batched pair of two
+        report = run_trotter_study(load_scenario(SCENARIO_DIR / f"{name}.json"))
+        assert report.diagnostics["reference_evolution"]["transforms_per_term"] == transforms
+
     def test_128_squared_scenario_runs_every_study(self):
         # 16384 points: the reference evolution builds no matrix, so no grid size is capped
         path = Path(__file__).resolve().parents[1] / "scenarios" / "constant_field_2d_128.json"
