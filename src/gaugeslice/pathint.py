@@ -39,7 +39,8 @@ from :func:`gauge.mesh_line_integrals`).  In 1D a mesh is a
 union of uniform pieces, the free kernel between two pieces is a
 chirp-modulated Toeplitz matrix and the gauge increment is a pair of diagonal
 phases, so a transfer costs one FFT convolution per pair of pieces (Bluestein's
-chirp-z identity, :class:`_ChirpPlan`) between those phases; the single table
+chirp-z identity, :class:`_ChirpPlan`, in transform buffers the plan owns)
+between those phases; the single table
 is the dense kernel matrix, its test oracle.  In more dimensions a transfer is
 one contraction of the tables with the source vector.
 """
@@ -187,45 +188,61 @@ def _chirp_pair(target: MeshPiece, source: MeshPiece, eps: float):
     -2 i j = (i - j)^2 - i^2 - j^2 (Bluestein's chirp-z identity) turns the cross
     term into a convolution with the chirp exp(i hx hy k^2 / 4 eps), leaving
     diagonal chirps hx (hx - hy) i^2 and hy (hy - hx) j^2 that vanish when the
-    spacings agree.  Returns the zero-padded chirp spectrum, the source-side
-    and target-side diagonal chirps and the window of the convolution to keep.
+    spacings agree.  The chirp is even in k, so it is computed once per |k| and
+    gathered.  Returns the zero-padded chirp spectrum, the source-side and
+    target-side diagonal chirps and the window of the convolution to keep.  A
+    piece onto itself has d = 0 and hx = hy, so both diagonals are exactly 1
+    and come back as None.
     """
     hx, hy = target.spacing, source.spacing
     mt, ms = target.count, source.count
     d = (target.lo + 0.5 * hx) - (source.lo + 0.5 * hy)
+    k = np.arange(max(mt, ms))
+    chirp = np.exp(1j * (hx * hy / (4.0 * eps)) * (k * k))
+    size = 1 << (mt + ms - 2).bit_length()
+    spectrum = np.fft.fft(chirp[np.abs(np.arange(-(ms - 1), mt))], size)
+    window = slice(ms - 1, ms - 1 + mt)
+    if d == 0.0 and hx == hy:
+        return spectrum, None, None, window
     i = np.arange(mt)
     j = np.arange(ms)
-    k = np.arange(-(ms - 1), mt)
-    size = 1 << (len(k) - 1).bit_length()
-    spectrum = np.fft.fft(np.exp(1j * (hx * hy / (4.0 * eps)) * (k * k)), size)
     pre = np.exp(1j * (hy * (hy - hx) * j * j - 2.0 * d * hy * j) / (4.0 * eps))
     post = np.exp(1j * (d * d + 2.0 * d * hx * i + hx * (hx - hy) * i * i) / (4.0 * eps))
-    return spectrum, pre, post, slice(ms - 1, ms - 1 + mt)
+    return spectrum, pre, post, window
 
 
 class _ChirpPlan:
     """The free 1D kernel transfer on a union of uniform pieces, into itself.
 
     Built once per (pieces, eps): for every ordered pair of pieces it holds the
-    :func:`_chirp_pair` factors, none of which depend on the vector moved, so
-    each application is one zero-padded FFT product per pair.
+    :func:`_chirp_pair` factors, none of which depend on the vector moved, and
+    one padded transform buffer.  Each application is one zero-padded FFT
+    product per pair, transformed in that buffer and added into the target
+    piece's slice of the output; nothing else is allocated but the output.
     """
 
     def __init__(self, pieces, eps: float):
-        self.splits = np.cumsum([p.count for p in pieces])[:-1]
-        self.rows = [[_chirp_pair(tp, sp, eps) for sp in pieces] for tp in pieces]
+        bounds = np.cumsum([0] + [p.count for p in pieces])
+        self.size = int(bounds[-1])
+        spans = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.pairs = [
+            (spans[t], spans[s], *_chirp_pair(tp, sp, eps))
+            for t, tp in enumerate(pieces) for s, sp in enumerate(pieces)
+        ]
+        self.buffers = [np.empty(len(spectrum), dtype=complex) for _, _, spectrum, *_ in self.pairs]
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        parts = np.split(u, self.splits)
-        return np.concatenate(
-            [
-                sum(
-                    post * np.fft.ifft(spectrum * np.fft.fft(pre * v, len(spectrum)))[window]
-                    for (spectrum, pre, post, window), v in zip(row, parts)
-                )
-                for row in self.rows
-            ]
-        )
+        out = np.zeros(self.size, dtype=complex)
+        for (rows, cols, spectrum, pre, post, window), buf in zip(self.pairs, self.buffers):
+            v = u[cols] if pre is None else pre * u[cols]
+            np.fft.fft(v, len(buf), out=buf)
+            np.multiply(spectrum, buf, out=buf)
+            np.fft.ifft(buf, out=buf)
+            kept = buf[window]
+            if post is not None:
+                np.multiply(post, kept, out=kept)
+            out[rows] += kept
+        return out
 
 
 def _kernel_plan(mesh: _TensorMesh, eps: float, vector: VectorPotentialSpec | None):

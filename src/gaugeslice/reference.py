@@ -14,7 +14,8 @@ reference discretizes the operator the split-step evolution approximates and
 reproduces its kinetic step exactly on band-limited data.
 
 :class:`HamiltonianAction` applies H, or any affine map (H - shift) / scale of
-it, matrix-free through :func:`fields.fourier_multiply`.  An axis whose
+it, matrix-free with the operations of :func:`fields.fourier_multiply`, in
+workspaces each map allocates once.  An axis whose
 sampled a_l is constant along it (no field, or a constant magnetic field in
 the symmetric or Landau gauge) commutes a_l with D_l on the grid, so its term
 is one multiplier: one single forward and one single inverse transform.  Any
@@ -22,10 +23,16 @@ other axis takes one batched forward and one batched inverse transform of the
 stack [psi, a_l psi].  It bounds its spectrum from the symbols and the sampled
 fields; :func:`chebyshev_evolve`
 builds the map onto [-1, 1] once and expands exp(-itH) in Chebyshev
-polynomials of it (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  This
-is the reference evolution of every study, and the Chernoff derivative
-residual applies the same action; both need memory linear in the grid size,
-so no grid size is capped.  The dense matrix
+polynomials of it (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+
+:func:`evolve` is the reference evolution of every study.  It reads one more
+rule from the samples: if V + |a|^2 is constant on the grid and every a_l is
+one number on the whole grid (no field, or constant fields), H is the real
+Fourier multiplier sum_l (xi_l^2 - 2 a_l xi1_l) + c, and exp(-itH) is exactly
+one forward and one inverse n-dimensional transform.  Every other H takes the
+Chebyshev series, and both paths are held to the same admissibility rule
+first.  The Chernoff derivative residual applies the same action; everything
+needs memory linear in the grid size, so no grid size is capped.  The dense matrix
 (:func:`assemble_hamiltonian`, each symbol applied to the identity and
 kron-lifted) with :func:`expm_evolve` by eigendecomposition is built
 independently of the action and serves only as the test oracle it is checked
@@ -155,6 +162,8 @@ class HamiltonianAction:
             diag += v_vals
             lo = float(np.min(v_vals))
         self.diag = diag
+        # no sample varies: H is a multiplier on the whole grid, not just per axis
+        self.fourier_diagonal = all(np.all(f == f.flat[0]) for f in [diag, *self.a_vals])
         hi = float(np.max(diag))
         for (d1, lap), a in zip(self.symbols, self.a_vals):
             hi += float(np.max(np.abs(lap)))
@@ -183,9 +192,14 @@ class HamiltonianAction:
         [psi, a psi] and one batched inverse transform, giving
         [-lap psi^ + i d1 (a psi)^, d1 psi^], and contributes the first output
         plus i a times the second.
+
+        The returned ``apply(values, out=None)`` transforms into workspaces
+        allocated here, once, and writes into ``out`` when given (it must not
+        be ``values``).
         """
         diag = (self.diag - shift) / scale
-        stack = np.empty((2,) + self.grid.shape, dtype=complex)  # [psi, a psi], reused
+        # [psi, a psi], its spectra and their mix; a single axis uses the first of each
+        stack, spectra, mixed = (np.empty((2,) + self.grid.shape, dtype=complex) for _ in range(3))
         axes = []
         for axis, ((d1, lap), a) in enumerate(zip(self.symbols, self.a_vals)):
             shape = [1] * self.grid.ndim
@@ -194,23 +208,31 @@ class HamiltonianAction:
             if self.line_constant[axis]:
                 # -lap / scale stays a real quotient, so a zero field rounds as the bare kinetic symbol
                 multiplier = -lap / scale + 1j * (2.0 * a * d1 / scale)
-                axes.append((axis, multiplier[None, None], None, None))
+                axes.append((axis, multiplier, None, None))
             else:
                 symbols = np.array([[-lap, 1j * d1], [d1, np.zeros(self.grid.shape)]]) / scale
                 axes.append((axis, symbols, a, 1j * a))
 
-        def apply(values: np.ndarray) -> np.ndarray:
-            out = diag * values
+        def apply(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            # the operations of fields.fourier_multiply, in its order, into the workspaces
+            out = np.multiply(diag, values, out=out)
             for axis, symbols, a, ia in axes:
                 if a is None:
-                    out += fourier_multiply(values[None], symbols, axis)[0]
+                    np.fft.fft(values, axis=axis, out=spectra[0])
+                    np.multiply(symbols, spectra[0], out=spectra[0])
+                    np.fft.ifft(spectra[0], axis=axis, out=mixed[0])
+                    out += mixed[0]
                 else:
                     stack[0] = values
                     np.multiply(a, values, out=stack[1])
-                    kinetic, d_psi = fourier_multiply(stack, symbols, axis)
-                    out += kinetic
-                    d_psi *= ia
-                    out += d_psi
+                    np.fft.fft(stack, axis=axis + 1, out=spectra)
+                    np.multiply(symbols[:, 0], spectra[0], out=mixed)
+                    np.multiply(symbols[:, 1], spectra[1], out=stack)
+                    np.add(mixed, stack, out=mixed)
+                    np.fft.ifft(mixed, axis=axis + 1, out=spectra)
+                    out += spectra[0]
+                    spectra[1] *= ia
+                    out += spectra[1]
             return out
 
         return apply
@@ -222,6 +244,27 @@ class HamiltonianAction:
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         return self.affine()(values)
+
+    def fourier_multiplier(self) -> np.ndarray:
+        """The real symbol m of H over the grid; H is that multiplier only if :attr:`fourier_diagonal`.
+
+        With V + |a|^2 = c and every a_l one number, each axis term
+        -lap + 2i a_l d1 is xi_l^2 - 2 a_l xi1_l.
+        """
+        m = np.full(self.grid.shape, self.diag.flat[0])
+        for axis, ((d1, lap), a) in enumerate(zip(self.symbols, self.a_vals)):
+            shape = [1] * self.grid.ndim
+            shape[axis] = -1
+            m += (-lap - 2.0 * a.flat[0] * d1.imag).reshape(shape)
+        return m
+
+
+def _check_series_radius(radius: float) -> None:
+    if not abs(radius) <= MAX_CHEBYSHEV_RADIUS:
+        raise CapExceededError(
+            f"the reference's Chebyshev series radius {abs(radius):g} exceeds the bound "
+            f"{MAX_CHEBYSHEV_RADIUS:g}: the potentials' spectral interval times the time is too large"
+        )
 
 
 def chebyshev_coefficients(radius: float) -> np.ndarray:
@@ -237,11 +280,7 @@ def chebyshev_coefficients(radius: float) -> np.ndarray:
     A radius above :data:`MAX_CHEBYSHEV_RADIUS` raises :class:`CapExceededError`
     before anything is allocated.
     """
-    if not abs(radius) <= MAX_CHEBYSHEV_RADIUS:
-        raise CapExceededError(
-            f"the reference's Chebyshev series radius {abs(radius):g} exceeds the bound "
-            f"{MAX_CHEBYSHEV_RADIUS:g}: the potentials' spectral interval times the time is too large"
-        )
+    _check_series_radius(radius)
     n = 1 << int(np.ceil(np.log2(4.0 * (abs(radius) + 32.0))))
     theta = 2.0 * np.pi * np.arange(n) / n
     coeffs = (2.0 / n) * np.fft.fft(np.exp(-1j * radius * np.cos(theta)))[: n // 2]
@@ -260,7 +299,9 @@ def chebyshev_evolve(
     The map 2x = (H - c) / (h / 2) is built once
     (:meth:`HamiltonianAction.affine`), so the three-term recurrence
     T_{k+1} = 2x T_k - T_{k-1} costs one application and no rescale per term.
-    Returns the evolved state and the number of terms.
+    The recurrence rotates three vectors and the term sum adds through one
+    more, so a term allocates nothing.  Returns the evolved state and the
+    number of terms.
     """
     if psi.grid != action.grid:
         raise ValueError("wavefunction grid does not match the Hamiltonian grid")
@@ -269,12 +310,44 @@ def chebyshev_evolve(
     coeffs = chebyshev_coefficients(t * half)
     step = action.affine(center, 0.5 * half)
 
-    prev, cur = None, psi.values
+    cur = np.array(psi.values)  # a copy: the rotation writes into every buffer but the output
     out = coeffs[0] * cur
-    for c in coeffs[1:]:
-        prev, cur = cur, (0.5 * step(cur) if prev is None else step(cur) - prev)
-        out += c * cur
+    prev, nxt, term = (np.empty_like(cur) for _ in range(3))
+    for k, c in enumerate(coeffs[1:]):
+        step(cur, out=nxt)
+        if k == 0:
+            nxt *= 0.5
+        else:
+            nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
+        out += np.multiply(c, cur, out=term)
     return WaveFunction(psi.grid, np.exp(-1j * t * center) * out), len(coeffs)
+
+
+def evolve(action: HamiltonianAction, psi: WaveFunction, t: float) -> tuple[WaveFunction, dict]:
+    """psi(t) = exp(-i t H) psi by the reference route, and its ``reference_evolution`` record.
+
+    One admissibility rule covers both paths: the finite spectral interval
+    (checked when ``action`` was built) and the Chebyshev series radius
+    t (hi - lo) / 2 below :data:`MAX_CHEBYSHEV_RADIUS`.  A Fourier-diagonal H
+    (:attr:`HamiltonianAction.fourier_diagonal`) is then evolved exactly as
+    ifftn(exp(-itm) fftn psi), one term of one transform pair per axis; every
+    other H by :func:`chebyshev_evolve`.  The record carries the method, the
+    term count, the spectral interval and the single-axis transforms per term.
+    """
+    if psi.grid != action.grid:
+        raise ValueError("wavefunction grid does not match the Hamiltonian grid")
+    lo, hi = action.spectral_interval
+    _check_series_radius(t * (0.5 * (hi - lo)))
+    if action.fourier_diagonal:
+        phase = np.exp(-1j * t * action.fourier_multiplier())
+        evolved = WaveFunction(psi.grid, np.fft.ifftn(phase * np.fft.fftn(psi.values)))
+        method, terms, per_term = "fourier", 1, 2 * action.grid.ndim
+    else:
+        evolved, terms = chebyshev_evolve(action, psi, t)
+        method, per_term = "chebyshev", action.transforms_per_term
+    return evolved, {"method": method, "terms": terms, "spectral_interval": [lo, hi],
+                     "transforms_per_term": per_term}
 
 
 def exact_free_gaussian(

@@ -507,19 +507,15 @@ def _fit_loglog_slope(x, y) -> float:
 def dense_evolution(scenario: Scenario) -> tuple[WaveFunction, dict]:
     """The initial state evolved to the scenario time by the reference route.
 
-    Applies H matrix-free and expands exp(-itH) in Chebyshev polynomials
-    (:func:`reference.chebyshev_evolve`), in memory linear in the grid size at
-    any grid size.  Returns the evolved state and its ``reference_evolution``
-    diagnostics: its cost is the term count times the single-axis transforms
-    one term takes.
+    :func:`reference.evolve` picks the path from the grid samples: one exact
+    Fourier transform pair when H is a Fourier multiplier (no field varies),
+    otherwise a Chebyshev series in the matrix-free action; either needs
+    memory linear in the grid size at any grid size.  Returns the evolved
+    state and its ``reference_evolution`` diagnostics: its cost is the term
+    count times the single-axis transforms one term takes.
     """
     action = reference.HamiltonianAction(scenario.grid, scenario.vector, scenario.scalar)
-    evolved, terms = reference.chebyshev_evolve(
-        action, scenario.initial_state.on_grid(scenario.grid), scenario.time
-    )
-    info = {"method": "chebyshev", "terms": terms, "spectral_interval": list(action.spectral_interval),
-            "transforms_per_term": action.transforms_per_term}
-    return evolved, info
+    return reference.evolve(action, scenario.initial_state.on_grid(scenario.grid), scenario.time)
 
 
 def run_trotter_study(scenario: Scenario, threads: int = 1,

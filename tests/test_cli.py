@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,26 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: the vector potential")
         assert "|a|^2 is not finite" in err[0]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_line_integral_at_its_rounding_floor_names_the_difference_and_the_integral(
+        self, tmp_path, capsys
+    ):
+        # a constant a of 1e11: the two Gauss-Legendre rules differ only by the rounding
+        # of a segment integral of millions, which no bisection brings below 1e-10
+        doc = json.loads((SCENARIO_DIR / "free_1d.json").read_text())
+        doc.pop("amplitude")
+        doc["vector_potential"] = {"family": "constant", "params": {"values": [1e11]}}
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(doc))
+        code = cli.main(["gauge", "--scenario", str(scen), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line integral along axis 0 did not converge")
+        number = r"([0-9.]+e[+-][0-9]+)"
+        diff = float(re.search(rf"differ by {number}", err[0]).group(1))
+        size = float(re.search(rf"of magnitude {number}", err[0]).group(1))
+        assert diff > 1e-10 and size > 1e6
+        assert diff < 1e-14 * size
 
     def test_unknown_check_key_gives_exit_2(self, tmp_path, capsys):
         scen = write_scenario(tmp_path, checks={"gauge_residual_tolerance": 1e-18})

@@ -29,8 +29,11 @@ from gaugeslice.fields import Grid
 from gaugeslice.pathint import (
     TAIL_OSCILLATION_TOL,
     AmplitudeEstimate,
+    MeshPiece,
+    _ChirpPlan,
     _TensorMesh,
     _axis_factors,
+    _chirp_pair,
     _excised_pieces,
     _kernel_plan,
     _nodes_and_weights,
@@ -313,6 +316,45 @@ class TestStructuredTransfer:
         dense = _axis_factors(mesh, eps, vector)[0] @ u
         fast = _kernel_plan(mesh, eps, vector)(u)
         assert np.linalg.norm(fast - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+class TestChirpPlan:
+    """The plan's factors against directly built ones, and its workspace across calls."""
+
+    EXCISED = ((MeshPiece(-2.0, 37, 0.05), MeshPiece(0.1, 29, 0.0662)), 0.15)
+
+    def test_a_piece_onto_itself_carries_no_diagonal_factors(self):
+        pieces, eps = self.EXCISED
+        plan = _ChirpPlan(pieces, eps)
+        for rows, cols, _, pre, post, _ in plan.pairs:
+            assert (pre is None and post is None) == (rows == cols)
+
+    @pytest.mark.parametrize("target, source", [
+        pytest.param(0, 0, id="one-piece"),
+        pytest.param(0, 1, id="unequal-spacing"),
+        pytest.param(1, 0, id="unequal-spacing-reversed"),
+    ])
+    def test_gathered_chirp_spectrum_equals_the_direct_one(self, target, source):
+        pieces, eps = self.EXCISED
+        tp, sp = pieces[target], pieces[source]
+        spectrum, *_ = _chirp_pair(tp, sp, eps)
+        k = np.arange(-(sp.count - 1), tp.count)
+        direct = np.fft.fft(np.exp(1j * (tp.spacing * sp.spacing / (4.0 * eps)) * (k * k)), len(spectrum))
+        assert len(spectrum) >= len(k)
+        assert np.array_equal(spectrum, direct)
+
+    @pytest.mark.parametrize("with_vector", [False, True], ids=["free", "gauge"])
+    def test_a_plan_reused_returns_what_fresh_plans_return(self, with_vector):
+        pieces, eps = self.EXCISED
+        mesh = _TensorMesh([pieces])
+        vector = VectorPotentialSpec((lambda p: 0.7 * np.cos(p[..., 0]),)) if with_vector else None
+        rng = np.random.default_rng(11)
+        first, second = (rng.normal(size=mesh.size) + 1j * rng.normal(size=mesh.size) for _ in range(2))
+        plan = _kernel_plan(mesh, eps, vector)
+        reused = [plan(first), plan(second)]
+        fresh = [_kernel_plan(mesh, eps, vector)(u) for u in (first, second)]
+        assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
+        assert not np.array_equal(reused[0], reused[1])
 
 
 class TestFactoredTransfer:

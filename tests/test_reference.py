@@ -24,6 +24,7 @@ from gaugeslice.reference import (
     HamiltonianAction,
     chebyshev_coefficients,
     chebyshev_evolve,
+    evolve,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -345,3 +346,62 @@ class TestChebyshevEvolution:
         action = HamiltonianAction(Grid((-4.0,), (4.0,), (16,)))
         with pytest.raises(ValueError):
             chebyshev_evolve(action, gaussian_wave(Grid((-4.0,), (4.0,), (32,))), 0.1)
+
+
+def constant_scalar(value=0.8):
+    return ScalarPotentialSpec(lambda p: np.full(p.shape[:-1], value))
+
+
+def step_scalar():
+    return ScalarPotentialSpec(lambda p: np.where(p[..., 0] > 1.0, 1.0, 0.0))
+
+
+class TestFourierPath:
+    """A Hamiltonian whose sampled fields are all constant is evolved by one transform pair."""
+
+    FREE_1D = Grid((-12.0,), (12.0,), (512,))
+    GRID_2D = Grid((-5.0, -4.0), (5.0, 4.0), (20, 18))
+
+    @pytest.mark.parametrize("grid, vector, scalar, t", [
+        pytest.param(FREE_1D, None, None, 0.2, id="free-1d"),
+        pytest.param(FREE_1D, constant_vector_1d(0.4), None, 0.2, id="constant-a-1d"),
+        pytest.param(GRID_2D, VectorPotentialSpec((lambda p: np.full(p.shape[:-1], 0.3),
+                                                   lambda p: np.full(p.shape[:-1], -0.5))),
+                     None, 0.3, id="constant-a-2d"),
+        pytest.param(FREE_1D, constant_vector_1d(-0.6), constant_scalar(), 0.2, id="constant-V-and-a"),
+    ])
+    def test_matches_dense_and_chebyshev(self, grid, vector, scalar, t):
+        psi = gaussian_wave(grid, width=0.9, momentum=(0.7,) * grid.ndim)
+        action = HamiltonianAction(grid, vector, scalar)
+        fourier, info = evolve(action, psi, t)
+        assert (info["method"], info["terms"], info["transforms_per_term"]) == ("fourier", 1, 2 * grid.ndim)
+        dense = expm_evolve(assemble_hamiltonian(grid, vector, scalar), psi, t)
+        cheb, terms = chebyshev_evolve(action, psi, t)
+        assert terms > 1
+        for other in (dense, cheb):
+            err = np.linalg.norm(fourier.values - other.values) / np.linalg.norm(other.values)
+            assert err <= 1e-12
+
+    @pytest.mark.parametrize("grid, vector, scalar", [
+        pytest.param(FREE_1D, None, harmonic_scalar(), id="harmonic-V"),
+        pytest.param(FREE_1D, None, step_scalar(), id="step-V"),
+        pytest.param(FREE_1D, sinusoidal_vector(1), None, id="sinusoidal-a"),
+        pytest.param(GRID_2D, magnetic_2d(), None, id="symmetric-B"),
+        pytest.param(GRID_2D, landau_2d(), None, id="landau-B"),
+    ])
+    def test_any_varying_field_takes_chebyshev(self, grid, vector, scalar):
+        action = HamiltonianAction(grid, vector, scalar)
+        assert not action.fourier_diagonal
+        psi = gaussian_wave(grid, width=0.9)
+        out, info = evolve(action, psi, 0.1)
+        cheb, terms = chebyshev_evolve(action, psi, 0.1)
+        assert info["method"] == "chebyshev" and info["terms"] == terms > 1
+        assert info["transforms_per_term"] == action.transforms_per_term
+        assert np.array_equal(out.values, cheb.values)
+
+    def test_radius_bound_holds_on_the_fourier_path(self):
+        # a^2 = 1e40 is a constant, so H is diagonal, but the series radius is past the bound
+        action = HamiltonianAction(self.FREE_1D, constant_vector_1d(1e20))
+        assert action.fourier_diagonal
+        with pytest.raises(CapExceededError, match="Chebyshev series radius"):
+            evolve(action, gaussian_wave(self.FREE_1D), 0.2)

@@ -13,6 +13,7 @@ from gaugeslice.scenarios import (
     VECTOR_FAMILIES,
     Report,
     _fit_loglog_slope,
+    dense_evolution,
     run_all,
     run_amplitude_study,
     run_gauge_check,
@@ -371,6 +372,16 @@ class TestStudies:
         # the sinusoidal field varies along its axis: one batched pair of two
         report = run_trotter_study(load_scenario(SCENARIO_DIR / f"{name}.json"))
         assert report.diagnostics["reference_evolution"]["transforms_per_term"] == transforms
+
+    @pytest.mark.parametrize("name, method, transforms", [
+        ("free_1d", "fourier", 2), ("harmonic_1d", "chebyshev", 4), ("constant_field_2d", "chebyshev", 4),
+    ])
+    def test_reference_evolution_names_its_path(self, name, method, transforms):
+        # free_1d has no field that varies, so H is one Fourier multiplier: one term of one pair
+        _, info = dense_evolution(load_scenario(SCENARIO_DIR / f"{name}.json"))
+        assert (info["method"], info["transforms_per_term"]) == (method, transforms)
+        assert (info["terms"] == 1) == (method == "fourier")
+        assert info["terms"] >= 1
 
     def test_128_squared_scenario_runs_every_study(self):
         # 16384 points: the reference evolution builds no matrix, so no grid size is capped
