@@ -58,7 +58,6 @@ from .pathint import (
     amplitude_quadrature,
     discrete_action,
     kernel_prefactor,
-    operator_vs_kernel_consistency,
     phase_mesh_spacing,
     slice_kernel,
 )

@@ -5,9 +5,11 @@ The central objects are the per-axis phase
     gauge_phase(a, j, x)  =  integral of a_j along axis j from 0 to x_j,
                              other coordinates frozen at x,
 
-its per-slice increment between two points (frozen coordinates taken from the
-*earlier* point), and the comparison against the midpoint-rule term
-(x1 - x0) . a((x1 + x0)/2) used by the physics discretization.
+its per-slice increment between two points, and the comparison against the
+midpoint-rule term (x1 - x0) . a((x1 + x0)/2) used by the physics
+discretization.  The increment is the line integral along the split-step's
+staircase: axis n-1 is crossed first and axis 0 last, and axis l is crossed
+with the later point's coordinates above l and the earlier point's below.
 
 Every line integral in the package goes through :func:`cumulative_axis_integral`
 (or its per-segment core), vectorized over all lines that share an axis.  Each
@@ -172,8 +174,19 @@ def segment_gauge_increment(vector: VectorPotentialSpec, axis: int, x1, x0) -> f
 
 
 def slice_gauge_increment(vector: VectorPotentialSpec, x1, x0) -> float:
-    """Sum of the per-axis segment increments between two slice points."""
-    return float(sum(segment_gauge_increment(vector, l, x1, x0) for l in range(vector.ndim)))
+    """Line integral of a from x0 to x1 along the split-step's staircase.
+
+    Each axis, n-1 first, is crossed from the corner the earlier crossings
+    reached, so under a -> a + grad chi the increment gains exactly
+    chi(x1) - chi(x0).
+    """
+    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
+    corner = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    total = 0.0
+    for l in reversed(range(vector.ndim)):
+        total += segment_gauge_increment(vector, l, x1, corner)
+        corner[l] = x1[l]
+    return float(total)
 
 
 def midpoint_discrepancy(vector: VectorPotentialSpec, x1, x0) -> float:

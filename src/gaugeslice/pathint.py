@@ -32,17 +32,17 @@ brute-force nested sum on tiny meshes.
 
 Every slice point ranges over the same mesh, so every transfer, in every
 dimension, maps a mesh to itself; it comes from one :func:`_kernel_plan`,
-built once per mesh and eps and applied once per slice.  The kinetic phase and
-the source-frozen gauge increment are sums over axes, so for each source point
-the kernel is a product of one table per axis (:func:`_axis_factors`, gauge
-from :func:`gauge.mesh_line_integrals`).  In 1D a mesh is a
-union of uniform pieces, the free kernel between two pieces is a
-chirp-modulated Toeplitz matrix and the gauge increment is a pair of diagonal
-phases, so a transfer costs one FFT convolution per pair of pieces (Bluestein's
-chirp-z identity, :class:`_ChirpPlan`, in transform buffers the plan owns)
-between those phases; the single table
-is the dense kernel matrix, its test oracle.  In more dimensions a transfer is
-one contraction of the tables with the source vector.
+built once per mesh and eps and applied once per slice.  The gauge increment
+is the line integral along the split-step's staircase
+(:func:`gauge.slice_gauge_increment`), so the kernel is a product over axes,
+axis n-1 first, as in :meth:`splitstep.SliceOperator.slice`.  Axis l's
+factor is the free 1D kernel along axis l between the diagonal phases
+exp(-i A_l) and exp(+i A_l), with A_l from :func:`gauge.mesh_line_integrals`.
+Each axis of a mesh is a union of uniform pieces, and the free kernel between
+two pieces is a chirp-modulated Toeplitz matrix, so a factor costs one FFT
+convolution per pair of pieces (Bluestein's chirp-z identity,
+:class:`_ChirpPlan`), batched over the other axes in transform buffers the
+plan owns.
 """
 
 from __future__ import annotations
@@ -56,17 +56,12 @@ import numpy as np
 from .errors import CapExceededError, ScheduleError
 from . import gauge
 from .fields import (
-    Grid,
     ScalarPotentialSpec,
     VectorPotentialSpec,
-    WaveFunction,
     _check_nodes_off_singular,
     collect_singularities,
-    gaussian_evaluator,
-    l2_norm,
     sample_points,
 )
-from .splitstep import SliceOperator
 
 DEFAULT_EVAL_CAP = int(1e8)
 DEFAULT_STEPS = 16
@@ -132,7 +127,7 @@ def _excised_pieces(ndim: int, radius: float, singular_points, gap: float, h: fl
 class _TensorMesh:
     """Tensor-product midpoint mesh over an excised region.
 
-    Each axis is a union of uniform pieces; the structured 1D transfer works
+    Each axis is a union of uniform pieces; the transfer along an axis works
     piece by piece, so the pieces are kept alongside the flattened nodes.
     """
 
@@ -148,36 +143,6 @@ class _TensorMesh:
         self.points = np.stack([g.ravel() for g in grids], axis=-1)
         wgrids = np.meshgrid(*self.axes_weights, indexing="ij")
         self.weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-
-    @classmethod
-    def from_grid(cls, grid: Grid) -> "_TensorMesh":
-        return cls(
-            [(MeshPiece(grid.lo[b], grid.shape[b], grid.spacing[b]),) for b in range(grid.ndim)]
-        )
-
-
-def _axis_factors(mesh: _TensorMesh, eps: float, vector: VectorPotentialSpec | None) -> list[np.ndarray]:
-    """Per-axis kernel tables F_l, each of shape ``(mesh.dims[l], mesh.size)``.
-
-        F_l[x_l, y] = exp(i[(x_l - y_l)^2 / 4 eps + A_l(x_l; y_other) - A_l(y_l; y_other)])
-
-    The kinetic phase and the source-frozen gauge increment are sums over axes
-    whose axis-l term sees the target only through x_l, so the one-slice kernel
-    (without prefactor) from y to x is the product over l of F_l[x_l, y].  x_l
-    runs over the mesh's own nodes, so one gauge table serves both ends.  In
-    1D the single table is the kernel matrix.
-    """
-    factors = []
-    for l in range(mesh.ndim):
-        m = mesh.dims[l]
-        t = mesh.axes_nodes[l].reshape((m,) + (1,) * mesh.ndim)
-        s = mesh.axes_nodes[l].reshape([1] + [-1 if b == l else 1 for b in range(mesh.ndim)])
-        phase = (t - s) ** 2 / (4.0 * eps)
-        if vector is not None:
-            table = gauge.mesh_line_integrals(vector, l, mesh.axes_nodes)
-            phase = phase + np.expand_dims(np.moveaxis(table, l, 0), l + 1) - table
-        factors.append(np.broadcast_to(np.exp(1j * phase), (m,) + mesh.dims).reshape(m, -1))
-    return factors
 
 
 def _chirp_pair(target: MeshPiece, source: MeshPiece, eps: float):
@@ -214,34 +179,37 @@ def _chirp_pair(target: MeshPiece, source: MeshPiece, eps: float):
 class _ChirpPlan:
     """The free 1D kernel transfer on a union of uniform pieces, into itself.
 
-    Built once per (pieces, eps): for every ordered pair of pieces it holds the
-    :func:`_chirp_pair` factors, none of which depend on the vector moved, and
-    one padded transform buffer.  Each application is one zero-padded FFT
-    product per pair, transformed in that buffer and added into the target
-    piece's slice of the output; nothing else is allocated but the output.
+    It acts along the last axis of arrays of shape ``batch + (size,)``, one
+    transfer per line.  Built once per (pieces, eps, batch): for every ordered
+    pair of pieces it holds the :func:`_chirp_pair` factors, none of which
+    depend on the values moved, and one padded transform buffer.  Each
+    application is one zero-padded FFT product per pair, transformed in that
+    buffer and added into the target piece's slice of the output; nothing else
+    is allocated but the output.
     """
 
-    def __init__(self, pieces, eps: float):
+    def __init__(self, pieces, eps: float, batch: tuple[int, ...] = ()):
         bounds = np.cumsum([0] + [p.count for p in pieces])
-        self.size = int(bounds[-1])
+        self.shape = tuple(batch) + (int(bounds[-1]),)
         spans = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         self.pairs = [
             (spans[t], spans[s], *_chirp_pair(tp, sp, eps))
             for t, tp in enumerate(pieces) for s, sp in enumerate(pieces)
         ]
-        self.buffers = [np.empty(len(spectrum), dtype=complex) for _, _, spectrum, *_ in self.pairs]
+        self.buffers = [np.empty(self.shape[:-1] + (len(spectrum),), dtype=complex)
+                        for _, _, spectrum, *_ in self.pairs]
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.size, dtype=complex)
+        out = np.zeros(self.shape, dtype=complex)
         for (rows, cols, spectrum, pre, post, window), buf in zip(self.pairs, self.buffers):
-            v = u[cols] if pre is None else pre * u[cols]
-            np.fft.fft(v, len(buf), out=buf)
+            v = u[..., cols] if pre is None else pre * u[..., cols]
+            np.fft.fft(v, buf.shape[-1], out=buf)
             np.multiply(spectrum, buf, out=buf)
             np.fft.ifft(buf, out=buf)
-            kept = buf[window]
+            kept = buf[..., window]
             if post is not None:
                 np.multiply(post, kept, out=kept)
-            out[rows] += kept
+            out[..., rows] += kept
         return out
 
 
@@ -249,26 +217,35 @@ def _kernel_plan(mesh: _TensorMesh, eps: float, vector: VectorPotentialSpec | No
     """The one-slice kernel transfer (without prefactor) of values on a mesh.
 
     Everything that depends only on the mesh, eps and the field is built here,
-    so each application costs one transfer.  In 1D the gauge increment
-    A(x) - A(y) enters as a diagonal phase on each side of the chirp plan.  In
-    more dimensions a transfer contracts the :func:`_axis_factors` tables with
-    the source vector, F_0 diag(u) F_1^T in 2D.
+    so each application costs one transfer: for each axis l, axis n-1 first,
+    the values are multiplied by exp(-i A_l), moved by the free 1D kernel along
+    axis l and multiplied by exp(+i A_l).  This is the kernel whose gauge
+    increment is :func:`gauge.slice_gauge_increment`'s staircase.
     """
     if vector is not None and vector.ndim != mesh.ndim:
         raise ValueError("mesh dimension must match the vector potential")
-    if mesh.ndim > 1:
-        factors = _axis_factors(mesh, eps, vector)
-        axes = "abcdefghijklmnopqrstuvwxy"[: mesh.ndim]
-        spec = ",".join(a + "z" for a in axes) + ",z->" + axes
-        return lambda u: np.einsum(spec, *factors, u, optimize=True).ravel()
-    free = _ChirpPlan(mesh.axes_pieces[0], eps)
-    if vector is None:
-        return free
-    table = gauge.mesh_line_integrals(vector, 0, mesh.axes_nodes)
-    # two exponentials rather than a conjugate keep the phases bit for bit
-    post = np.exp(1j * table)
-    pre = np.exp(-1j * table)
-    return lambda u: post * free(pre * u)
+    sweep = []
+    for l in reversed(range(mesh.ndim)):
+        # the chirp plan transforms along the last axis, so axis l is moved there
+        order = tuple(b for b in range(mesh.ndim) if b != l) + (l,)
+        free = _ChirpPlan(mesh.axes_pieces[l], eps, tuple(mesh.dims[b] for b in order[:-1]))
+        post = pre = None
+        if vector is not None:
+            table = gauge.mesh_line_integrals(vector, l, mesh.axes_nodes).transpose(order)
+            # two exponentials rather than a conjugate keep the phases bit for bit
+            post = np.exp(1j * table)
+            pre = np.exp(-1j * table)
+        sweep.append((order, tuple(np.argsort(order)), free, post, pre))
+
+    def transfer(u: np.ndarray) -> np.ndarray:
+        u = u.reshape(mesh.dims)
+        for order, restore, free, post, pre in sweep:
+            v = u.transpose(order)
+            v = free(v) if pre is None else post * free(pre * v)
+            u = v.transpose(restore)
+        return u.ravel()
+
+    return transfer
 
 
 def kernel_prefactor(ndim: int, eps: float, slices: int) -> complex:
@@ -449,36 +426,3 @@ def amplitude_quadrature(
         slices=slices,
     )
 
-
-def operator_vs_kernel_consistency(
-    vector: VectorPotentialSpec,
-    grid: Grid,
-    eps: float,
-) -> float:
-    """L2 gap between the per-axis gauge-split slice and the single-kernel slice.
-
-    The split operator threads updated coordinates through successive axes; the
-    slice kernel freezes the coordinates off each line-integral axis at the
-    earlier point.
-    For one dimension (or constant fields) the two coincide; in general the
-    difference is O(eps) and is reported as a diagnostic, not asserted zero.
-    The kernel slice is one transfer on the grid refined per axis by the
-    smallest odd factor meeting the pi/4 phase bound, read at the grid nodes.
-    """
-    center = [0.5 * (a + b) for a, b in zip(grid.lo, grid.hi)]
-    # narrow enough that the state's tails are negligible at the box edge
-    width = [(b - a) / 16.0 for a, b in zip(grid.lo, grid.hi)]
-    psi_fn = gaussian_evaluator(center=center, width=width, ndim=grid.ndim)
-
-    psi_grid = WaveFunction(grid, psi_fn(np.stack(grid.meshgrid(), axis=-1)))
-    via_operator = SliceOperator(grid, None, vector).slice(eps)(psi_grid)
-
-    diam = float(np.sqrt(sum((b - a) ** 2 for a, b in zip(grid.lo, grid.hi))))
-    bound = (np.pi / 4.0) * 2.0 * eps / diam
-    factors = [int(np.ceil(h / bound)) // 2 * 2 + 1 for h in grid.spacing]
-    shape = tuple(n * r for n, r in zip(grid.shape, factors))
-    fine = _TensorMesh.from_grid(Grid(grid.lo, grid.hi, shape))
-    u = psi_fn(fine.points) * fine.weights
-    vals = kernel_prefactor(grid.ndim, eps, 1) * _kernel_plan(fine, eps, vector)(u)
-    via_kernel = vals.reshape(fine.dims)[tuple(slice(r // 2, None, r) for r in factors)]
-    return l2_norm(WaveFunction(grid, via_operator.values - via_kernel))

@@ -159,8 +159,9 @@ class TestSliceIncrement:
         vec = bilinear_potential_2d()
         x0 = np.array([0.1, 0.4])
         x1 = np.array([0.8, 1.2])
-        expected = segment_gauge_increment(vec, 0, x1, x0) + segment_gauge_increment(
-            vec, 1, x1, x0
+        # the staircase crosses axis 1 from x0, then axis 0 from the corner (x0[0], x1[1])
+        expected = segment_gauge_increment(vec, 1, x1, x0) + segment_gauge_increment(
+            vec, 0, x1, [x0[0], x1[1]]
         )
         assert slice_gauge_increment(vec, x1, x0) == pytest.approx(expected, abs=1e-14)
 
@@ -193,7 +194,7 @@ class TestMidpointDiscrepancy:
         assert slope >= 2.9
 
     def test_midpoint_on_singular_point_rejected(self):
-        # both axis segments from x0 miss (0.5, 0.5), so only the midpoint check sees it
+        # both staircase segments miss (0.5, 0.5), so only the midpoint check sees it
         w = (0.5, 0.5)
 
         def inverse(p):

@@ -21,18 +21,17 @@ from gaugeslice import (
     discrete_action,
     gaussian_evaluator,
     kernel_prefactor,
-    operator_vs_kernel_consistency,
+    slice_gauge_increment,
     slice_kernel,
 )
 from gaugeslice import gauge, pathint
-from gaugeslice.fields import Grid
+from gaugeslice.fields import Grid, WaveFunction, l2_norm
 from gaugeslice.pathint import (
     TAIL_OSCILLATION_TOL,
     AmplitudeEstimate,
     MeshPiece,
     _ChirpPlan,
     _TensorMesh,
-    _axis_factors,
     _chirp_pair,
     _excised_pieces,
     _kernel_plan,
@@ -41,6 +40,7 @@ from gaugeslice.pathint import (
     raw_sliced_amplitude,
 )
 from gaugeslice.reference import exact_free_gaussian
+from gaugeslice.splitstep import SliceOperator
 
 
 class TestPrefactor:
@@ -216,7 +216,7 @@ class TestBruteForceDual:
         self.assert_matches_nested_sum_1d(pieces)
 
     def test_chained_transfers_match_nested_sum_excised_2d(self):
-        # the dense 2D transfer with the source-frozen gauge increments: the gap
+        # the 2D transfer with the staircase gauge increments: the gap
         # around (0.3, -0.3) leaves two pieces per axis and a 3 x 3 mesh, and
         # each field component depends on both coordinates
         pieces = _excised_pieces(2, 1.0, [(0.3, -0.3)], 0.1, 0.7)
@@ -268,6 +268,16 @@ class TestBruteForceDual:
 class TestStructuredTransfer:
     """The 1D kernel plan against the dense kernel matrix it replaces."""
 
+    @staticmethod
+    def dense_transfer(mesh, eps, vector, u):
+        # the kernel matrix exp(i[(x - y)^2 / 4 eps + A(x) - A(y)]) applied to u
+        (x,) = mesh.axes_nodes
+        phase = (x[:, None] - x[None, :]) ** 2 / (4.0 * eps)
+        if vector is not None:
+            table = gauge.mesh_line_integrals(vector, 0, mesh.axes_nodes)
+            phase = phase + table[:, None] - table[None, :]
+        return np.exp(1j * phase) @ u
+
     MESHES = {
         # one piece at the size of the last free_1d schedule step
         "uniform": lambda: _TensorMesh(
@@ -275,8 +285,8 @@ class TestStructuredTransfer:
         ),
         # two pieces, of spacings 0.010984 and 0.010998
         "excised": lambda: _TensorMesh(_excised_pieces(1, 5.3, [(0.7,)], 3e-3, 0.011)),
-        # the operator_vs_kernel_consistency shape: a grid's own nodes
-        "grid": lambda: _TensorMesh.from_grid(Grid((-6.0,), (6.0,), (64,))),
+        # a grid's own nodes: 64 cells on [-6, 6]
+        "grid": lambda: _TensorMesh([(MeshPiece(-6.0, 64, 12.0 / 64),)]),
     }
 
     @pytest.mark.parametrize("mesh", sorted(MESHES))
@@ -291,7 +301,7 @@ class TestStructuredTransfer:
         rng = np.random.default_rng(3)
         u = rng.normal(size=mesh.size) + 1j * rng.normal(size=mesh.size)
         eps = 0.1
-        dense = _axis_factors(mesh, eps, vector)[0] @ u
+        dense = self.dense_transfer(mesh, eps, vector, u)
         fast = _kernel_plan(mesh, eps, vector)(u)
         assert np.linalg.norm(fast - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -313,7 +323,7 @@ class TestStructuredTransfer:
         vector = VectorPotentialSpec((lambda p: amplitude * np.cos(1.3 * p[..., 0] + 0.4),))
         rng = np.random.default_rng(seed)
         u = rng.normal(size=mesh.size) + 1j * rng.normal(size=mesh.size)
-        dense = _axis_factors(mesh, eps, vector)[0] @ u
+        dense = self.dense_transfer(mesh, eps, vector, u)
         fast = _kernel_plan(mesh, eps, vector)(u)
         assert np.linalg.norm(fast - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -509,13 +519,99 @@ class TestAmplitudeQuadrature:
         assert not estimate(TAIL_OSCILLATION_TOL).converged
 
 
+class TestGaugeCovariance:
+    """Under a -> a + grad chi, route 3 is conjugated by exp(i chi) exactly."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3]),
+        gap=st.floats(0.05, 0.3),
+        spacing=st.floats(0.3, 0.6),
+        eps=st.floats(0.1, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_and_increment_follow_a_gauge_transformation(self, n, gap, spacing, eps, seed):
+        # chi(x) = x.Q x / 2 + b.x, whose gradient Q x + b is added to a
+        rng = np.random.default_rng(seed)
+        q = rng.uniform(-1.0, 1.0, (n, n))
+        q = q + q.T
+        b = rng.uniform(-1.0, 1.0, n)
+
+        def chi(p):
+            return 0.5 * np.einsum("...i,ij,...j->...", p, q, p) + p @ b
+
+        base = TestFactoredTransfer.CASES[f"mixed-{n}d"][1]
+        shifted = VectorPotentialSpec(tuple(
+            (lambda p, l=l: base.component(l, p) + p @ q[l] + b[l]) for l in range(n)
+        ))
+        mesh = _TensorMesh(_excised_pieces(n, 1.5, [(0.2,) * n], gap, spacing))
+        u = rng.normal(size=mesh.size) + 1j * rng.normal(size=mesh.size)
+        phase = np.exp(1j * chi(mesh.points))
+        expected = phase * _kernel_plan(mesh, eps, base)(u / phase)
+        got = _kernel_plan(mesh, eps, shifted)(u)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+        x0, x1 = rng.uniform(-1.5, 1.5, (2, n))
+        gained = slice_gauge_increment(shifted, x1, x0) - slice_gauge_increment(base, x1, x0)
+        assert gained == pytest.approx(chi(x1) - chi(x0), abs=1e-12)
+
+
+def kernel_slice_on_grid(vector, grid, eps, psi_fn):
+    """One kernel transfer of ``psi_fn`` on the grid refined by odd factors, read at the grid nodes.
+
+    Each axis is refined by the smallest odd factor r whose spacing meets the
+    phase bound (pi/4) 2 eps / diam over the box diagonal; with r odd every
+    grid node is a fine node, at ``slice(r // 2, None, r)``.
+    """
+    diam = float(np.sqrt(sum((b - a) ** 2 for a, b in zip(grid.lo, grid.hi))))
+    bound = (np.pi / 4.0) * 2.0 * eps / diam
+    factors = [int(np.ceil(h / bound)) // 2 * 2 + 1 for h in grid.spacing]
+    fine = _TensorMesh([
+        (MeshPiece(lo, m * r, h / r),)
+        for lo, m, h, r in zip(grid.lo, grid.shape, grid.spacing, factors)
+    ])
+    u = psi_fn(fine.points) * fine.weights
+    vals = kernel_prefactor(grid.ndim, eps, 1) * _kernel_plan(fine, eps, vector)(u)
+    return vals.reshape(fine.dims)[tuple(slice(r // 2, None, r) for r in factors)]
+
+
 class TestOperatorVsKernel:
-    def test_one_dimensional_routes_agree(self):
-        # with a single axis the threaded and frozen gauge increments coincide,
-        # so the split operator and the kernel transfer must match closely
-        vec = VectorPotentialSpec((lambda p: 0.5 * np.sin(2.0 * np.pi * p[..., 0] / 12.0),))
-        grid = Grid((-6.0,), (6.0,), (64,))
-        assert operator_vs_kernel_consistency(vec, grid, 0.05) < 1e-4
+    """One route-3 transfer against one route-1 split-step slice.
+
+    Both take the gauge increment along the same staircase, so they differ
+    only by the kernel's truncation to the box and the split-step's spectral
+    grid, both negligible for a packet narrow against the box.
+    """
+
+    LINEAR = np.array([[0.2, -0.4], [0.3, -0.1]])
+    CASES = {
+        # field, grid, eps, bound on the L2 gap
+        "sinusoidal-1d": (
+            VectorPotentialSpec((lambda p: 0.5 * np.sin(2.0 * np.pi * p[..., 0] / 12.0),)),
+            Grid((-6.0,), (6.0,), (64,)), 0.05, 1e-4,
+        ),
+        "symmetric-2d": (
+            VectorPotentialSpec((lambda p: -0.25 * p[..., 1], lambda p: 0.25 * p[..., 0])),
+            Grid((-6.0, -6.0), (6.0, 6.0), (24, 24)), 0.3, 2e-5,
+        ),
+        # not triangular: each component depends on both coordinates
+        "linear-2d": (
+            VectorPotentialSpec(tuple((lambda p, row=row: p @ row) for row in LINEAR)),
+            Grid((-6.0, -6.0), (6.0, 6.0), (24, 24)), 0.3, 2e-5,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_routes_agree(self, case):
+        vector, grid, eps, bound = self.CASES[case]
+        center = [0.5 * (a + b) for a, b in zip(grid.lo, grid.hi)]
+        # narrow enough that the state's tails are negligible at the box edge
+        width = [(b - a) / 16.0 for a, b in zip(grid.lo, grid.hi)]
+        psi_fn = gaussian_evaluator(center=center, width=width, ndim=grid.ndim)
+        psi = WaveFunction(grid, psi_fn(np.stack(grid.meshgrid(), axis=-1)))
+        via_operator = SliceOperator(grid, None, vector).slice(eps)(psi)
+        via_kernel = kernel_slice_on_grid(vector, grid, eps, psi_fn)
+        assert l2_norm(WaveFunction(grid, via_operator.values - via_kernel)) < bound
 
     def test_mesh_spacing_formula(self):
         assert phase_mesh_spacing(0.1, 5.0, adjacent_pairs=2) == pytest.approx(
