@@ -254,23 +254,11 @@ def sample_vector_potential(vector: VectorPotentialSpec, grid: Grid) -> list[np.
 def fourier_multiply(values: np.ndarray, multiplier: np.ndarray, axis: int) -> np.ndarray:
     """Apply a periodic Fourier multiplier along one axis: ifft(multiplier * fft(values)).
 
-    A matrix of multipliers maps a stack of p inputs (``values`` of shape
-    (p, ...), ``axis`` counted within one input) to q outputs,
-    out_r = ifft(sum_s M[r, s] fft(values_s)), in one batched forward and one
-    batched inverse transform.  Its shape is (q, p) followed by a shape that
-    broadcasts against one input; broadcast over the whole grid it saves a
-    strided product per entry.  A single multiplier of shape (n,) is the 1x1
-    case.
+    ``multiplier`` has shape (n,), one entry per frequency of ``axis``.
     """
-    if multiplier.ndim == 1:
-        shape = [1] * values.ndim
-        shape[axis] = len(multiplier)
-        return fourier_multiply(values[None], multiplier.reshape([1, 1] + shape), axis)[0]
-    spectra = np.fft.fft(values, axis=axis + 1)
-    mixed = multiplier[:, 0] * spectra[0]
-    for s in range(1, len(spectra)):
-        mixed += multiplier[:, s] * spectra[s]
-    return np.fft.ifft(mixed, axis=axis + 1)
+    shape = [1] * values.ndim
+    shape[axis] = len(multiplier)
+    return np.fft.ifft(multiplier.reshape(shape) * np.fft.fft(values, axis=axis), axis=axis)
 
 
 def pair_bilinear(phi: WaveFunction, psi: WaveFunction) -> complex:

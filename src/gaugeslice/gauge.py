@@ -17,7 +17,10 @@ segment between consecutive breakpoints takes the order-15 Gauss-Legendre value;
 the order-7 value on the same segment is the error estimate, and segments where
 the two differ by more than ``LINE_INTEGRAL_TOL`` on any line are bisected.  The
 phases enter unit-modulus exponents, so phase error has to sit well below
-per-slice phase scales.
+per-slice phase scales.  The quadrature nodes are evaluated in blocks of at
+most ``_BLOCK_POINTS`` points, over segments and, when one segment's lines
+exceed a block, over lines too, so a table's working set does not grow with
+its shape.
 
 Every segment is axis-parallel, so its point nearest a singular point w takes
 the axis coordinate of w clipped into it; that point is checked like a node
@@ -48,8 +51,11 @@ from .fields import (
 LINE_INTEGRAL_TOL = 1e-10
 MAX_BISECTION_ROUNDS = 40
 # Refined segments times lines above this count are reported as divergence
-# rather than evaluated, bounding the memory of a field that never resolves.
+# rather than evaluated, bounding the work on a field that never resolves.
 _MAX_REFINED_LINE_SEGMENTS = 1 << 18
+# Quadrature points evaluated at once, up to one line's nodes more; a block
+# holds at least one segment's nodes on two lines (one if the table has one).
+_BLOCK_POINTS = 1 << 15
 
 _HIGH_NODES, _HIGH_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _LOW_NODES, _LOW_WEIGHTS = np.polynomial.legendre.leggauss(7)
@@ -77,6 +83,19 @@ def _check_segment_off_singular(
     _check_nodes_off_singular(nearest, vector.singular_points, where)
 
 
+def _node_sums(
+    vector: VectorPotentialSpec, axis: int, mid: np.ndarray, half: np.ndarray, frozen: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Order-15 and order-7 values on every segment (mid +- half) and line, shape (S, U)."""
+    pts = np.broadcast_to(frozen, (len(mid), len(_NODES)) + frozen.shape).copy()
+    pts[..., axis] = (mid[:, None] + half[:, None] * _NODES)[:, :, None]
+    vals = vector.component(axis, pts)  # (S, nodes, U)
+    k = len(_HIGH_NODES)
+    high = half[:, None] * np.einsum("snu,n->su", vals[:, :k], _HIGH_WEIGHTS)
+    low = half[:, None] * np.einsum("snu,n->su", vals[:, k:], _LOW_WEIGHTS)
+    return high, low
+
+
 def _segment_integrals(
     vector: VectorPotentialSpec, axis: int, lo, hi, frozen: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -92,15 +111,23 @@ def _segment_integrals(
     values = np.zeros((len(lo), lines))
     errors = np.zeros((len(lo), lines))
     owner = np.arange(len(lo))
+    # a block holds every line of several segments, or some lines of one segment;
+    # einsum sums a lone line in another order than several, so of a table with
+    # more than one line no block holds one line alone: the last takes one more
+    seg_step = max(1, _BLOCK_POINTS // (len(_NODES) * lines))
+    line_step = max(2, _BLOCK_POINTS // len(_NODES))
+    line_edges = list(range(0, max(lines - 1, 1), line_step)) + [lines]
     for _ in range(MAX_BISECTION_ROUNDS):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        pts = np.broadcast_to(frozen, (len(lo), len(_NODES)) + frozen.shape).copy()
-        pts[..., axis] = (mid[:, None] + half[:, None] * _NODES)[:, :, None]
-        vals = vector.component(axis, pts)  # (S, nodes, U)
-        k = len(_HIGH_NODES)
-        high = half[:, None] * np.einsum("snu,n->su", vals[:, :k], _HIGH_WEIGHTS)
-        low = half[:, None] * np.einsum("snu,n->su", vals[:, k:], _LOW_WEIGHTS)
+        high = np.empty((len(lo), lines))
+        low = np.empty((len(lo), lines))
+        for first in range(0, len(lo), seg_step):
+            rows = slice(first, first + seg_step)
+            for cols in map(slice, line_edges[:-1], line_edges[1:]):
+                high[rows, cols], low[rows, cols] = _node_sums(
+                    vector, axis, mid[rows], half[rows], frozen[cols]
+                )
         finite = np.isfinite(high).all(axis=1) & np.isfinite(low).all(axis=1)
         if not finite.all():
             s = int(np.argmin(finite))
@@ -140,7 +167,9 @@ def cumulative_axis_integral(
     consecutive coordinates share their partial integrals.
     """
     coords = np.asarray(coords, dtype=float)
-    breaks = np.unique(np.concatenate([coords, [0.0]]))
+    # sorted and deduplicated by hand: np.unique imports numpy.ma
+    breaks = np.sort(np.concatenate([coords, [0.0]]))
+    breaks = breaks[np.concatenate([[True], breaks[1:] != breaks[:-1]])]
     _check_segment_off_singular(vector, axis, breaks[0], breaks[-1], frozen)
     seg, _ = _segment_integrals(vector, axis, breaks[:-1], breaks[1:], frozen)
     cum = np.concatenate([np.zeros((1, frozen.shape[0])), np.cumsum(seg, axis=0)])

@@ -14,8 +14,8 @@ reference discretizes the operator the split-step evolution approximates and
 reproduces its kinetic step exactly on band-limited data.
 
 :class:`HamiltonianAction` applies H, or any affine map (H - shift) / scale of
-it, matrix-free with the operations of :func:`fields.fourier_multiply`, in
-workspaces each map allocates once.  An axis whose
+it, matrix-free by one-axis Fourier transforms into workspaces each map
+allocates once.  An axis whose
 sampled a_l is constant along it (no field, or a constant magnetic field in
 the symmetric or Landau gauge) commutes a_l with D_l on the grid, so its term
 is one multiplier: one single forward and one single inverse transform.  Any
@@ -214,7 +214,7 @@ class HamiltonianAction:
                 axes.append((axis, symbols, a, 1j * a))
 
         def apply(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            # the operations of fields.fourier_multiply, in its order, into the workspaces
+            # per axis ifft(sum_s M[r, s] fft(stack_s)), or of one multiplier, in the workspaces
             out = np.multiply(diag, values, out=out)
             for axis, symbols, a, ia in axes:
                 if a is None:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from gaugeslice import (
     SingularNodeError,
     VectorPotentialSpec,
     WaveFunction,
+    gauge,
     gaussian_wave,
     gauge_conjugation_residual,
     gauge_phase,
@@ -26,7 +28,10 @@ from gaugeslice import (
 )
 from gaugeslice.fields import SINGULAR_TOL, fourier_multiply
 from gaugeslice.gauge import cumulative_axis_integral
+from gaugeslice.pathint import _excised_pieces, _TensorMesh
 from gaugeslice.scenarios import VECTOR_FAMILIES
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def sin_potential_1d():
@@ -287,14 +292,90 @@ class TestTables:
                 gauge_phase_table(vec, 0, g)
 
 
-def test_import_does_not_load_scipy():
+class TestBlockEvaluation:
+    """The quadrature nodes are evaluated in blocks of ``gauge._BLOCK_POINTS``."""
+
+    @staticmethod
+    def tables_at_extreme_blocks(monkeypatch, build):
+        # one segment's nodes on two lines per block, against everything in one block
+        tables = []
+        for block in (1, sys.maxsize):
+            monkeypatch.setattr(gauge, "_BLOCK_POINTS", block)
+            tables.append(build())
+        return tables
+
+    def test_excised_route3_mesh_is_bit_exact(self, monkeypatch):
+        vec = VECTOR_FAMILIES["sinusoidal"](1, {"amplitude": 0.5, "period": 16.0})
+        mesh = _TensorMesh(_excised_pieces(1, 5.0, [(0.3,)], 0.1, 0.01))
+        assert len(mesh.axes_pieces[0]) == 2
+        small, whole = self.tables_at_extreme_blocks(
+            monkeypatch, lambda: gauge.mesh_line_integrals(vec, 0, mesh.axes_nodes)
+        )
+        assert np.array_equal(small, whole)
+
+    @pytest.mark.parametrize("n", [48, 49])
+    def test_symmetric_gauge_is_bit_exact(self, monkeypatch, n):
+        # 49 lines in blocks of two leave a last block of three: no block holds a lone line
+        vec = VECTOR_FAMILIES["constant-field-2d"](2, {"field": 0.5})
+        g = Grid((-6.0, -6.0), (6.0, 6.0), (n, n))
+        small, whole = self.tables_at_extreme_blocks(
+            monkeypatch, lambda: [gauge_phase_table(vec, axis, g) for axis in range(2)]
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(small, whole))
+
+    def test_rough_field_bisected_across_blocks_is_bit_exact(self, monkeypatch):
+        vec = VectorPotentialSpec((lambda p: np.sin(600.0 * p[..., 0]) * np.exp(0.3 * p[..., 0]),))
+        g = Grid((-8.0,), (8.0,), (1500,))
+        small, whole = self.tables_at_extreme_blocks(monkeypatch, lambda: gauge_phase_table(vec, 0, g))
+        assert np.array_equal(small, whole)
+
+        rounds = []
+        original = gauge._node_sums
+
+        def counting(vector, axis, mid, half, frozen):
+            rounds.append(len(mid))
+            return original(vector, axis, mid, half, frozen)
+
+        # in one block per round: the segments where e^{0.3x} has grown are bisected, the others not
+        monkeypatch.setattr(gauge, "_node_sums", counting)
+        gauge_phase_table(vec, 0, g)
+        assert len(rounds) > 1 and 0 < rounds[1] < 2 * rounds[0]
+
+    def test_working_set_is_a_small_multiple_of_the_table(self):
+        vec = VECTOR_FAMILIES["constant-field-2d"](2, {"field": 0.5})
+        g = Grid((-6.0, -6.0), (6.0, 6.0), (256, 256))
+        tracemalloc.start()
+        try:
+            table = gauge_phase_table(vec, 0, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 6x; evaluating every node at once took 74x
+        assert peak <= 10 * table.nbytes
+
+
+def _fresh_interpreter(code: str) -> str:
     src = str(Path(gaugeslice.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, gaugeslice; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, gaugeslice; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_run_does_not_load_numpy_ma():
+    # np.unique imports numpy.ma; the gauge tables sort their breakpoints without it
+    code = (
+        "import sys; from gaugeslice import load_scenario; from gaugeslice.scenarios import run_all; "
+        f"assert run_all(load_scenario({str(SCENARIO_DIR / 'harmonic_1d.json')!r})).passed; "
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert _fresh_interpreter(code) == "False"
 
 
 class TestSpectral:

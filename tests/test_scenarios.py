@@ -19,7 +19,7 @@ from gaugeslice.scenarios import (
     run_gauge_check,
     run_trotter_study,
 )
-from gaugeslice import gauge, reference, splitstep
+from gaugeslice import gauge, pathint, reference, splitstep
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -211,6 +211,13 @@ class TestFamilies:
         with pytest.raises(ValueError):
             VECTOR_FAMILIES["linear"](2, {"matrix": [[1.0, 0.0]]})
 
+    def test_regularized_coulomb_values(self):
+        params = {"charge": 2.0, "softening": 0.5, "center": [1.0, 0.0]}
+        spec = SCALAR_FAMILIES["regularized-coulomb"](2, params)
+        assert spec.singular_points == ()
+        assert spec(np.array([1.0, 0.0])) == pytest.approx(-2.0 / 0.5)
+        assert spec(np.array([4.0, 4.0])) == pytest.approx(-2.0 / np.sqrt(25.0 + 0.25))
+
     def test_free_families_are_none(self):
         assert SCALAR_FAMILIES["free"](1, {}) is None
         assert VECTOR_FAMILIES["zero"](3, {}) is None
@@ -392,3 +399,89 @@ class TestStudies:
             "2", "4", "8", "16"
         ]
         assert rep.diagnostics["reference_evolution"]["terms"] > 1
+
+
+class TestVerdicts:
+    """Each check a study makes, driven to PASS and to FAIL."""
+
+    @staticmethod
+    def trotter(**overrides):
+        return run_trotter_study(scenario_from_dict(minimal_config(slice_counts=[2, 4, 8], **overrides)))
+
+    @pytest.mark.parametrize("excess, passed", [(0.5, True), (2.0, False)])
+    def test_norm_drift_bound_is_k_times_1e_12(self, monkeypatch, excess, passed):
+        # the evolved norm (about 1) is scaled by 1 + excess * k * 1e-12
+        original = splitstep.evolve
+
+        def drifting(op, psi, slicing):
+            evolved = original(op, psi, slicing)
+            return evolved.with_values(evolved.values * (1.0 + excess * slicing.slices * 1e-12))
+
+        monkeypatch.setattr(splitstep, "evolve", drifting)
+        report = self.trotter()
+        drifts = [r.value for r in report.rows if r.quantity == "norm_drift"]
+        assert drifts == pytest.approx([excess * k * 1e-12 for k in (2, 4, 8)], rel=1e-3)
+        assert report.passed is passed
+
+    def test_trotter_floor_bounds_every_error(self):
+        worst = max(self.trotter().diagnostics["trotter_errors"].values())
+        for floor, passed in ((worst * (1 + 1e-9), True), (worst * (1 - 1e-9), False)):
+            report = self.trotter(checks={"trotter_floor": floor})
+            assert report.passed is passed
+            assert report.diagnostics["trotter_floor"] == floor
+            # the floor replaces the order fit
+            assert "fitted_order" not in report.diagnostics
+            assert all(r.quantity != "fitted_order" for r in report.rows)
+
+    @pytest.mark.parametrize("frozen, passed", [(False, True), (True, False)])
+    def test_errors_must_decrease(self, monkeypatch, frozen, passed):
+        if frozen:
+            # every slice count evolved with two slices: equal errors do not decrease
+            original = splitstep.evolve
+            monkeypatch.setattr(splitstep, "evolve", lambda op, psi, slicing: original(
+                op, psi, splitstep.TimeSlicing(slicing.total_time, 2)
+            ))
+        report = self.trotter()
+        errors = list(report.diagnostics["trotter_errors"].values())
+        assert (len(set(errors)) == 1) is frozen
+        assert report.passed is passed
+
+    def test_fitted_order_within_band(self):
+        order = self.trotter().diagnostics["fitted_order"]
+        for band, passed in (([order - 0.1, order + 0.1], True), ([order + 0.1, order + 0.2], False),
+                             ([order - 0.2, order - 0.1], False)):
+            assert self.trotter(checks={"trotter_order_band": band}).passed is passed
+
+    def test_midpoint_slope_min(self):
+        slope = run_gauge_check(scenario_from_dict(minimal_config())).diagnostics["midpoint_slope"]
+        for min_slope, passed in ((slope - 0.1, True), (slope + 0.1, False)):
+            checked = scenario_from_dict(minimal_config(checks={"midpoint_slope_min": min_slope}))
+            assert run_gauge_check(checked).passed is passed
+
+    @pytest.mark.parametrize("r_start, converged", [(5.0, True), (1.0, False)])
+    def test_amplitude_must_converge(self, r_start, converged):
+        # a first box of radius 1 truncates the unit-width packets, so the two-step tail spreads
+        amplitude = {"slices": [1], "r_start": r_start, "steps": 2, "tail_window": 2}
+        report = run_amplitude_study(scenario_from_dict(minimal_config(amplitude=amplitude)))
+        oscillation = report.diagnostics["amplitude_k1"]["tail_oscillation"]
+        assert (oscillation < pathint.TAIL_OSCILLATION_TOL) is converged
+        assert report.passed is converged
+
+    @pytest.mark.parametrize("dimension, grid", [
+        (1, {"lo": [-8.0], "hi": [8.0], "shape": [64]}),
+        (2, {"lo": [-6.0, -6.0], "hi": [6.0, 6.0], "shape": [16, 16]}),
+    ])
+    def test_gauge_check_without_vector_potential(self, count_calls, dimension, grid):
+        # no field: zero residual rows, no midpoint fit, and no table is built; nothing can fail
+        tables = count_calls(gauge, "gauge_phase_table")
+        state = {"center": [0.0] * dimension, "width": [1.0] * dimension}
+        report = run_gauge_check(scenario_from_dict(minimal_config(
+            dimension=dimension, grid=grid, vector_potential={"family": "zero"},
+            initial_state=state, final_state=state,
+        )))
+        assert report.passed
+        assert [(r.quantity, r.k_or_step, r.value) for r in report.rows] == [
+            ("conjugation_residual", f"axis{axis}", 0.0) for axis in range(dimension)
+        ]
+        assert report.diagnostics == {}
+        assert tables == {"gauge_phase_table": 0}
