@@ -15,12 +15,18 @@ Every line integral in the package goes through :func:`cumulative_axis_integral`
 (or its per-segment core), vectorized over all lines that share an axis.  Each
 segment between consecutive breakpoints takes the order-15 Gauss-Legendre value;
 the order-7 value on the same segment is the error estimate, and segments where
-the two differ by more than ``LINE_INTEGRAL_TOL`` on any line are bisected.  The
-phases enter unit-modulus exponents, so phase error has to sit well below
-per-slice phase scales.  The quadrature nodes are evaluated in blocks of at
-most ``_BLOCK_POINTS`` points, over segments and, when one segment's lines
-exceed a block, over lines too, so a table's working set does not grow with
-its shape.
+the two differ by more than ``LINE_INTEGRAL_TOL`` on any line are bisected.
+Both rules' nodes and weights are float constants of this module, so no table
+calls LAPACK.  The phases enter unit-modulus exponents, so phase error has to
+sit well below per-slice phase scales.  The quadrature nodes are evaluated in
+blocks of at most ``_BLOCK_POINTS`` points, over segments and, when one
+segment's lines exceed a block, over lines too, so a table's working set does
+not grow with its shape.
+
+A grid phase table is built once per field, grid and axis by
+:class:`splitstep.SliceOperator`; the gauge study reads its conjugation
+residual from the operator's phases, and :func:`gauge_conjugation_residual`
+tabulates its own.
 
 Every segment is axis-parallel, so its point nearest a singular point w takes
 the axis coordinate of w clipped into it; that point is checked like a node
@@ -57,8 +63,33 @@ _MAX_REFINED_LINE_SEGMENTS = 1 << 18
 # holds at least one segment's nodes on two lines (one if the table has one).
 _BLOCK_POINTS = 1 << 15
 
-_HIGH_NODES, _HIGH_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_LOW_NODES, _LOW_WEIGHTS = np.polynomial.legendre.leggauss(7)
+
+def _mirrored(half) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [-1, 1] from the (node, weight) pairs of nodes >= 0, 0 first."""
+    nodes, weights = np.array(half).T
+    return np.concatenate([-nodes[:0:-1], nodes]), np.concatenate([weights[:0:-1], weights])
+
+
+# Gauss-Legendre rules of order 15 and 7, bit for bit the values that
+# np.polynomial.legendre.leggauss returns; held as literals so that a run neither
+# imports numpy.polynomial nor calls LAPACK.  Recomputed values would move in
+# their last bits, and with them the rounding of every table.
+_HIGH_NODES, _HIGH_WEIGHTS = _mirrored([
+    (0.0, 0.2025782419255613),
+    (0.20119409399743451, 0.1984314853271116),
+    (0.3941513470775634, 0.1861610000155622),
+    (0.5709721726085388, 0.16626920581699398),
+    (0.7244177313601701, 0.13957067792615444),
+    (0.8482065834104272, 0.10715922046717141),
+    (0.9372733924007058, 0.0703660474881084),
+    (0.9879925180204854, 0.030753241996117203),
+])
+_LOW_NODES, _LOW_WEIGHTS = _mirrored([
+    (0.0, 0.4179591836734693),
+    (0.4058451513773972, 0.3818300505051187),
+    (0.7415311855993945, 0.27970539148927687),
+    (0.9491079123427586, 0.12948496616886973),
+])
 _NODES = np.concatenate([_HIGH_NODES, _LOW_NODES])
 
 
@@ -263,10 +294,21 @@ def gauge_conjugation_residual(vector: VectorPotentialSpec, axis: int, psi: Wave
     spectral differentiation.  Small for smooth periodic data.
     """
     grid = psi.grid
-    lam = gauge_phase_table(vector, axis, grid)
+    phase = np.exp(1j * gauge_phase_table(vector, axis, grid))
     a_vals = sample_field(vector, grid, component=axis)
+    return _conjugation_residual((phase, np.conj(phase)), a_vals, axis, psi)
+
+
+def _conjugation_residual(phases, a_vals: np.ndarray, axis: int, psi: WaveFunction) -> float:
+    """The residual of :func:`gauge_conjugation_residual` from tabulated data.
+
+    ``phases`` is the pair (e^{i lam}, e^{-i lam}) on the grid, as a
+    :class:`splitstep.SliceOperator` holds it per axis, and ``a_vals`` the
+    samples of a_axis.
+    """
+    grid = psi.grid
     d1, _ = grid.derivative_symbols(axis)
-    inner = np.exp(-1j * lam) * psi.values
-    lhs = np.exp(1j * lam) * (-1j * fourier_multiply(inner, d1, axis))
+    inner = phases[1] * psi.values
+    lhs = phases[0] * (-1j * fourier_multiply(inner, d1, axis))
     rhs = -1j * fourier_multiply(psi.values, d1, axis) - a_vals * psi.values
     return l2_norm(WaveFunction(grid, lhs - rhs))

@@ -499,9 +499,16 @@ def _jsonify(v):
 
 
 def _fit_loglog_slope(x, y) -> float:
+    """Least-squares slope of log y against log x, in closed form.
+
+    sum (X - mean X)(Y - mean Y) / sum (X - mean X)^2 with X = log x and
+    Y = log y; the loader guarantees two distinct x.  No LAPACK call, unlike
+    ``np.polyfit``, whose slope it equals to rounding.
+    """
     x = np.log(np.asarray(x, float))
     y = np.log(np.asarray(y, float))
-    return float(np.polyfit(x, y, 1)[0])
+    dx = x - x.mean()
+    return float(np.dot(dx, y - y.mean()) / np.dot(dx, dx))
 
 
 def dense_evolution(scenario: Scenario) -> tuple[WaveFunction, dict]:
@@ -518,12 +525,13 @@ def dense_evolution(scenario: Scenario) -> tuple[WaveFunction, dict]:
     return reference.evolve(action, scenario.initial_state.on_grid(scenario.grid), scenario.time)
 
 
-def run_trotter_study(scenario: Scenario, threads: int = 1,
-                      exact: WaveFunction | None = None) -> Report:
+def run_trotter_study(scenario: Scenario, threads: int = 1, exact: WaveFunction | None = None,
+                      op: splitstep.SliceOperator | None = None) -> Report:
     """Split-step error against the reference evolution per slice count.
 
-    ``exact`` is the state :func:`dense_evolution` returns for the scenario,
-    computed here if not given.
+    ``exact`` is the state :func:`dense_evolution` returns for the scenario
+    and ``op`` the scenario's split-step operator, each built here if not
+    given.
     """
     report = Report(scenario.name)
     start = time.perf_counter()
@@ -531,7 +539,8 @@ def run_trotter_study(scenario: Scenario, threads: int = 1,
     if exact is None:
         exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario)
     psi0 = scenario.initial_state.on_grid(grid)
-    op = splitstep.SliceOperator(grid, scenario.scalar, scenario.vector)
+    if op is None:
+        op = splitstep.SliceOperator(grid, scenario.scalar, scenario.vector)
 
     def one_k(k: int):
         evolved = splitstep.evolve(op, psi0, splitstep.TimeSlicing(scenario.time, k))
@@ -571,8 +580,12 @@ def run_trotter_study(scenario: Scenario, threads: int = 1,
     return report
 
 
-def run_gauge_check(scenario: Scenario) -> Report:
-    """Conjugation residual per axis and the midpoint-discrepancy slope fit."""
+def run_gauge_check(scenario: Scenario, op: splitstep.SliceOperator | None = None) -> Report:
+    """Conjugation residual per axis and the midpoint-discrepancy slope fit.
+
+    The residual reads the gauge phases of ``op``, the scenario's split-step
+    operator; without one the study builds an operator of the phases alone.
+    """
     report = Report(scenario.name)
     start = time.perf_counter()
     grid = scenario.grid
@@ -585,9 +598,11 @@ def run_gauge_check(scenario: Scenario) -> Report:
                        oracle="spectral", rel_scale=1.0)
     else:
         # a field too large to square is refused before a residual squares it
-        sample_vector_potential(scenario.vector, grid)
+        a_vals = sample_vector_potential(scenario.vector, grid)
+        if op is None:
+            op = splitstep.SliceOperator(grid, None, scenario.vector)
         for axis in range(scenario.ndim):
-            resid = gauge.gauge_conjugation_residual(scenario.vector, axis, psi)
+            resid = gauge._conjugation_residual(op.gauge_phases[axis], a_vals[axis], axis, psi)
             report.add("conjugation_residual", f"axis{axis}", resid, reference=0.0,
                        oracle="spectral", rel_scale=1.0)
             if resid > tol:
@@ -637,14 +652,16 @@ def _closed_form_free_amplitude(scenario: Scenario) -> complex:
     return complex(norm * np.sqrt(np.pi / alpha) * np.exp(beta**2 / (4.0 * alpha) + gamma))
 
 
-def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -> Report:
+def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None,
+                        op: splitstep.SliceOperator | None = None) -> Report:
     """Excised path-integral amplitudes vs split-step / reference / closed-form oracles.
 
-    ``exact`` is the state :func:`dense_evolution` returns for the scenario,
-    computed here if not given; its pairing with the final state is the
-    reference row tagged ``dense``.  A singular mesh node, a gap that excises
-    a whole axis and a tripped evaluation cap are re-raised with a hint naming
-    the ``amplitude`` key to change.
+    ``exact`` is the state :func:`dense_evolution` returns for the scenario
+    and ``op`` the scenario's split-step operator, each built here if not
+    given; the pairing of ``exact`` with the final state is the reference row
+    tagged ``dense``.  A singular mesh node, a gap that excises a whole axis
+    and a tripped evaluation cap are re-raised with a hint naming the
+    ``amplitude`` key to change.
     """
     report = Report(scenario.name)
     start = time.perf_counter()
@@ -664,7 +681,8 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -
     if exact is None:
         exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario)
     dense_ref = pair_bilinear(phi_grid, exact)
-    op = splitstep.SliceOperator(grid, scenario.scalar, scenario.vector)
+    if op is None:
+        op = splitstep.SliceOperator(grid, scenario.scalar, scenario.vector)
 
     for k in params["slices"]:
         try:
@@ -714,12 +732,17 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None) -
 
 def run_all(scenario: Scenario, threads: int = 1) -> Report:
     report = Report(scenario.name)
-    report.merge(run_gauge_check(scenario))
+    if scenario.vector is not None:
+        # a field too large to square is refused before the operator tabulates it
+        sample_vector_potential(scenario.vector, scenario.grid)
+    # one split-step operator serves every study, so each axis is tabulated once
+    op = splitstep.SliceOperator(scenario.grid, scenario.scalar, scenario.vector)
+    report.merge(run_gauge_check(scenario, op=op))
     # one reference evolution serves both the Trotter and the amplitude oracle
     start = time.perf_counter()
     exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario)
     report.timings["dense_reference"] = time.perf_counter() - start
-    report.merge(run_trotter_study(scenario, threads=threads, exact=exact))
+    report.merge(run_trotter_study(scenario, threads=threads, exact=exact, op=op))
     if scenario.amplitude_params:
-        report.merge(run_amplitude_study(scenario, exact=exact))
+        report.merge(run_amplitude_study(scenario, exact=exact, op=op))
     return report

@@ -10,8 +10,8 @@ unitary, so each slice preserves the L2 norm to rounding.  A phase that
 overflows is NaN, and applying the map raises :class:`NonFiniteError`.
 
 Neither lam_l nor the samples of V depend on eps, so a :class:`SliceOperator`
-tabulates them once per field and grid, and every slice count of a study
-shares it.  ``SliceOperator.slice(eps)`` builds exp(-i eps V) and the kinetic
+tabulates them once per field and grid, and every slice count of a run's
+studies shares it.  ``SliceOperator.slice(eps)`` builds exp(-i eps V) and the kinetic
 multipliers for one eps and returns the one-slice map.  The operator's tables
 are never written after construction, so threads may share it.
 """

@@ -292,6 +292,19 @@ class TestTables:
                 gauge_phase_table(vec, 0, g)
 
 
+class TestQuadratureConstants:
+    @pytest.mark.parametrize("order, nodes, weights", [
+        (15, gauge._HIGH_NODES, gauge._HIGH_WEIGHTS),
+        (7, gauge._LOW_NODES, gauge._LOW_WEIGHTS),
+    ])
+    def test_literals_match_leggauss(self, order, nodes, weights):
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-15)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+
+
 class TestBlockEvaluation:
     """The quadrature nodes are evaluated in blocks of ``gauge._BLOCK_POINTS``."""
 
@@ -365,6 +378,29 @@ def _fresh_interpreter(code: str) -> str:
 
 def test_import_does_not_load_scipy():
     code = "import sys, gaugeslice; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_run_calls_no_lapack_and_loads_no_numpy_polynomial():
+    # every LAPACK entry point of numpy.linalg raises, from before gaugeslice is imported
+    paths = sorted(str(p) for p in SCENARIO_DIR.glob("*.json"))
+    code = (
+        "import sys\n"
+        "from numpy.linalg import _umath_linalg\n"
+        "def refuse(name):\n"
+        "    def call(*args, **kwargs):\n"
+        "        raise AssertionError(f'LAPACK {name} called')\n"
+        "    return call\n"
+        "for name in dir(_umath_linalg):\n"
+        "    if not name.startswith('_') and callable(getattr(_umath_linalg, name)):\n"
+        "        setattr(_umath_linalg, name, refuse(name))\n"
+        "from gaugeslice import load_scenario\n"
+        "from gaugeslice.scenarios import run_all\n"
+        f"for path in {paths!r}:\n"
+        "    assert run_all(load_scenario(path)).passed, path\n"
+        "print('numpy.polynomial' in sys.modules)"
+    )
+    assert paths
     assert _fresh_interpreter(code) == "False"
 
 

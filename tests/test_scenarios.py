@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaugeslice import Scenario, load_scenario, scenario_from_dict
+from gaugeslice import NonFiniteError, Scenario, load_scenario, scenario_from_dict
 from gaugeslice.scenarios import (
     SCALAR_FAMILIES,
     VECTOR_FAMILIES,
@@ -39,6 +39,18 @@ def minimal_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def _loglog_cases():
+    """An exact power law, then noisy ones on random increasing x, with np.polyfit's slope."""
+    x = np.array([1.0, 2.0, 4.0, 8.0])
+    yield pytest.param(x, 3.0 * x**2, 2.0, id="exact")
+    rng = np.random.default_rng(24)
+    for size in (2, 3, 5, 8, 13):
+        x = np.cumsum(rng.uniform(0.05, 2.0, size))
+        power = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 4.0)
+        y = rng.uniform(0.1, 10.0) * x**power * np.exp(rng.normal(0.0, 0.2, size))
+        yield pytest.param(x, y, np.polyfit(np.log(x), np.log(y), 1)[0], id=f"noisy{size}")
 
 
 class TestParsing:
@@ -251,9 +263,9 @@ class TestReport:
         assert doc["passed"] is True
         assert doc["rows"][0]["value"] == {"re": 0.5, "im": 0.25}
 
-    def test_loglog_slope_recovers_power(self):
-        x = np.array([1.0, 2.0, 4.0, 8.0])
-        assert _fit_loglog_slope(x, 3.0 * x**2) == pytest.approx(2.0)
+    @pytest.mark.parametrize("x, y, slope", list(_loglog_cases()))
+    def test_loglog_slope_recovers_power(self, x, y, slope):
+        assert _fit_loglog_slope(x, y) == pytest.approx(slope, rel=1e-12)
 
 
 class TestStudies:
@@ -350,12 +362,32 @@ class TestStudies:
         lo, hi = info["spectral_interval"]
         assert lo < hi
 
-    def test_run_all_tabulates_one_gauge_table_per_study_axis(self, count_calls):
-        # the phases do not depend on eps: the gauge check, the Trotter study
-        # and the amplitude study each tabulate the one axis once
-        calls = count_calls(gauge, "gauge_phase_table")
-        assert run_all(load_scenario(SCENARIO_DIR / "harmonic_1d.json")).passed
-        assert calls == {"gauge_phase_table": 3}
+    @pytest.mark.parametrize("name", ["harmonic_1d", "constant_field_2d"])
+    def test_run_all_tabulates_each_axis_once(self, count_calls, name):
+        # the phases do not depend on eps: one operator serves the gauge check,
+        # the Trotter study and the amplitude study
+        tables = count_calls(gauge, "gauge_phase_table")
+        operators = count_calls(splitstep, "SliceOperator")
+        scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
+        assert run_all(scenario).passed
+        assert tables == {"gauge_phase_table": scenario.ndim}
+        assert operators == {"SliceOperator": 1}
+
+    def test_run_all_refuses_a_field_too_large_to_square_before_any_table(self, count_calls):
+        tables = count_calls(gauge, "gauge_phase_table")
+        huge = {"family": "constant", "params": {"values": [1e200]}}
+        with pytest.raises(NonFiniteError, match="not finite"):
+            run_all(scenario_from_dict(minimal_config(vector_potential=huge)))
+        assert tables == {"gauge_phase_table": 0}
+
+    @pytest.mark.parametrize("name", ["harmonic_1d", "constant_field_2d"])
+    def test_each_study_alone_gives_its_rows_in_run_all(self, name):
+        # a study called alone builds its own operator and reference evolution
+        scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
+        alone = run_gauge_check(scenario).rows + run_trotter_study(scenario).rows
+        if scenario.amplitude_params:
+            alone += run_amplitude_study(scenario).rows
+        assert run_all(scenario).rows == alone
 
     def test_trotter_study_shares_one_operator(self, count_calls):
         # one operator serves every slice count, so one table per axis
