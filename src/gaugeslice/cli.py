@@ -36,7 +36,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc)
         p.add_argument("--scenario", required=True, type=Path, help="scenario JSON file")
         p.add_argument("--out", type=Path, default=Path("reports"), help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (>= 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="Trotter study threads (>= 1): 1 runs in the calling thread, "
+                            "N > 1 in a pool of N threads")
     return parser
 
 

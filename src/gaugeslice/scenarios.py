@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -531,7 +530,8 @@ def run_trotter_study(scenario: Scenario, threads: int = 1, exact: WaveFunction 
 
     ``exact`` is the state :func:`dense_evolution` returns for the scenario
     and ``op`` the scenario's split-step operator, each built here if not
-    given.
+    given.  With ``threads`` 1 the slice counts run in the calling thread;
+    with more, in a pool of that many threads that share ``op``.
     """
     report = Report(scenario.name)
     start = time.perf_counter()
@@ -549,8 +549,14 @@ def run_trotter_study(scenario: Scenario, threads: int = 1, exact: WaveFunction 
         return err, drift
 
     ks = list(scenario.slice_counts)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(one_k, ks))
+    if threads == 1:
+        results = [one_k(k) for k in ks]
+    else:
+        # imported here: concurrent.futures loads logging and queue, which a one-thread run never needs
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(one_k, ks))
 
     errors = []
     for k, (err, drift) in zip(ks, results):

@@ -404,6 +404,24 @@ def test_run_calls_no_lapack_and_loads_no_numpy_polynomial():
     assert _fresh_interpreter(code) == "False"
 
 
+def test_default_run_starts_no_thread():
+    # a one-thread run evaluates its slice counts in the calling thread, without a pool
+    paths = sorted(str(p) for p in SCENARIO_DIR.glob("*.json"))
+    code = (
+        "import sys, threading\n"
+        "def refuse(self):\n"
+        "    raise AssertionError('thread started')\n"
+        "threading.Thread.start = refuse\n"
+        "from gaugeslice import load_scenario\n"
+        "from gaugeslice.scenarios import run_all\n"
+        f"for path in {paths!r}:\n"
+        "    assert run_all(load_scenario(path)).passed, path\n"
+        "print('concurrent.futures' in sys.modules)"
+    )
+    assert paths
+    assert _fresh_interpreter(code) == "False"
+
+
 def test_run_does_not_load_numpy_ma():
     # np.unique imports numpy.ma; the gauge tables sort their breakpoints without it
     code = (

@@ -284,7 +284,8 @@ class TestStudies:
         errs = [float(e) for e in rep.diagnostics["trotter_errors"].values()]
         assert errs[0] > errs[1] > errs[2]
 
-    def test_trotter_threads_match_serial(self):
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_trotter_threads_match_serial(self, threads):
         # the pool shares one operator; more threads than cores and a short
         # switch interval interleave its readers as often as possible
         s = scenario_from_dict(minimal_config(slice_counts=[2, 3, 4, 5, 6, 8]))
@@ -292,7 +293,7 @@ class TestStudies:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            parallel = run_trotter_study(s, threads=4)
+            parallel = run_trotter_study(s, threads=threads)
         finally:
             sys.setswitchinterval(interval)
         assert serial.diagnostics["trotter_errors"] == parallel.diagnostics["trotter_errors"]
