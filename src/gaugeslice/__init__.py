@@ -2,9 +2,9 @@
 
 Numerical companion library for magnetic Schrodinger Hamiltonians
 H = sum_j (-i d_j - a_j)^2 + V on periodic boxes: split-step evolution with
-line-integral gauge phases, a matrix-free Chebyshev reference propagator
-(cross-checked against a dense Hermitian solver), and excised improper-Riemann
-quadrature of the time-sliced transition amplitude.
+line-integral gauge phases, a matrix-free Chebyshev reference propagator,
+and excised improper-Riemann quadrature of the time-sliced transition
+amplitude.
 """
 
 from .errors import (
@@ -31,9 +31,7 @@ from .fields import (
     sample_points,
 )
 from .gauge import (
-    LineIntegralResult,
     gauge_conjugation_residual,
-    gauge_phase,
     gauge_phase_table,
     midpoint_discrepancy,
     segment_gauge_increment,
@@ -42,7 +40,6 @@ from .gauge import (
 from .splitstep import (
     SliceOperator,
     TimeSlicing,
-    chernoff_derivative_residual,
     evolve,
 )
 from .reference import (
@@ -50,16 +47,13 @@ from .reference import (
     HamiltonianAction,
     assemble_hamiltonian,
     chebyshev_evolve,
-    exact_free_gaussian,
     expm_evolve,
 )
 from .pathint import (
     AmplitudeEstimate,
     amplitude_quadrature,
-    discrete_action,
     kernel_prefactor,
     phase_mesh_spacing,
-    slice_kernel,
 )
 from .scenarios import (
     Report,

@@ -237,8 +237,9 @@ def sample_field(
 def sample_vector_potential(vector: VectorPotentialSpec, grid: Grid) -> list[np.ndarray]:
     """Every component of ``vector`` on the grid nodes, refused unless |a|^2 is finite.
 
-    The gauge study and the reference square the sampled field; one too large
-    to square raises :class:`NonFiniteError` here, before either does.
+    The split-step operator, whose samples the gauge study reads, and the
+    reference square the sampled field; one too large to square raises
+    :class:`NonFiniteError` here, before either does.
     """
     a_vals = [sample_field(vector, grid, component=axis) for axis in range(grid.ndim)]
     with np.errstate(over="ignore"):

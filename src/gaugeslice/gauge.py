@@ -1,15 +1,17 @@
 """Gauge phases built from line integrals of the vector potential.
 
-The central objects are the per-axis phase
+The central objects are the per-axis increment
 
-    gauge_phase(a, j, x)  =  integral of a_j along axis j from 0 to x_j,
-                             other coordinates frozen at x,
+    segment_gauge_increment(a, j, x1, x0)  =  integral of a_j along axis j
+                                              from x0_j to x1_j, other
+                                              coordinates frozen at x0,
 
-its per-slice increment between two points, and the comparison against the
-midpoint-rule term (x1 - x0) . a((x1 + x0)/2) used by the physics
-discretization.  The increment is the line integral along the split-step's
-staircase: axis n-1 is crossed first and axis 0 last, and axis l is crossed
-with the later point's coordinates above l and the earlier point's below.
+the per-slice increment between two points, the grid table of the phase from
+0 to each node, and the comparison against the midpoint-rule term
+(x1 - x0) . a((x1 + x0)/2) used by the physics discretization.  The per-slice
+increment is the line integral along the split-step's staircase: axis n-1 is
+crossed first and axis 0 last, and axis l is crossed with the later point's
+coordinates above l and the earlier point's below.
 
 Every line integral in the package goes through :func:`cumulative_axis_integral`
 (or its per-segment core), vectorized over all lines that share an axis.  Each
@@ -24,9 +26,8 @@ segment's lines exceed a block, over lines too, so a table's working set does
 not grow with its shape.
 
 A grid phase table is built once per field, grid and axis by
-:class:`splitstep.SliceOperator`; the gauge study reads its conjugation
-residual from the operator's phases, and :func:`gauge_conjugation_residual`
-tabulates its own.
+:class:`splitstep.SliceOperator`; :func:`gauge_conjugation_residual` reads
+the operator's phases and field samples.
 
 Every segment is axis-parallel, so its point nearest a singular point w takes
 the axis coordinate of w clipped into it; that point is checked like a node
@@ -36,8 +37,6 @@ integrating, so a table that would pass through a singular point raises too.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +48,6 @@ from .fields import (
     _check_nodes_off_singular,
     fourier_multiply,
     l2_norm,
-    sample_field,
     sample_points,
 )
 
@@ -93,12 +91,6 @@ _LOW_NODES, _LOW_WEIGHTS = _mirrored([
 _NODES = np.concatenate([_HIGH_NODES, _LOW_NODES])
 
 
-@dataclass(frozen=True)
-class LineIntegralResult:
-    value: float
-    estimated_error: float
-
-
 def _check_segment_off_singular(
     vector: VectorPotentialSpec, axis: int, lo: float, hi: float, frozen: np.ndarray
 ) -> None:
@@ -129,18 +121,17 @@ def _node_sums(
 
 def _segment_integrals(
     vector: VectorPotentialSpec, axis: int, lo, hi, frozen: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integral of a_axis over [lo[s], hi[s]] on every line, and its error estimate.
+) -> np.ndarray:
+    """Integral of a_axis over [lo[s], hi[s]] on every line, shape (S, U).
 
     ``frozen`` has shape (U, n), one row of off-axis coordinates per line; its
-    axis column is ignored.  Both results have shape (S, U).  A segment flagged
-    on any line is bisected for all lines, so the breakpoints stay shared.
+    axis column is ignored.  A segment flagged on any line is bisected for all
+    lines, so the breakpoints stay shared.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     lines = frozen.shape[0]
     values = np.zeros((len(lo), lines))
-    errors = np.zeros((len(lo), lines))
     owner = np.arange(len(lo))
     # a block holds every line of several segments, or some lines of one segment;
     # einsum sums a lone line in another order than several, so of a table with
@@ -168,9 +159,8 @@ def _segment_integrals(
         err = np.abs(high - low)
         flagged = err.max(axis=1, initial=0.0) > LINE_INTEGRAL_TOL
         np.add.at(values, owner[~flagged], high[~flagged])
-        np.add.at(errors, owner[~flagged], err[~flagged])
         if not flagged.any():
-            return values, errors
+            return values
         s = int(np.argmax(flagged))
         u = int(np.argmax(err[s]))
         failing = (lo[s], hi[s], err[s, u], abs(high[s, u]))
@@ -202,25 +192,10 @@ def cumulative_axis_integral(
     breaks = np.sort(np.concatenate([coords, [0.0]]))
     breaks = breaks[np.concatenate([[True], breaks[1:] != breaks[:-1]])]
     _check_segment_off_singular(vector, axis, breaks[0], breaks[-1], frozen)
-    seg, _ = _segment_integrals(vector, axis, breaks[:-1], breaks[1:], frozen)
+    seg = _segment_integrals(vector, axis, breaks[:-1], breaks[1:], frozen)
     cum = np.concatenate([np.zeros((1, frozen.shape[0])), np.cumsum(seg, axis=0)])
     cum -= cum[np.searchsorted(breaks, 0.0)]
     return cum[np.searchsorted(breaks, coords)]
-
-
-def _segment_integral(vector: VectorPotentialSpec, axis: int, start: np.ndarray, end: float):
-    """Integral of a_axis from ``start`` to coordinate ``end`` along ``axis``, and its error estimate."""
-    _check_segment_off_singular(vector, axis, *sorted((start[axis], end)), start[None, :])
-    val, err = _segment_integrals(vector, axis, [start[axis]], [end], start[None, :])
-    return float(val[0, 0]), float(err[0, 0])
-
-
-def gauge_phase(vector: VectorPotentialSpec, axis: int, x) -> LineIntegralResult:
-    """Line integral of component ``axis`` from 0 to ``x[axis]`` along that axis."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    origin = x.copy()
-    origin[axis] = 0.0
-    return LineIntegralResult(*_segment_integral(vector, axis, origin, x[axis]))
 
 
 def segment_gauge_increment(vector: VectorPotentialSpec, axis: int, x1, x0) -> float:
@@ -228,9 +203,10 @@ def segment_gauge_increment(vector: VectorPotentialSpec, axis: int, x1, x0) -> f
 
     Antisymmetric under swapping the axis coordinates of the two endpoints.
     """
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
+    end = float(np.atleast_1d(np.asarray(x1, dtype=float))[axis])
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    return _segment_integral(vector, axis, x0, x1[axis])[0]
+    _check_segment_off_singular(vector, axis, *sorted((x0[axis], end)), x0[None, :])
+    return float(_segment_integrals(vector, axis, [x0[axis]], [end], x0[None, :])[0, 0])
 
 
 def slice_gauge_increment(vector: VectorPotentialSpec, x1, x0) -> float:
@@ -286,29 +262,17 @@ def gauge_phase_table(vector: VectorPotentialSpec, axis: int, grid: Grid) -> np.
     return mesh_line_integrals(vector, axis, [grid.axis_coords(b) for b in range(grid.ndim)])
 
 
-def gauge_conjugation_residual(vector: VectorPotentialSpec, axis: int, psi: WaveFunction) -> float:
+def gauge_conjugation_residual(op, axis: int, psi: WaveFunction) -> float:
     """L2 residual of the conjugation identity on one axis.
 
-    Compares conjugating the momentum operator by the gauge phase against the
-    minimally-coupled momentum (-i d_axis - a_axis) applied directly, both via
-    spectral differentiation.  Small for smooth periodic data.
+    Compares conjugating the momentum operator by the gauge phase of ``op``, a
+    :class:`splitstep.SliceOperator` with a vector potential, against the
+    minimally-coupled momentum (-i d_axis - a_axis) with the operator's samples
+    of a_axis, both via spectral differentiation.  Small for smooth periodic data.
     """
     grid = psi.grid
-    phase = np.exp(1j * gauge_phase_table(vector, axis, grid))
-    a_vals = sample_field(vector, grid, component=axis)
-    return _conjugation_residual((phase, np.conj(phase)), a_vals, axis, psi)
-
-
-def _conjugation_residual(phases, a_vals: np.ndarray, axis: int, psi: WaveFunction) -> float:
-    """The residual of :func:`gauge_conjugation_residual` from tabulated data.
-
-    ``phases`` is the pair (e^{i lam}, e^{-i lam}) on the grid, as a
-    :class:`splitstep.SliceOperator` holds it per axis, and ``a_vals`` the
-    samples of a_axis.
-    """
-    grid = psi.grid
+    phase, conj = op.gauge_phases[axis]
     d1, _ = grid.derivative_symbols(axis)
-    inner = phases[1] * psi.values
-    lhs = phases[0] * (-1j * fourier_multiply(inner, d1, axis))
-    rhs = -1j * fourier_multiply(psi.values, d1, axis) - a_vals * psi.values
+    lhs = phase * (-1j * fourier_multiply(conj * psi.values, d1, axis))
+    rhs = -1j * fourier_multiply(psi.values, d1, axis) - op.a_vals[axis] * psi.values
     return l2_norm(WaveFunction(grid, lhs - rhs))

@@ -58,7 +58,6 @@ from . import gauge
 from .fields import (
     ScalarPotentialSpec,
     VectorPotentialSpec,
-    _check_nodes_off_singular,
     collect_singularities,
     sample_points,
 )
@@ -256,43 +255,6 @@ def kernel_prefactor(ndim: int, eps: float, slices: int) -> complex:
     fails the one-slice identity by a factor (4 pi eps)^(n/2).
     """
     return (4.0 * np.pi * eps) ** (-ndim * slices / 2.0) * np.exp(-1j * np.pi * ndim * slices / 4.0)
-
-
-def slice_kernel(x1, x0, eps: float, vector: VectorPotentialSpec | None = None) -> complex:
-    """One-slice kernel value between two points; modulus (4 pi eps)^(-n/2)."""
-    x1 = np.atleast_1d(np.asarray(x1, float))
-    x0 = np.atleast_1d(np.asarray(x0, float))
-    n = len(x1)
-    lam = gauge.slice_gauge_increment(vector, x1, x0) if vector is not None else 0.0
-    phase = float(np.sum((x1 - x0) ** 2)) / (4.0 * eps) + lam
-    return complex(kernel_prefactor(n, eps, 1) * np.exp(1j * phase))
-
-
-def discrete_action(
-    xs,
-    eps: float,
-    scalar: ScalarPotentialSpec | None = None,
-    vector: VectorPotentialSpec | None = None,
-) -> complex:
-    """Exponent i eps sum_j [ kinetic/4 - V(x_{j+1}) + gauge_increment/eps ].
-
-    ``xs`` is the ordered tuple of k+1 slice points, shape (k+1, n).  A slice
-    point on a singular point the fields register raises
-    :class:`SingularNodeError`.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if xs.shape[0] < 2:
-        raise ValueError("need at least two slice points")
-    _check_nodes_off_singular(xs, collect_singularities(scalar, vector))
-    total = 0.0
-    for j in range(xs.shape[0] - 1):
-        x0, x1 = xs[j], xs[j + 1]
-        total += 0.25 * float(np.sum(((x1 - x0) / eps) ** 2))
-        if scalar is not None:
-            total -= float(sample_points(scalar, x1[None])[0])
-        if vector is not None:
-            total += gauge.slice_gauge_increment(vector, x1, x0) / eps
-    return 1j * eps * total
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,11 @@ one number on the whole grid (no field, or constant fields), H is the real
 Fourier multiplier sum_l (xi_l^2 - 2 a_l xi1_l) + c, and exp(-itH) is exactly
 one forward and one inverse n-dimensional transform.  Every other H takes the
 Chebyshev series, and both paths are held to the same admissibility rule
-first.  The Chernoff derivative residual applies the same action; everything
-needs memory linear in the grid size, so no grid size is capped.  The dense matrix
-(:func:`assemble_hamiltonian`, each symbol applied to the identity and
-kron-lifted) with :func:`expm_evolve` by eigendecomposition is built
-independently of the action and serves only as the test oracle it is checked
-against.
+first.  Either path needs memory linear in the grid size, so no grid size is
+capped.  The dense matrix (:func:`assemble_hamiltonian`, each symbol applied to
+the identity and kron-lifted) with :func:`expm_evolve` by eigendecomposition is
+built independently of the action; no study runs it, and it serves only as the
+test oracle the action is checked against.
 """
 
 from __future__ import annotations
@@ -242,9 +241,6 @@ class HamiltonianAction:
         """Single-axis grid transforms, forward plus inverse, in one application."""
         return sum(2 if constant else 4 for constant in self.line_constant)
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        return self.affine()(values)
-
     def fourier_multiplier(self) -> np.ndarray:
         """The real symbol m of H over the grid; H is that multiplier only if :attr:`fourier_diagonal`.
 
@@ -348,23 +344,3 @@ def evolve(action: HamiltonianAction, psi: WaveFunction, t: float) -> tuple[Wave
         method, per_term = "chebyshev", action.transforms_per_term
     return evolved, {"method": method, "terms": terms, "spectral_interval": [lo, hi],
                      "transforms_per_term": per_term}
-
-
-def exact_free_gaussian(
-    x, t: float, center: float = 0.0, width: float = 1.0, momentum: float = 0.0
-) -> np.ndarray:
-    """Closed-form free evolution of a 1D Gaussian packet under H0 = -d^2/dx^2.
-
-    The initial state is (2 pi w^2)^(-1/4) exp(-(x-c)^2/(4 w^2) + i p (x-c)).
-    Obtained by Fourier transform, multiplication by exp(-i t k^2), and a
-    complex Gaussian integral; the width parameter acquires the complex shift
-    w^2 -> w^2 + i t and the packet drifts at group velocity 2 p.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    s2 = width**2 + 1j * t
-    drift = x - center - 2.0 * momentum * t
-    amp = (2.0 * np.pi * width**2) ** (-0.25) * np.sqrt(width**2 / s2)
-    phase = momentum * (x - center) - momentum**2 * t
-    return amp * np.exp(1j * phase - drift**2 / (4.0 * s2))

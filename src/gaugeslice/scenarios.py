@@ -29,7 +29,6 @@ from .fields import (
     gaussian_wave,
     l2_norm,
     pair_bilinear,
-    sample_vector_potential,
 )
 
 SCHEMA_VERSION = 1
@@ -283,6 +282,9 @@ def _amplitude_params(block: dict, t: float) -> dict:
               "max_evals": pathint.DEFAULT_EVAL_CAP, **block}
     slices = params["slices"] if isinstance(params["slices"], (list, tuple)) else [params["slices"]]
     params["slices"] = [_count(k, "amplitude slices") for k in slices]
+    if not params["slices"]:
+        # no slice count would apply no amplitude check and still pass
+        raise ValueError("amplitude slices needs at least one entry")
     if len(set(params["slices"])) != len(params["slices"]):
         raise ValueError(f"amplitude slices must be distinct, got {params['slices']}")
     for key in ("steps", "tail_window", "max_evals"):
@@ -589,8 +591,9 @@ def run_trotter_study(scenario: Scenario, threads: int = 1, exact: WaveFunction 
 def run_gauge_check(scenario: Scenario, op: splitstep.SliceOperator | None = None) -> Report:
     """Conjugation residual per axis and the midpoint-discrepancy slope fit.
 
-    The residual reads the gauge phases of ``op``, the scenario's split-step
-    operator; without one the study builds an operator of the phases alone.
+    The residual reads the field samples and gauge phases of ``op``, the
+    scenario's split-step operator; without one the study builds an operator
+    of the vector potential alone.
     """
     report = Report(scenario.name)
     start = time.perf_counter()
@@ -603,12 +606,10 @@ def run_gauge_check(scenario: Scenario, op: splitstep.SliceOperator | None = Non
             report.add("conjugation_residual", f"axis{axis}", 0.0, reference=0.0,
                        oracle="spectral", rel_scale=1.0)
     else:
-        # a field too large to square is refused before a residual squares it
-        a_vals = sample_vector_potential(scenario.vector, grid)
         if op is None:
             op = splitstep.SliceOperator(grid, None, scenario.vector)
         for axis in range(scenario.ndim):
-            resid = gauge._conjugation_residual(op.gauge_phases[axis], a_vals[axis], axis, psi)
+            resid = gauge.gauge_conjugation_residual(op, axis, psi)
             report.add("conjugation_residual", f"axis{axis}", resid, reference=0.0,
                        oracle="spectral", rel_scale=1.0)
             if resid > tol:
@@ -640,8 +641,8 @@ def run_gauge_check(scenario: Scenario, op: splitstep.SliceOperator | None = Non
 def _closed_form_free_amplitude(scenario: Scenario) -> complex:
     """Pairing of the final state with the exactly evolved initial Gaussian (1D free).
 
-    The evolved packet has complex width^2 s2 = w^2 + i t and drifts by 2 p t
-    (:func:`reference.exact_free_gaussian`).  In y = x - c_final the product is
+    The evolved packet has complex width^2 s2 = w^2 + i t and drifts by 2 p t,
+    the closed form of the free evolution.  In y = x - c_final the product is
     N exp(-alpha y^2 + beta y + gamma), whose integral is
     N sqrt(pi/alpha) exp(beta^2/(4 alpha) + gamma).
     """
@@ -738,9 +739,6 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None,
 
 def run_all(scenario: Scenario, threads: int = 1) -> Report:
     report = Report(scenario.name)
-    if scenario.vector is not None:
-        # a field too large to square is refused before the operator tabulates it
-        sample_vector_potential(scenario.vector, scenario.grid)
     # one split-step operator serves every study, so each axis is tabulated once
     op = splitstep.SliceOperator(scenario.grid, scenario.scalar, scenario.vector)
     report.merge(run_gauge_check(scenario, op=op))

@@ -9,11 +9,13 @@ per-axis gauge phase.  Every factor is a unit-modulus multiplier or a spectral
 unitary, so each slice preserves the L2 norm to rounding.  A phase that
 overflows is NaN, and applying the map raises :class:`NonFiniteError`.
 
-Neither lam_l nor the samples of V depend on eps, so a :class:`SliceOperator`
-tabulates them once per field and grid, and every slice count of a run's
-studies shares it.  ``SliceOperator.slice(eps)`` builds exp(-i eps V) and the kinetic
-multipliers for one eps and returns the one-slice map.  The operator's tables
-are never written after construction, so threads may share it.
+Neither lam_l nor the samples of V and a depend on eps, so a
+:class:`SliceOperator` tabulates them once per field and grid, and every slice
+count of a run's studies and the gauge study's residual share it; a field too
+large to square is refused before any table is built.
+``SliceOperator.slice(eps)`` builds exp(-i eps V) and the kinetic multipliers
+for one eps and returns the one-slice map.  The operator's tables are never
+written after construction, so threads may share it.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .fields import (
     VectorPotentialSpec,
     WaveFunction,
     fourier_multiply,
-    l2_norm,
     sample_field,
+    sample_vector_potential,
 )
 
 BOUNDARY_MASS_WARN = 1e-6
@@ -63,7 +65,7 @@ def kinetic_multiplier(grid: Grid, axis: int, eps: float) -> np.ndarray:
 
 
 class SliceOperator:
-    """The eps-free data of the gauge-split slice: potential samples and gauge phases.
+    """The eps-free data of the gauge-split slice: field samples and gauge phases.
 
     Neither depends on the slice length, so one operator serves every eps;
     :meth:`slice` builds the one-slice map for a given eps.  The axis product
@@ -80,6 +82,8 @@ class SliceOperator:
         if vector is not None and vector.ndim != grid.ndim:
             raise ValueError("vector potential dimension must match the grid")
         self.grid = grid
+        # a field too large to square is refused before anything else is sampled or tabulated
+        self.a_vals = None if vector is None else sample_vector_potential(vector, grid)
         self.potential = None if scalar is None else sample_field(scalar, grid)
 
         # per axis the pair (e^{+i lam_l}, e^{-i lam_l})
@@ -146,15 +150,3 @@ def evolve(op: SliceOperator, psi: WaveFunction, slicing: TimeSlicing) -> WaveFu
     for _ in range(slicing.slices):
         out = step(out)
     return out
-
-
-def chernoff_derivative_residual(psi: WaveFunction, op: SliceOperator, eps: float,
-                                 hamiltonian) -> float:
-    """L2 norm of (slice(psi) - psi)/eps + i H psi; O(eps) for smooth data.
-
-    ``hamiltonian`` is a :class:`reference.HamiltonianAction` on the slice
-    operator's grid, so H psi is applied matrix-free.
-    """
-    sliced = op.slice(eps)(psi)
-    resid = (sliced.values - psi.values) / eps + 1j * hamiltonian(psi.values)
-    return l2_norm(WaveFunction(psi.grid, resid))

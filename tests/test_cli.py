@@ -114,6 +114,17 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: the reference's Chebyshev series radius")
 
+    def test_empty_amplitude_slices_gives_exit_2(self, tmp_path, capsys):
+        # no slice count would run no amplitude and leave amplitude_rel_tol unapplied
+        doc = json.loads((SCENARIO_DIR / "harmonic_1d.json").read_text())
+        doc["amplitude"]["slices"] = []
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(doc))
+        code = cli.main(["amplitude", "--scenario", str(scen), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "amplitude slices needs at least one entry" in err[0]
+
     def test_vector_potential_too_large_to_square_gives_exit_2(self, tmp_path, capsys, recwarn):
         # refused before the gauge study or the reference squares it
         doc = json.loads((SCENARIO_DIR / "free_1d.json").read_text())

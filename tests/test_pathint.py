@@ -18,11 +18,9 @@ from gaugeslice import (
     SingularNodeError,
     VectorPotentialSpec,
     amplitude_quadrature,
-    discrete_action,
     gaussian_evaluator,
     kernel_prefactor,
     slice_gauge_increment,
-    slice_kernel,
 )
 from gaugeslice import gauge, pathint
 from gaugeslice.fields import Grid, WaveFunction, l2_norm
@@ -39,8 +37,8 @@ from gaugeslice.pathint import (
     phase_mesh_spacing,
     raw_sliced_amplitude,
 )
-from gaugeslice.reference import exact_free_gaussian
 from gaugeslice.splitstep import SliceOperator
+from oracles import discrete_action, exact_free_gaussian, slice_kernel
 
 
 class TestPrefactor:

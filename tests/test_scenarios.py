@@ -111,6 +111,7 @@ class TestParsing:
         ("checks", {"trotter_order_band": [0.7, 1.0, 1.3]}, "checks trotter_order_band"),
         ("checks", {"trotter_floor": float("inf")}, "checks trotter_floor"),
         ("amplitude", {"slices": [2, 2]}, "amplitude slices must be distinct"),
+        ("amplitude", {"slices": []}, "amplitude slices needs at least one entry"),
         ("slice_counts", [4], "at least two entries"),
         ("slice_counts", [4, 4], "strictly increasing"),
         ("slice_counts", [8, 4], "strictly increasing"),
@@ -374,11 +375,17 @@ class TestStudies:
         assert tables == {"gauge_phase_table": scenario.ndim}
         assert operators == {"SliceOperator": 1}
 
-    def test_run_all_refuses_a_field_too_large_to_square_before_any_table(self, count_calls):
+    @pytest.mark.parametrize("entry", [
+        run_all,
+        run_gauge_check,
+        lambda s: splitstep.SliceOperator(s.grid, None, s.vector),
+    ], ids=["run_all", "run_gauge_check", "SliceOperator"])
+    def test_run_all_refuses_a_field_too_large_to_square_before_any_table(self, count_calls, entry):
+        # the split-step operator samples the field, and refuses it, before its first table
         tables = count_calls(gauge, "gauge_phase_table")
         huge = {"family": "constant", "params": {"values": [1e200]}}
         with pytest.raises(NonFiniteError, match="not finite"):
-            run_all(scenario_from_dict(minimal_config(vector_potential=huge)))
+            entry(scenario_from_dict(minimal_config(vector_potential=huge)))
         assert tables == {"gauge_phase_table": 0}
 
     @pytest.mark.parametrize("name", ["harmonic_1d", "constant_field_2d"])

@@ -17,8 +17,9 @@ from gaugeslice import (
 )
 from gaugeslice import gauge
 from gaugeslice.fields import ScalarPotentialSpec, sample_field
-from gaugeslice.reference import assemble_hamiltonian, exact_free_gaussian, expm_evolve
+from gaugeslice.reference import assemble_hamiltonian, expm_evolve
 from gaugeslice.splitstep import boundary_mass_fraction, kinetic_multiplier
+from oracles import exact_free_gaussian
 
 
 def harmonic():
