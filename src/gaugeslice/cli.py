@@ -4,11 +4,12 @@ Subcommands ``trotter``, ``amplitude``, ``gauge`` and ``all`` each load a
 scenario file, run the corresponding study, write a CSV table and a JSON
 diagnostics document into the output directory, and exit 0 only if every
 configured assertion passed, 1 if one failed and 2 if the run could not be
-completed (an unreadable or invalid scenario, a bad flag, a tripped evaluation
-cap, an amplitude gap that excises a whole axis, a scalar potential that
-swamps the reference's spectral interval, a vector potential too large to
-square, a field evaluation on a registered singular point, or an output
-directory that cannot be made or written).
+completed (an unreadable or invalid scenario, a bad flag, ``amplitude`` on a
+scenario without an ``amplitude`` block, a tripped evaluation cap, an
+amplitude gap that excises a whole axis, a scalar potential that swamps the
+reference's spectral interval, a vector potential too large to square, a
+field evaluation on a registered singular point, or an output directory that
+cannot be made or written).
 """
 
 from __future__ import annotations

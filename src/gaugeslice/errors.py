@@ -22,8 +22,9 @@ class QuadratureDivergenceError(GaugesliceError):
     """A line integral off the registered singular set is non-finite or unresolved.
 
     Raised when the integrand is non-finite at a quadrature node, or when the
-    order-15 and order-7 Gauss-Legendre values on some segment still differ by
-    more than the tolerance after the fixed number of bisection rounds.
+    15-point Kronrod and 7-point Gauss-Legendre values of the nested
+    Gauss-Kronrod pair on some segment still differ by more than the tolerance
+    after the fixed number of bisection rounds.
     """
 
 
@@ -41,7 +42,7 @@ class CapExceededError(GaugesliceError):
 
 
 class ScheduleError(GaugesliceError):
-    """A route-3 schedule is invalid, or a gap excises a whole axis.
+    """A route-3 schedule is invalid or absent, or a gap excises a whole axis.
 
     A schedule needs t > 0, r_start > 0, at least one step, a positive tail
     window, gap >= 0 and a gap_final equal to gap or in (0, gap).

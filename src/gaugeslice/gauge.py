@@ -15,10 +15,11 @@ coordinates above l and the earlier point's below.
 
 Every line integral in the package goes through :func:`cumulative_axis_integral`
 (or its per-segment core), vectorized over all lines that share an axis.  Each
-segment between consecutive breakpoints takes the order-15 Gauss-Legendre value;
-the order-7 value on the same segment is the error estimate, and segments where
+segment between consecutive breakpoints takes the value of the nested
+Gauss-Kronrod 7/15 pair's 15-point Kronrod rule; the 7-point Gauss-Legendre
+value from the same 15 field values is the error estimate, and segments where
 the two differ by more than ``LINE_INTEGRAL_TOL`` on any line are bisected.
-Both rules' nodes and weights are float constants of this module, so no table
+The pair's nodes and weights are float constants of this module, so no table
 calls LAPACK.  The phases enter unit-modulus exponents, so phase error has to
 sit well below per-slice phase scales.  The quadrature nodes are evaluated in
 blocks of at most ``_BLOCK_POINTS`` points, over segments and, when one
@@ -51,7 +52,7 @@ from .fields import (
     sample_points,
 )
 
-# Absolute bound on |order-15 - order-7| per segment and line before bisecting.
+# Absolute bound on |Kronrod - Gauss| per segment and line before bisecting.
 LINE_INTEGRAL_TOL = 1e-10
 MAX_BISECTION_ROUNDS = 40
 # Refined segments times lines above this count are reported as divergence
@@ -59,36 +60,34 @@ MAX_BISECTION_ROUNDS = 40
 _MAX_REFINED_LINE_SEGMENTS = 1 << 18
 # Quadrature points evaluated at once, up to one line's nodes more; a block
 # holds at least one segment's nodes on two lines (one if the table has one).
-_BLOCK_POINTS = 1 << 15
+_BLOCK_POINTS = 1 << 13
 
 
 def _mirrored(half) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1] from the (node, weight) pairs of nodes >= 0, 0 first."""
-    nodes, weights = np.array(half).T
+    """Nodes on [-1, 1] and weight rows from the (node, weights...) rows of nodes >= 0, 0 first."""
+    half = np.array(half)
+    nodes, weights = half[:, 0], half[:, 1:]
     return np.concatenate([-nodes[:0:-1], nodes]), np.concatenate([weights[:0:-1], weights])
 
 
-# Gauss-Legendre rules of order 15 and 7, bit for bit the values that
-# np.polynomial.legendre.leggauss returns; held as literals so that a run neither
-# imports numpy.polynomial nor calls LAPACK.  Recomputed values would move in
-# their last bits, and with them the rounding of every table.
-_HIGH_NODES, _HIGH_WEIGHTS = _mirrored([
-    (0.0, 0.2025782419255613),
-    (0.20119409399743451, 0.1984314853271116),
-    (0.3941513470775634, 0.1861610000155622),
-    (0.5709721726085388, 0.16626920581699398),
-    (0.7244177313601701, 0.13957067792615444),
-    (0.8482065834104272, 0.10715922046717141),
-    (0.9372733924007058, 0.0703660474881084),
-    (0.9879925180204854, 0.030753241996117203),
+# The nested Gauss-Kronrod pair of QUADPACK's qk15: the 15-point Kronrod rule and
+# the 7-point Gauss-Legendre rule on every other of its nodes, whose weight is 0 on
+# the 8 Kronrod nodes.  Rows are (node, Kronrod weight, Gauss weight), QUADPACK's
+# digits; held as literals so that a run neither imports numpy.polynomial nor
+# calls LAPACK.  Both estimates come from the same 15 field values.
+_NODES, _WEIGHTS = _mirrored([
+    (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
 ])
-_LOW_NODES, _LOW_WEIGHTS = _mirrored([
-    (0.0, 0.4179591836734693),
-    (0.4058451513773972, 0.3818300505051187),
-    (0.7415311855993945, 0.27970539148927687),
-    (0.9491079123427586, 0.12948496616886973),
-])
-_NODES = np.concatenate([_HIGH_NODES, _LOW_NODES])
 
 
 def _check_segment_off_singular(
@@ -107,16 +106,18 @@ def _check_segment_off_singular(
 
 
 def _node_sums(
-    vector: VectorPotentialSpec, axis: int, mid: np.ndarray, half: np.ndarray, frozen: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Order-15 and order-7 values on every segment (mid +- half) and line, shape (S, U)."""
-    pts = np.broadcast_to(frozen, (len(mid), len(_NODES)) + frozen.shape).copy()
+    vector: VectorPotentialSpec, axis: int, mid: np.ndarray, half: np.ndarray, pts: np.ndarray
+) -> np.ndarray:
+    """Kronrod and Gauss sums on every segment (mid +- half) and line, shape (2, S, U).
+
+    A segment's values are its sums times ``half``.  ``pts`` has shape
+    (S, nodes, U, n) and holds the lines' off-axis coordinates at every node;
+    its axis column is overwritten here.
+    """
     pts[..., axis] = (mid[:, None] + half[:, None] * _NODES)[:, :, None]
-    vals = vector.component(axis, pts)  # (S, nodes, U)
-    k = len(_HIGH_NODES)
-    high = half[:, None] * np.einsum("snu,n->su", vals[:, :k], _HIGH_WEIGHTS)
-    low = half[:, None] * np.einsum("snu,n->su", vals[:, k:], _LOW_WEIGHTS)
-    return high, low
+    # einsum, not a BLAS product: on one line BLAS rounds both sums of some constant
+    # fields (1e11) alike, so a field at its rounding floor would pass unseen
+    return np.einsum("snu,nk->ksu", vector.component(axis, pts), _WEIGHTS)
 
 
 def _segment_integrals(
@@ -142,14 +143,18 @@ def _segment_integrals(
     for _ in range(MAX_BISECTION_ROUNDS):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        high = np.empty((len(lo), lines))
-        low = np.empty((len(lo), lines))
-        for first in range(0, len(lo), seg_step):
-            rows = slice(first, first + seg_step)
-            for cols in map(slice, line_edges[:-1], line_edges[1:]):
-                high[rows, cols], low[rows, cols] = _node_sums(
-                    vector, axis, mid[rows], half[rows], frozen[cols]
+        sums = np.empty((2, len(lo), lines))
+        for cols in map(slice, line_edges[:-1], line_edges[1:]):
+            # the lines' coordinates at the nodes of a block, written once for all its segments
+            shape = (min(seg_step, len(lo)), len(_NODES)) + frozen[cols].shape
+            pts = np.broadcast_to(frozen[cols], shape).copy()
+            for first in range(0, len(lo), seg_step):
+                rows = slice(first, first + seg_step)
+                sums[:, rows, cols] = _node_sums(
+                    vector, axis, mid[rows], half[rows], pts[: len(lo) - first]
                 )
+        sums *= half[:, None]
+        high, low = sums
         finite = np.isfinite(high).all(axis=1) & np.isfinite(low).all(axis=1)
         if not finite.all():
             s = int(np.argmin(finite))

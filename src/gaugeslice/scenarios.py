@@ -13,7 +13,6 @@ import csv
 import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -668,11 +667,14 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None,
     given; the pairing of ``exact`` with the final state is the reference row
     tagged ``dense``.  A singular mesh node, a gap that excises a whole axis
     and a tripped evaluation cap are re-raised with a hint naming the
-    ``amplitude`` key to change.
+    ``amplitude`` key to change.  A scenario without an ``amplitude`` block
+    raises :class:`ScheduleError` before any work.
     """
+    params = scenario.amplitude_params
+    if not params:
+        raise ScheduleError(f"scenario {scenario.name!r} has no amplitude block to run")
     report = Report(scenario.name)
     start = time.perf_counter()
-    params = scenario.amplitude_params or _amplitude_params({}, scenario.time)
     # every other key of the block is a keyword of the quadrature
     schedule = {key: value for key, value in params.items() if key != "slices"}
 
@@ -739,13 +741,17 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None,
 
 def run_all(scenario: Scenario, threads: int = 1) -> Report:
     report = Report(scenario.name)
+    # one reference evolution serves both the Trotter and the amplitude oracle; evolved
+    # first, as each study alone does, so the reference refuses a field it cannot
+    # evolve before any gauge table is built
+    start = time.perf_counter()
+    exact, evolution = dense_evolution(scenario)
+    dense_s = time.perf_counter() - start
     # one split-step operator serves every study, so each axis is tabulated once
     op = splitstep.SliceOperator(scenario.grid, scenario.scalar, scenario.vector)
     report.merge(run_gauge_check(scenario, op=op))
-    # one reference evolution serves both the Trotter and the amplitude oracle
-    start = time.perf_counter()
-    exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario)
-    report.timings["dense_reference"] = time.perf_counter() - start
+    report.diagnostics["reference_evolution"] = evolution
+    report.timings["dense_reference"] = dense_s
     report.merge(run_trotter_study(scenario, threads=threads, exact=exact, op=op))
     if scenario.amplitude_params:
         report.merge(run_amplitude_study(scenario, exact=exact, op=op))

@@ -125,6 +125,17 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "amplitude slices needs at least one entry" in err[0]
 
+    def test_amplitude_without_an_amplitude_block_gives_exit_2(self, tmp_path, capsys):
+        # refused before any work, not run on a default schedule the scenario never set
+        scen = SCENARIO_DIR / "constant_field_2d.json"
+        assert "amplitude" not in json.loads(scen.read_text())
+        out = tmp_path / "r"
+        code = cli.main(["amplitude", "--scenario", str(scen), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "has no amplitude block" in err[0]
+        assert not list(out.iterdir())
+
     def test_vector_potential_too_large_to_square_gives_exit_2(self, tmp_path, capsys, recwarn):
         # refused before the gauge study or the reference squares it
         doc = json.loads((SCENARIO_DIR / "free_1d.json").read_text())
@@ -143,7 +154,7 @@ class TestExitCodes:
     def test_line_integral_at_its_rounding_floor_names_the_difference_and_the_integral(
         self, tmp_path, capsys
     ):
-        # a constant a of 1e11: the two Gauss-Legendre rules differ only by the rounding
+        # a constant a of 1e11: the Kronrod and Gauss rules differ only by the rounding
         # of a segment integral of millions, which no bisection brings below 1e-10
         doc = json.loads((SCENARIO_DIR / "free_1d.json").read_text())
         doc.pop("amplitude")

@@ -16,7 +16,6 @@ from gaugeslice import (
     QuadratureDivergenceError,
     SingularNodeError,
     VectorPotentialSpec,
-    WaveFunction,
     gauge,
     gaussian_wave,
     SliceOperator,
@@ -299,16 +298,27 @@ class TestTables:
 
 
 class TestQuadratureConstants:
-    @pytest.mark.parametrize("order, nodes, weights", [
-        (15, gauge._HIGH_NODES, gauge._HIGH_WEIGHTS),
-        (7, gauge._LOW_NODES, gauge._LOW_WEIGHTS),
-    ])
-    def test_literals_match_leggauss(self, order, nodes, weights):
-        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
-        np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-15)
-        assert np.array_equal(nodes, -nodes[::-1])
-        assert np.array_equal(weights, weights[::-1])
+    # weight column 0 is the Kronrod rule, column 1 the Gauss rule on every other node
+    @pytest.mark.parametrize("column, degree", [(0, 22), (1, 13)], ids=["K15", "G7"])
+    def test_rule_integrates_monomials_exactly_to_its_degree(self, column, degree):
+        weights = gauge._WEIGHTS[:, column]
+
+        def error(k):
+            return abs(np.dot(weights, gauge._NODES**k) - (2.0 / (k + 1) if k % 2 == 0 else 0.0))
+
+        assert all(error(k) <= 1e-15 for k in range(degree + 1))
+        # the next even power is beyond the rule (odd ones vanish by symmetry)
+        assert error(2 * (degree // 2 + 1)) > 1e-9
+
+    def test_gauss_rule_matches_leggauss(self):
+        gauss = gauge._WEIGHTS[:, 1] != 0
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(7)
+        np.testing.assert_allclose(gauge._NODES[gauss], ref_nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(gauge._WEIGHTS[gauss, 1], ref_weights, rtol=0, atol=1e-15)
+
+    def test_rules_are_symmetric(self):
+        assert np.array_equal(gauge._NODES, -gauge._NODES[::-1])
+        assert np.array_equal(gauge._WEIGHTS, gauge._WEIGHTS[::-1])
 
 
 class TestBlockEvaluation:
@@ -371,6 +381,18 @@ class TestBlockEvaluation:
             tracemalloc.stop()
         # measured 6x; evaluating every node at once took 74x
         assert peak <= 10 * table.nbytes
+
+    def test_two_symmetric_gauge_tables_peak_below_0_4_mb(self):
+        # the trotter-2d tables: 0.87 MB with 2^15-point blocks, 0.30 MB with 2^13
+        vec = VECTOR_FAMILIES["constant-field-2d"](2, {"field": 0.5})
+        g = Grid((-6.0, -6.0), (6.0, 6.0), (48, 48))
+        tracemalloc.start()
+        try:
+            tables = [gauge_phase_table(vec, axis, g) for axis in range(2)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tables) == 2 and peak < 0.4e6
 
 
 def _fresh_interpreter(code: str) -> str:

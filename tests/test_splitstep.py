@@ -10,7 +10,6 @@ from gaugeslice import (
     SliceOperator,
     TimeSlicing,
     VectorPotentialSpec,
-    WaveFunction,
     evolve,
     gaussian_wave,
     l2_norm,
