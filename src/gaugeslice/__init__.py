@@ -59,7 +59,7 @@ from .scenarios import (
     Report,
     Scenario,
     load_scenario,
-    run_all,
+    run,
     run_amplitude_study,
     run_gauge_check,
     run_trotter_study,

@@ -1,15 +1,16 @@
 """Scenario-driven command-line front end.
 
 Subcommands ``trotter``, ``amplitude``, ``gauge`` and ``all`` each load a
-scenario file, run the corresponding study, write a CSV table and a JSON
-diagnostics document into the output directory, and exit 0 only if every
-configured assertion passed, 1 if one failed and 2 if the run could not be
-completed (an unreadable or invalid scenario, a bad flag, ``amplitude`` on a
-scenario without an ``amplitude`` block, a tripped evaluation cap, an
-amplitude gap that excises a whole axis, a scalar potential that swamps the
-reference's spectral interval, a vector potential too large to square, a
+scenario file, run the command's studies through :func:`scenarios.run`, write
+a CSV table and a JSON diagnostics document into the output directory, and
+exit 0 only if every configured assertion passed, 1 if one failed and 2 if
+the run could not be completed (an unreadable or invalid scenario, a bad
+flag, ``amplitude`` on a scenario without an ``amplitude`` block, a tripped
+evaluation cap, an amplitude gap that excises a whole axis, a scalar
+potential that swamps the reference's spectral interval, a vector potential
+too large to square, a field or state that is not finite on the grid, a
 field evaluation on a registered singular point, or an output directory that
-cannot be made or written).
+cannot be made or written).  Each such failure prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -66,14 +67,7 @@ def main(argv=None) -> int:
     try:
         # made before any study runs, so a bad --out fails fast
         args.out.mkdir(parents=True, exist_ok=True)
-        if args.command == "trotter":
-            report = scenarios.run_trotter_study(scenario, threads=args.threads)
-        elif args.command == "amplitude":
-            report = scenarios.run_amplitude_study(scenario)
-        elif args.command == "gauge":
-            report = scenarios.run_gauge_check(scenario)
-        else:
-            report = scenarios.run_all(scenario, threads=args.threads)
+        report = scenarios.run(scenario, args.command, threads=args.threads)
         stem = f"{scenario.name}_{args.command}"
         report.write_csv(args.out / f"{stem}.csv")
         report.write_json(args.out / f"{stem}.json")

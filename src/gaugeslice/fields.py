@@ -143,7 +143,8 @@ class ScalarPotentialSpec:
     """Closed-form scalar potential with a registered finite singular set.
 
     ``evaluator`` maps an array of points with trailing dimension n to real
-    values; it is only ever called off the singular set.
+    values; it is only ever called off the singular set, with numpy's
+    warnings off: each caller checks the values and raises :class:`NonFiniteError`.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -155,7 +156,8 @@ class ScalarPotentialSpec:
         )
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.evaluator(np.asarray(points, dtype=float)), dtype=float)
+        with np.errstate(all="ignore"):
+            return np.asarray(self.evaluator(np.asarray(points, dtype=float)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,9 @@ class VectorPotentialSpec:
         return len(self.components)
 
     def component(self, axis: int, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.components[axis](np.asarray(points, dtype=float)), dtype=float)
+        # numpy's warnings off, as for a scalar potential: each caller checks the values
+        with np.errstate(all="ignore"):
+            return np.asarray(self.components[axis](np.asarray(points, dtype=float)), dtype=float)
 
 
 def collect_singularities(
@@ -294,11 +298,13 @@ def gaussian_evaluator(center=0.0, width=1.0, momentum=0.0, ndim: int = 1):
     def evaluate(points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         out = np.ones(pts.shape[:-1], dtype=complex)
-        for b in range(ndim):
-            x = pts[..., b] - center[b]
-            out = out * (2.0 * np.pi * width[b] ** 2) ** (-0.25) * np.exp(
-                -(x**2) / (4.0 * width[b] ** 2) + 1j * momentum[b] * x
-            )
+        # numpy's warnings off: a run's WaveFunction of the state refuses a non-finite value
+        with np.errstate(all="ignore"):
+            for b in range(ndim):
+                x = pts[..., b] - center[b]
+                out = out * (2.0 * np.pi * width[b] ** 2) ** (-0.25) * np.exp(
+                    -(x**2) / (4.0 * width[b] ** 2) + 1j * momentum[b] * x
+                )
         return out
 
     return evaluate

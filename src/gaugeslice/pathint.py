@@ -17,9 +17,9 @@ the radii are spaced by half that period, the reported value is the
 arithmetic mean of the last few schedule steps, and the estimate counts as
 converged when their spread stays below :data:`TAIL_OSCILLATION_TOL`.
 
-:func:`amplitude_quadrature` builds the schedule from its own keywords, meshes
-every step and checks the evaluation cap against the largest before
-:func:`raw_sliced_amplitude` sums any.
+:func:`amplitude_quadrature` builds the schedule from its own keywords and
+checks the evaluation cap against its largest mesh, the last step's, before
+it meshes any other step or :func:`raw_sliced_amplitude` sums any.
 A step's mesh is a tensor product of per-axis unions of uniform midpoint
 pieces, all from one rule, :func:`_excised_pieces`: the box minus, on each
 axis, the open gap around each singular point's coordinate.
@@ -114,7 +114,8 @@ def _excised_pieces(ndim: int, radius: float, singular_points, gap: float, h: fl
         for a, c in cuts + [(hi, hi)]:
             end = min(a, hi)
             if end > start:
-                m = max(1, math.ceil((end - start) / h))
+                cells = (end - start) / h if h > 0 else math.inf
+                m = max(1, math.ceil(cells)) if cells < math.inf else math.inf  # too many to count
                 pieces.append(MeshPiece(start, m, (end - start) / m))
             start = max(start, c)
         if not pieces:
@@ -341,12 +342,13 @@ def amplitude_quadrature(
     raises :class:`ScheduleError` (:func:`check_schedule`).
 
     Each step excises a gap around exactly the singular points the fields
-    register (:func:`fields.collect_singularities`).  Every step's mesh is
-    planned first, so the cap is checked once, against the largest step,
-    before any transfer.  ``max_evals`` counts target×source kernel pairs
-    summed over the slices of one raw sum; the error's ``suggested_slices``
-    is the largest slice count that fits the largest mesh, 0 when even one
-    slice does not.
+    register (:func:`fields.collect_singularities`).  The last step has the
+    widest box and the narrowest gap, so the largest mesh; the cap is checked
+    once, against it, before any list sized by ``steps`` is built.  A box too
+    wide to count its cells counts as an infinite mesh, which exceeds any
+    cap.  ``max_evals`` counts target×source kernel pairs summed over the
+    slices of one raw sum; the error's ``suggested_slices`` is the largest
+    slice count that fits the largest mesh, 0 when even one slice does not.
     """
     if slices < 1:
         raise ValueError("slice count must be at least 1")
@@ -355,22 +357,23 @@ def amplitude_quadrature(
     check_schedule(t, r_start, steps, tail_window, gap, gap_final)
     eps = t / slices
     spacing = 2.0 * np.pi * eps / r_start
-    radii = tuple(r_start + i * spacing for i in range(steps))
-    gaps = [gap] * steps if gap_final == gap else np.geomspace(gap, gap_final, steps)
     pairs = 2 if slices >= 2 else 1
     singular_points = collect_singularities(scalar, vector)
-    meshes = [
-        _excised_pieces(ndim, radius, singular_points, cut, phase_mesh_spacing(eps, radius, pairs))
-        for radius, cut in zip(radii, gaps)
-    ]
-    sizes = tuple(math.prod(sum(p.count for p in pieces) for pieces in axes) for axes in meshes)
-    per_pair = max(sizes) ** 2
+
+    def plan(radius, cut):
+        axes = _excised_pieces(ndim, radius, singular_points, cut, phase_mesh_spacing(eps, radius, pairs))
+        return axes, math.prod(sum(p.count for p in pieces) for pieces in axes)
+
+    per_pair = plan(r_start + (steps - 1) * spacing, gap_final)[1] ** 2
     if slices * per_pair > max_evals:
         # the chain cost is linear in k; suggest the largest feasible count
         raise CapExceededError(
             f"{slices * per_pair} kernel evaluations exceed the cap {max_evals}",
             suggested_slices=int(max_evals // per_pair),
         )
+    radii = tuple(r_start + i * spacing for i in range(steps))
+    gaps = [gap] * steps if gap_final == gap else np.geomspace(gap, gap_final, steps)
+    meshes, sizes = zip(*(plan(radius, cut) for radius, cut in zip(radii, gaps)))
     raw = [
         raw_sliced_amplitude(phi_fn, psi_fn, eps, slices, _TensorMesh(axes), vector, scalar)
         for axes in meshes

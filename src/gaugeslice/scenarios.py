@@ -4,7 +4,8 @@ A scenario is a JSON-compatible document (versioned schema) naming a grid, a
 scalar and vector potential family, Gaussian initial/final states, a total
 time, slice counts, and quadrature schedule parameters.  Studies turn a
 scenario into a report: rows of (quantity, value, reference, errors) where
-every row is tagged with the oracle that produced its reference.
+every row is tagged with the oracle that produced its reference.  A command
+runs its studies through :func:`run`, over one reference and one operator.
 """
 
 from __future__ import annotations
@@ -160,8 +161,7 @@ def _scalar_inverse_power(ndim, params):
 
     def evaluate(p):
         r = np.sqrt(np.sum((p - center) ** 2, axis=-1))
-        with np.errstate(divide="ignore"):
-            return coeff * r ** (-power)
+        return coeff * r ** (-power)
 
     return ScalarPotentialSpec(evaluate, singular_points=(tuple(center),))
 
@@ -511,37 +511,18 @@ def _fit_loglog_slope(x, y) -> float:
     return float(np.dot(dx, y - y.mean()) / np.dot(dx, dx))
 
 
-def dense_evolution(scenario: Scenario) -> tuple[WaveFunction, dict]:
-    """The initial state evolved to the scenario time by the reference route.
-
-    :func:`reference.evolve` picks the path from the grid samples: one exact
-    Fourier transform pair when H is a Fourier multiplier (no field varies),
-    otherwise a Chebyshev series in the matrix-free action; either needs
-    memory linear in the grid size at any grid size.  Returns the evolved
-    state and its ``reference_evolution`` diagnostics: its cost is the term
-    count times the single-axis transforms one term takes.
-    """
-    action = reference.HamiltonianAction(scenario.grid, scenario.vector, scenario.scalar)
-    return reference.evolve(action, scenario.initial_state.on_grid(scenario.grid), scenario.time)
-
-
-def run_trotter_study(scenario: Scenario, threads: int = 1, exact: WaveFunction | None = None,
-                      op: splitstep.SliceOperator | None = None) -> Report:
+def run_trotter_study(scenario: Scenario, exact: WaveFunction, op: splitstep.SliceOperator,
+                      threads: int = 1) -> Report:
     """Split-step error against the reference evolution per slice count.
 
-    ``exact`` is the state :func:`dense_evolution` returns for the scenario
-    and ``op`` the scenario's split-step operator, each built here if not
-    given.  With ``threads`` 1 the slice counts run in the calling thread;
-    with more, in a pool of that many threads that share ``op``.
+    ``exact`` is the scenario's reference evolution and ``op`` its split-step
+    operator, both as :func:`run` builds them.  With ``threads`` 1 the slice
+    counts run in the calling thread; with more, in a pool of that many
+    threads that share ``op``.
     """
     report = Report(scenario.name)
     start = time.perf_counter()
-    grid = scenario.grid
-    if exact is None:
-        exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario)
-    psi0 = scenario.initial_state.on_grid(grid)
-    if op is None:
-        op = splitstep.SliceOperator(grid, scenario.scalar, scenario.vector)
+    psi0 = scenario.initial_state.on_grid(scenario.grid)
 
     def one_k(k: int):
         evolved = splitstep.evolve(op, psi0, splitstep.TimeSlicing(scenario.time, k))
@@ -587,17 +568,15 @@ def run_trotter_study(scenario: Scenario, threads: int = 1, exact: WaveFunction 
     return report
 
 
-def run_gauge_check(scenario: Scenario, op: splitstep.SliceOperator | None = None) -> Report:
+def run_gauge_check(scenario: Scenario, op: splitstep.SliceOperator) -> Report:
     """Conjugation residual per axis and the midpoint-discrepancy slope fit.
 
     The residual reads the field samples and gauge phases of ``op``, the
-    scenario's split-step operator; without one the study builds an operator
-    of the vector potential alone.
+    scenario's split-step operator as :func:`run` builds it.
     """
     report = Report(scenario.name)
     start = time.perf_counter()
-    grid = scenario.grid
-    psi = scenario.initial_state.on_grid(grid)
+    psi = scenario.initial_state.on_grid(scenario.grid)
     tol = scenario.checks.get("gauge_residual_tol", 1e-6)
 
     if scenario.vector is None:
@@ -605,8 +584,6 @@ def run_gauge_check(scenario: Scenario, op: splitstep.SliceOperator | None = Non
             report.add("conjugation_residual", f"axis{axis}", 0.0, reference=0.0,
                        oracle="spectral", rel_scale=1.0)
     else:
-        if op is None:
-            op = splitstep.SliceOperator(grid, None, scenario.vector)
         for axis in range(scenario.ndim):
             resid = gauge.gauge_conjugation_residual(op, axis, psi)
             report.add("conjugation_residual", f"axis{axis}", resid, reference=0.0,
@@ -658,21 +635,16 @@ def _closed_form_free_amplitude(scenario: Scenario) -> complex:
     return complex(norm * np.sqrt(np.pi / alpha) * np.exp(beta**2 / (4.0 * alpha) + gamma))
 
 
-def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None,
-                        op: splitstep.SliceOperator | None = None) -> Report:
+def run_amplitude_study(scenario: Scenario, exact: WaveFunction, op: splitstep.SliceOperator) -> Report:
     """Excised path-integral amplitudes vs split-step / reference / closed-form oracles.
 
-    ``exact`` is the state :func:`dense_evolution` returns for the scenario
-    and ``op`` the scenario's split-step operator, each built here if not
-    given; the pairing of ``exact`` with the final state is the reference row
-    tagged ``dense``.  A singular mesh node, a gap that excises a whole axis
-    and a tripped evaluation cap are re-raised with a hint naming the
-    ``amplitude`` key to change.  A scenario without an ``amplitude`` block
-    raises :class:`ScheduleError` before any work.
+    ``exact`` is the scenario's reference evolution and ``op`` its split-step
+    operator, both as :func:`run` builds them; the pairing of ``exact`` with
+    the final state is the reference row tagged ``dense``.  A singular mesh
+    node, a gap that excises a whole axis and a tripped evaluation cap are
+    re-raised with a hint naming the ``amplitude`` key to change.
     """
     params = scenario.amplitude_params
-    if not params:
-        raise ScheduleError(f"scenario {scenario.name!r} has no amplitude block to run")
     report = Report(scenario.name)
     start = time.perf_counter()
     # every other key of the block is a keyword of the quadrature
@@ -687,11 +659,7 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None,
     free = scenario.scalar is None and scenario.vector is None
     rel_tol = scenario.checks.get("amplitude_rel_tol")
 
-    if exact is None:
-        exact, report.diagnostics["reference_evolution"] = dense_evolution(scenario)
     dense_ref = pair_bilinear(phi_grid, exact)
-    if op is None:
-        op = splitstep.SliceOperator(grid, scenario.scalar, scenario.vector)
 
     for k in params["slices"]:
         try:
@@ -739,20 +707,42 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction | None = None,
     return report
 
 
-def run_all(scenario: Scenario, threads: int = 1) -> Report:
+# the studies each command runs, in report order
+_STUDIES = {"all": ("gauge", "trotter", "amplitude"), "gauge": ("gauge",),
+            "trotter": ("trotter",), "amplitude": ("amplitude",)}
+
+
+def run(scenario: Scenario, command: str = "all", threads: int = 1) -> Report:
+    """The report of ``command``'s studies, over one reference evolution and one operator.
+
+    ``all`` runs the amplitude study only when the scenario has an ``amplitude``
+    block; ``amplitude`` without one raises :class:`ScheduleError` before any
+    work.  The reference (:func:`reference.evolve`) is evolved only for the
+    Trotter or amplitude study, and first, so it refuses a field it cannot
+    evolve before any gauge table is built; one :class:`splitstep.SliceOperator`
+    then serves every study, so V and a are sampled and each axis tabulated once.
+    """
+    studies = _STUDIES[command]
+    if not scenario.amplitude_params:
+        if command == "amplitude":
+            raise ScheduleError(f"scenario {scenario.name!r} has no amplitude block to run")
+        studies = tuple(study for study in studies if study != "amplitude")
     report = Report(scenario.name)
-    # one reference evolution serves both the Trotter and the amplitude oracle; evolved
-    # first, as each study alone does, so the reference refuses a field it cannot
-    # evolve before any gauge table is built
-    start = time.perf_counter()
-    exact, evolution = dense_evolution(scenario)
-    dense_s = time.perf_counter() - start
-    # one split-step operator serves every study, so each axis is tabulated once
-    op = splitstep.SliceOperator(scenario.grid, scenario.scalar, scenario.vector)
-    report.merge(run_gauge_check(scenario, op=op))
-    report.diagnostics["reference_evolution"] = evolution
-    report.timings["dense_reference"] = dense_s
-    report.merge(run_trotter_study(scenario, threads=threads, exact=exact, op=op))
-    if scenario.amplitude_params:
-        report.merge(run_amplitude_study(scenario, exact=exact, op=op))
+    grid = scenario.grid
+    exact = None
+    if "trotter" in studies or "amplitude" in studies:
+        start = time.perf_counter()
+        action = reference.HamiltonianAction(grid, scenario.vector, scenario.scalar)
+        exact, evolution = reference.evolve(action, scenario.initial_state.on_grid(grid), scenario.time)
+        dense_s = time.perf_counter() - start
+    op = splitstep.SliceOperator(grid, scenario.scalar, scenario.vector)
+    if "gauge" in studies:
+        report.merge(run_gauge_check(scenario, op))
+    if exact is not None:
+        report.diagnostics["reference_evolution"] = evolution
+        report.timings["dense_reference"] = dense_s
+    if "trotter" in studies:
+        report.merge(run_trotter_study(scenario, exact, op, threads))
+    if "amplitude" in studies:
+        report.merge(run_amplitude_study(scenario, exact, op))
     return report

@@ -10,9 +10,10 @@ unitary, so each slice preserves the L2 norm to rounding.  A phase that
 overflows is NaN, and applying the map raises :class:`NonFiniteError`.
 
 Neither lam_l nor the samples of V and a depend on eps, so a
-:class:`SliceOperator` tabulates them once per field and grid, and every slice
-count of a run's studies and the gauge study's residual share it; a field too
-large to square is refused before any table is built.
+:class:`SliceOperator` tabulates them once per field and grid:
+:func:`scenarios.run` builds one per run, and every slice count of its
+studies and the gauge study's residual share it; a field too large to
+square is refused before any table is built.
 ``SliceOperator.slice(eps)`` builds exp(-i eps V) and the kinetic multipliers
 for one eps and returns the one-slice map.  The operator's tables are never
 written after construction, so threads may share it.

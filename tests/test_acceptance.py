@@ -77,7 +77,7 @@ def test_criterion_3_trotter_convergence():
         scenario = sc.load_scenario(SCENARIO_DIR / "harmonic_1d.json")
         assert scenario.grid.shape == (256,)
         assert scenario.time == 0.5
-        report = sc.run_trotter_study(scenario)
+        report = sc.run(scenario, "trotter")
         errors = [
             float(report.diagnostics["trotter_errors"][str(k)]) for k in (4, 8, 16, 32)
         ]

@@ -1,7 +1,11 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +32,15 @@ def write_scenario(tmp_path, **overrides):
     cfg.update(overrides)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+def write_harmonic_1d(tmp_path, edit):
+    """The shipped harmonic_1d scenario with ``edit`` applied to its document."""
+    doc = json.loads((SCENARIO_DIR / "harmonic_1d.json").read_text())
+    edit(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -135,6 +148,56 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "has no amplitude block" in err[0]
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("r_start", [1e300, 1e-300])
+    def test_box_too_wide_to_mesh_gives_exit_2(self, tmp_path, capsys, r_start):
+        # the last box's cell count overflows a float, which counts as exceeding the cap
+        scen = write_harmonic_1d(tmp_path, lambda doc: doc["amplitude"].update(r_start=r_start))
+        code = cli.main(["amplitude", "--scenario", str(scen), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: inf kernel evaluations exceed the cap")
+
+    def test_cap_checked_before_the_schedule_is_built(self, tmp_path):
+        # 1e12 steps: the cap is checked on the last box alone, before 1e12 radii are listed;
+        # the run gets 1 GiB of address space, so a regression fails without exhausting memory
+        scen = write_harmonic_1d(tmp_path, lambda doc: doc["amplitude"].update(steps=1e12))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        out = subprocess.run(
+            [sys.executable, "-m", "gaugeslice.cli", "amplitude", "--scenario", str(scen),
+             "--out", str(tmp_path / "r")],
+            capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120,
+        )
+        assert out.returncode == 2
+        err = out.stderr.splitlines()
+        assert len(err) == 1 and "kernel evaluations exceed the cap" in err[0]
+
+    @pytest.mark.parametrize("command", ["all", "gauge", "trotter", "amplitude"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(scalar_potential={
+            "family": "regularized-coulomb", "params": {"softening": 0.0, "center": [0.03125]}}),
+         "error: evaluator returned non-finite value at [0.03125]"),
+        (lambda doc: doc["initial_state"].update(width=[1e-300]),
+         "error: wavefunction contains non-finite entries"),
+        (lambda doc: doc.update(grid={"lo": [-1e300], "hi": [1e300], "shape": [256]}),
+         "error: evaluator returned non-finite value at [-9.9609375e+299]"),
+    ], ids=["coulomb-on-a-node", "state-width-1e-300", "grid-1e300"])
+    def test_non_finite_field_or_state_gives_one_error_line(
+        self, tmp_path, capsys, recwarn, command, edit, message
+    ):
+        # numpy's warnings are off where the values are computed, since each is checked next;
+        # `gauge` too samples V, in the one split-step operator, so a bad V stops it as well
+        scen = write_harmonic_1d(tmp_path, edit)
+        code = cli.main([command, "--scenario", str(scen), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_vector_potential_too_large_to_square_gives_exit_2(self, tmp_path, capsys, recwarn):
         # refused before the gauge study or the reference squares it

@@ -423,9 +423,9 @@ def test_run_calls_no_lapack_and_loads_no_numpy_polynomial():
         "    if not name.startswith('_') and callable(getattr(_umath_linalg, name)):\n"
         "        setattr(_umath_linalg, name, refuse(name))\n"
         "from gaugeslice import load_scenario\n"
-        "from gaugeslice.scenarios import run_all\n"
+        "from gaugeslice.scenarios import run\n"
         f"for path in {paths!r}:\n"
-        "    assert run_all(load_scenario(path)).passed, path\n"
+        "    assert run(load_scenario(path)).passed, path\n"
         "print('numpy.polynomial' in sys.modules)"
     )
     assert paths
@@ -441,9 +441,9 @@ def test_default_run_starts_no_thread():
         "    raise AssertionError('thread started')\n"
         "threading.Thread.start = refuse\n"
         "from gaugeslice import load_scenario\n"
-        "from gaugeslice.scenarios import run_all\n"
+        "from gaugeslice.scenarios import run\n"
         f"for path in {paths!r}:\n"
-        "    assert run_all(load_scenario(path)).passed, path\n"
+        "    assert run(load_scenario(path)).passed, path\n"
         "print('concurrent.futures' in sys.modules)"
     )
     assert paths
@@ -453,8 +453,8 @@ def test_default_run_starts_no_thread():
 def test_run_does_not_load_numpy_ma():
     # np.unique imports numpy.ma; the gauge tables sort their breakpoints without it
     code = (
-        "import sys; from gaugeslice import load_scenario; from gaugeslice.scenarios import run_all; "
-        f"assert run_all(load_scenario({str(SCENARIO_DIR / 'harmonic_1d.json')!r})).passed; "
+        "import sys; from gaugeslice import load_scenario; from gaugeslice.scenarios import run; "
+        f"assert run(load_scenario({str(SCENARIO_DIR / 'harmonic_1d.json')!r})).passed; "
         "print('numpy.ma' in sys.modules)"
     )
     assert _fresh_interpreter(code) == "False"

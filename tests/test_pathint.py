@@ -6,10 +6,11 @@ evaluation must reproduce, term by term, the literal nested midpoint sum of
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gaugeslice import (
     CapExceededError,
@@ -156,6 +157,31 @@ class TestSchedule:
         keywords = {"r_start": 5.0, **keywords}
         with pytest.raises(ScheduleError, match="the schedule needs"):
             amplitude_quadrature(gaussian_evaluator(), gaussian_evaluator(), t, 2, **keywords)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r_start=st.floats(0.5, 6.0),
+        steps=st.integers(1, 12),
+        slices=st.integers(1, 3),
+        gap=st.floats(0.0, 1.0),
+        shrink=st.floats(0.01, 1.0),
+        singular=st.lists(st.floats(-6.0, 6.0), max_size=3),
+    )
+    def test_last_step_has_the_largest_mesh(self, r_start, steps, slices, gap, shrink, singular):
+        # the cap is checked against the last step alone: growing boxes and shrinking
+        # gaps never make an earlier step's mesh larger
+        gap_final = gap * shrink if gap > 1e-6 and shrink < 1.0 else gap
+        scalar = ScalarPotentialSpec(lambda p: np.zeros(p.shape[:-1]),
+                                     singular_points=[(w,) for w in singular])
+        with mock.patch.object(pathint, "raw_sliced_amplitude", lambda *args: 0j):
+            try:
+                sizes = amplitude_quadrature(
+                    gaussian_evaluator(), gaussian_evaluator(), 0.2, slices, r_start=r_start,
+                    steps=steps, gap=gap, gap_final=gap_final, scalar=scalar, max_evals=1e18,
+                ).mesh_sizes
+            except ScheduleError:
+                assume(False)  # the gaps excise a whole box
+        assert sizes[-1] == max(sizes)
 
     def test_radii_spaced_by_the_tail_period(self):
         t, slices = 0.2, 2

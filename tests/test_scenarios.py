@@ -7,17 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaugeslice import NonFiniteError, Scenario, load_scenario, scenario_from_dict
+from gaugeslice import NonFiniteError, Scenario, ScheduleError, load_scenario, scenario_from_dict
 from gaugeslice.scenarios import (
     SCALAR_FAMILIES,
     VECTOR_FAMILIES,
     Report,
     _fit_loglog_slope,
-    dense_evolution,
-    run_all,
-    run_amplitude_study,
-    run_gauge_check,
-    run_trotter_study,
+    run,
 )
 from gaugeslice import gauge, pathint, reference, splitstep
 
@@ -272,7 +268,7 @@ class TestReport:
 class TestStudies:
     def test_gauge_check_small_scenario(self):
         s = scenario_from_dict(minimal_config())
-        rep = run_gauge_check(s)
+        rep = run(s, "gauge")
         assert rep.passed
         quantities = {r.quantity for r in rep.rows}
         assert "conjugation_residual" in quantities
@@ -280,7 +276,7 @@ class TestStudies:
 
     def test_trotter_errors_decrease(self):
         s = scenario_from_dict(minimal_config(slice_counts=[2, 4, 8]))
-        rep = run_trotter_study(s)
+        rep = run(s, "trotter")
         assert rep.passed
         errs = [float(e) for e in rep.diagnostics["trotter_errors"].values()]
         assert errs[0] > errs[1] > errs[2]
@@ -290,11 +286,11 @@ class TestStudies:
         # the pool shares one operator; more threads than cores and a short
         # switch interval interleave its readers as often as possible
         s = scenario_from_dict(minimal_config(slice_counts=[2, 3, 4, 5, 6, 8]))
-        serial = run_trotter_study(s, threads=1)
+        serial = run(s, "trotter", threads=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            parallel = run_trotter_study(s, threads=threads)
+            parallel = run(s, "trotter", threads=threads)
         finally:
             sys.setswitchinterval(interval)
         assert serial.diagnostics["trotter_errors"] == parallel.diagnostics["trotter_errors"]
@@ -306,7 +302,7 @@ class TestStudies:
         doc["initial_state"]["center"] = [45.0]
         doc["final_state"]["center"] = [45.8]
         doc["amplitude"].update({"slices": [1], "r_start": 50.0, "max_evals": 1e11})
-        rep = run_amplitude_study(scenario_from_dict(doc))
+        rep = run(scenario_from_dict(doc), "amplitude")
         closed = [r for r in rep.rows if r.oracle == "closed-form"]
         assert len(closed) == 1
         assert abs(closed[0].reference) > 0.5
@@ -316,18 +312,18 @@ class TestStudies:
     def test_amplitude_rel_tol_checks_the_primary_row(self):
         amplitude = {"slices": [1], "r_start": 5.0, "steps": 2, "tail_window": 2}
         s = scenario_from_dict(minimal_config(amplitude=amplitude))
-        rel = run_amplitude_study(s).rows[0].rel_error
+        rel = run(s, "amplitude").rows[0].rel_error
         assert rel > 0
         for tol, passed in ((rel * (1 - 1e-9), False), (rel * (1 + 1e-9), True)):
             checked = scenario_from_dict(minimal_config(
                 amplitude=amplitude, checks={"amplitude_rel_tol": tol}
             ))
-            assert run_amplitude_study(checked).passed is passed
+            assert run(checked, "amplitude").passed is passed
 
     def test_run_all_shares_one_dense_evolution(self, monkeypatch):
         amplitude = {"slices": [1], "r_start": 5.0, "steps": 2, "tail_window": 2}
         s = scenario_from_dict(minimal_config(amplitude=amplitude))
-        separate = run_trotter_study(s).rows + run_amplitude_study(s).rows
+        separate = run(s, "trotter").rows + run(s, "amplitude").rows
 
         evolutions = []
         original = reference.chebyshev_evolve
@@ -337,7 +333,7 @@ class TestStudies:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(reference, "chebyshev_evolve", counting)
-        combined = run_all(s)
+        combined = run(s)
         assert len(evolutions) == 1
         dense_rows = [
             (r.quantity, r.k_or_step, r.value, r.reference)
@@ -356,7 +352,7 @@ class TestStudies:
         monkeypatch.setattr(reference, "assemble_hamiltonian", forbidden)
         monkeypatch.setattr(reference.DiscretizedHamiltonian, "eigendecomposition", forbidden)
         amplitude = {"slices": [1], "r_start": 5.0, "steps": 2, "tail_window": 2}
-        rep = run_all(scenario_from_dict(minimal_config(amplitude=amplitude)))
+        rep = run(scenario_from_dict(minimal_config(amplitude=amplitude)))
         assert rep.passed
         info = rep.diagnostics["reference_evolution"]
         assert info["method"] == "chebyshev"
@@ -364,20 +360,31 @@ class TestStudies:
         lo, hi = info["spectral_interval"]
         assert lo < hi
 
+    @pytest.mark.parametrize("command", ["all", "gauge", "trotter", "amplitude"])
     @pytest.mark.parametrize("name", ["harmonic_1d", "constant_field_2d"])
-    def test_run_all_tabulates_each_axis_once(self, count_calls, name):
-        # the phases do not depend on eps: one operator serves the gauge check,
-        # the Trotter study and the amplitude study
+    def test_run_all_tabulates_each_axis_once(self, count_calls, name, command):
+        # the phases do not depend on eps: one operator serves every study a command
+        # runs, and the reference is evolved at most once, only for its oracle rows
         tables = count_calls(gauge, "gauge_phase_table")
         operators = count_calls(splitstep, "SliceOperator")
+        evolutions = count_calls(reference, "evolve")
         scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
-        assert run_all(scenario).passed
+        if command == "amplitude" and not scenario.amplitude_params:
+            # refused before any work
+            with pytest.raises(ScheduleError, match="has no amplitude block"):
+                run(scenario, command)
+            assert (tables, operators, evolutions) == (
+                {"gauge_phase_table": 0}, {"SliceOperator": 0}, {"evolve": 0}
+            )
+            return
+        assert run(scenario, command).passed
         assert tables == {"gauge_phase_table": scenario.ndim}
         assert operators == {"SliceOperator": 1}
+        assert evolutions == {"evolve": 0 if command == "gauge" else 1}
 
     @pytest.mark.parametrize("entry", [
-        run_all,
-        run_gauge_check,
+        run,
+        lambda s: run(s, "gauge"),
         lambda s: splitstep.SliceOperator(s.grid, None, s.vector),
     ], ids=["run_all", "run_gauge_check", "SliceOperator"])
     def test_run_all_refuses_a_field_too_large_to_square_before_any_table(self, count_calls, entry):
@@ -390,34 +397,24 @@ class TestStudies:
 
     @pytest.mark.parametrize("name", ["harmonic_1d", "constant_field_2d"])
     def test_each_study_alone_gives_its_rows_in_run_all(self, name):
-        # a study called alone builds its own operator and reference evolution
+        # a command that runs one study builds its own operator and reference evolution
         scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
-        alone = run_gauge_check(scenario).rows + run_trotter_study(scenario).rows
+        alone = run(scenario, "gauge").rows + run(scenario, "trotter").rows
         if scenario.amplitude_params:
-            alone += run_amplitude_study(scenario).rows
-        assert run_all(scenario).rows == alone
-
-    def test_trotter_study_shares_one_operator(self, count_calls):
-        # one operator serves every slice count, so one table per axis
-        tables = count_calls(gauge, "gauge_phase_table")
-        operators = count_calls(splitstep, "SliceOperator")
-        scenario = load_scenario(SCENARIO_DIR / "constant_field_2d.json")
-        assert len(scenario.slice_counts) > 1
-        assert run_trotter_study(scenario).passed
-        assert tables == {"gauge_phase_table": scenario.ndim}
-        assert operators == {"SliceOperator": 1}
+            alone += run(scenario, "amplitude").rows
+        assert run(scenario, "all").rows == alone
 
     def test_each_study_reports_its_reference_evolution(self):
         s = scenario_from_dict(minimal_config(amplitude={"slices": [1], "r_start": 5.0, "steps": 2}))
-        assert "reference_evolution" in run_trotter_study(s).diagnostics
-        assert "reference_evolution" in run_amplitude_study(s).diagnostics
-        assert "reference_evolution" not in run_gauge_check(s).diagnostics
+        assert "reference_evolution" in run(s, "trotter").diagnostics
+        assert "reference_evolution" in run(s, "amplitude").diagnostics
+        assert "reference_evolution" not in run(s, "gauge").diagnostics
 
     @pytest.mark.parametrize("name, transforms", [("constant_field_2d", 4), ("harmonic_1d", 4)])
     def test_reference_evolution_reports_transforms_per_term(self, name, transforms):
         # the symmetric gauge is constant along each own axis: one pair per axis;
         # the sinusoidal field varies along its axis: one batched pair of two
-        report = run_trotter_study(load_scenario(SCENARIO_DIR / f"{name}.json"))
+        report = run(load_scenario(SCENARIO_DIR / f"{name}.json"), "trotter")
         assert report.diagnostics["reference_evolution"]["transforms_per_term"] == transforms
 
     @pytest.mark.parametrize("name, method, transforms", [
@@ -425,7 +422,7 @@ class TestStudies:
     ])
     def test_reference_evolution_names_its_path(self, name, method, transforms):
         # free_1d has no field that varies, so H is one Fourier multiplier: one term of one pair
-        _, info = dense_evolution(load_scenario(SCENARIO_DIR / f"{name}.json"))
+        info = run(load_scenario(SCENARIO_DIR / f"{name}.json"), "trotter").diagnostics["reference_evolution"]
         assert (info["method"], info["transforms_per_term"]) == (method, transforms)
         assert (info["terms"] == 1) == (method == "fourier")
         assert info["terms"] >= 1
@@ -433,7 +430,7 @@ class TestStudies:
     def test_128_squared_scenario_runs_every_study(self):
         # 16384 points: the reference evolution builds no matrix, so no grid size is capped
         path = Path(__file__).resolve().parents[1] / "scenarios" / "constant_field_2d_128.json"
-        rep = run_all(load_scenario(path))
+        rep = run(load_scenario(path))
         assert rep.passed
         assert [r.k_or_step for r in rep.rows if r.quantity == "split_vs_dense_error"] == [
             "2", "4", "8", "16"
@@ -446,7 +443,7 @@ class TestVerdicts:
 
     @staticmethod
     def trotter(**overrides):
-        return run_trotter_study(scenario_from_dict(minimal_config(slice_counts=[2, 4, 8], **overrides)))
+        return run(scenario_from_dict(minimal_config(slice_counts=[2, 4, 8], **overrides)), "trotter")
 
     @pytest.mark.parametrize("excess, passed", [(0.5, True), (2.0, False)])
     def test_norm_drift_bound_is_k_times_1e_12(self, monkeypatch, excess, passed):
@@ -493,16 +490,16 @@ class TestVerdicts:
             assert self.trotter(checks={"trotter_order_band": band}).passed is passed
 
     def test_midpoint_slope_min(self):
-        slope = run_gauge_check(scenario_from_dict(minimal_config())).diagnostics["midpoint_slope"]
+        slope = run(scenario_from_dict(minimal_config()), "gauge").diagnostics["midpoint_slope"]
         for min_slope, passed in ((slope - 0.1, True), (slope + 0.1, False)):
             checked = scenario_from_dict(minimal_config(checks={"midpoint_slope_min": min_slope}))
-            assert run_gauge_check(checked).passed is passed
+            assert run(checked, "gauge").passed is passed
 
     @pytest.mark.parametrize("r_start, converged", [(5.0, True), (1.0, False)])
     def test_amplitude_must_converge(self, r_start, converged):
         # a first box of radius 1 truncates the unit-width packets, so the two-step tail spreads
         amplitude = {"slices": [1], "r_start": r_start, "steps": 2, "tail_window": 2}
-        report = run_amplitude_study(scenario_from_dict(minimal_config(amplitude=amplitude)))
+        report = run(scenario_from_dict(minimal_config(amplitude=amplitude)), "amplitude")
         oscillation = report.diagnostics["amplitude_k1"]["tail_oscillation"]
         assert (oscillation < pathint.TAIL_OSCILLATION_TOL) is converged
         assert report.passed is converged
@@ -515,10 +512,10 @@ class TestVerdicts:
         # no field: zero residual rows, no midpoint fit, and no table is built; nothing can fail
         tables = count_calls(gauge, "gauge_phase_table")
         state = {"center": [0.0] * dimension, "width": [1.0] * dimension}
-        report = run_gauge_check(scenario_from_dict(minimal_config(
+        report = run(scenario_from_dict(minimal_config(
             dimension=dimension, grid=grid, vector_potential={"family": "zero"},
             initial_state=state, final_state=state,
-        )))
+        )), "gauge")
         assert report.passed
         assert [(r.quantity, r.k_or_step, r.value) for r in report.rows] == [
             ("conjugation_residual", f"axis{axis}", 0.0) for axis in range(dimension)
