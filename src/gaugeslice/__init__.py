@@ -7,6 +7,22 @@ and excised improper-Riemann quadrature of the time-sliced transition
 amplitude.
 """
 
+import os
+
+# Importing numpy loads OpenBLAS, which starts a worker thread per further CPU.
+# No run uses them: its only BLAS calls are np.dot of at most 5 entries, and it
+# calls no LAPACK (dense matrices serve the tests alone).  So the pool is pure
+# start-up cost, about a third of it, and numpy is loaded here with one BLAS
+# thread.  The variable is set for the import alone, so os.environ and child
+# processes keep the caller's environment; a caller's own value, or a numpy
+# imported earlier, is left as it is.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import (
     CapExceededError,
     EigenFailureError,

@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, desc in (
-        ("trotter", "split-step vs dense-exponential convergence table"),
+        ("trotter", "split-step vs reference-evolution convergence table"),
         ("amplitude", "excised path-integral amplitude study"),
         ("gauge", "gauge conjugation and midpoint-discrepancy checks"),
         ("all", "run every study for the scenario"),

@@ -298,7 +298,7 @@ def gaussian_evaluator(center=0.0, width=1.0, momentum=0.0, ndim: int = 1):
     def evaluate(points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         out = np.ones(pts.shape[:-1], dtype=complex)
-        # numpy's warnings off: a run's WaveFunction of the state refuses a non-finite value
+        # numpy's warnings off: the state's WaveFunction or amplitude mesh refuses a non-finite value
         with np.errstate(all="ignore"):
             for b in range(ndim):
                 x = pts[..., b] - center[b]

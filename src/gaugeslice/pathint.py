@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapExceededError, ScheduleError
+from .errors import CapExceededError, NonFiniteError, ScheduleError
 from . import gauge
 from .fields import (
     ScalarPotentialSpec,
@@ -274,6 +274,16 @@ class AmplitudeEstimate:
         return self.tail_oscillation < TAIL_OSCILLATION_TOL
 
 
+def _state_on_mesh(state_fn, mesh: _TensorMesh, name: str) -> np.ndarray:
+    values = state_fn(mesh.points)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise NonFiniteError(
+            f"{name} state returned non-finite value at {mesh.points[~finite][0]} on the amplitude mesh"
+        )
+    return values
+
+
 def raw_sliced_amplitude(
     phi_fn,
     psi_fn,
@@ -285,9 +295,11 @@ def raw_sliced_amplitude(
 ) -> complex:
     """One box-truncated nested midpoint sum, evaluated as chained transfers.
 
-    Every slice point x_0 .. x_k ranges over the same ``mesh``.
+    Every slice point x_0 .. x_k ranges over the same ``mesh``.  A state that
+    is not finite on the mesh raises :class:`NonFiniteError` naming it.
     """
-    u = psi_fn(mesh.points) * mesh.weights
+    u = _state_on_mesh(psi_fn, mesh, "initial") * mesh.weights
+    phi = _state_on_mesh(phi_fn, mesh, "final")
     transfer = _kernel_plan(mesh, eps, vector)
     # every slice ends on the same diagonal: potential phase times quadrature weight
     diagonal = mesh.weights
@@ -295,7 +307,7 @@ def raw_sliced_amplitude(
         diagonal = np.exp(-1j * eps * sample_points(scalar, mesh.points)) * diagonal
     for _ in range(slices):
         u = transfer(u) * diagonal
-    amp = np.sum(phi_fn(mesh.points) * u)
+    amp = np.sum(phi * u)
     return complex(kernel_prefactor(mesh.ndim, eps, slices) * amp)
 
 

@@ -679,7 +679,10 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction, op: splitstep.S
             raise ScheduleError(f"{exc}; lower amplitude.gap") from exc
         except CapExceededError as exc:
             if exc.suggested_slices == 0:
-                hint = "one slice exceeds the cap: lower amplitude.r_start or raise amplitude.max_evals"
+                # the last radius r + (steps - 1) 2 pi eps / r is least at r = sqrt(2 pi eps (steps - 1))
+                least = np.sqrt(2.0 * np.pi * scenario.time / k * (params["steps"] - 1))
+                move = "raise" if params["r_start"] < least else "lower"
+                hint = f"one slice exceeds the cap: {move} amplitude.r_start or raise amplitude.max_evals"
             else:
                 hint = f"try slices <= {exc.suggested_slices}"
             raise CapExceededError(f"{exc} ({hint})", exc.suggested_slices) from exc

@@ -149,22 +149,26 @@ class TestExitCodes:
         assert len(err) == 1 and "has no amplitude block" in err[0]
         assert not list(out.iterdir())
 
-    @pytest.mark.parametrize("r_start", [1e300, 1e-300])
-    def test_box_too_wide_to_mesh_gives_exit_2(self, tmp_path, capsys, r_start):
-        # the last box's cell count overflows a float, which counts as exceeding the cap
+    @pytest.mark.parametrize("r_start, move", [
+        pytest.param(1e300, "lower", id="1e+300"),
+        pytest.param(1e-300, "raise", id="1e-300"),
+    ])
+    def test_box_too_wide_to_mesh_gives_exit_2(self, tmp_path, capsys, r_start, move):
+        # the last box's cell count overflows a float, which counts as exceeding the cap;
+        # its radius r + (steps - 1) 2 pi eps / r is huge for a huge r and for a tiny one
         scen = write_harmonic_1d(tmp_path, lambda doc: doc["amplitude"].update(r_start=r_start))
         code = cli.main(["amplitude", "--scenario", str(scen), "--out", str(tmp_path / "r")])
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: inf kernel evaluations exceed the cap")
+        assert err[0].endswith(f": {move} amplitude.r_start or raise amplitude.max_evals)")
 
     def test_cap_checked_before_the_schedule_is_built(self, tmp_path):
         # 1e12 steps: the cap is checked on the last box alone, before 1e12 radii are listed;
         # the run gets 1 GiB of address space, so a regression fails without exhausting memory
         scen = write_harmonic_1d(tmp_path, lambda doc: doc["amplitude"].update(steps=1e12))
         src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

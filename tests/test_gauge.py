@@ -395,9 +395,13 @@ class TestBlockEvaluation:
         assert len(tables) == 2 and peak < 0.4e6
 
 
-def _fresh_interpreter(code: str) -> str:
+def _fresh_interpreter(code: str, openblas_threads: str | None = None) -> str:
+    # an inherited OPENBLAS_NUM_THREADS is dropped, so it cannot stand in for the package's own
     src = str(Path(gaugeslice.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
@@ -432,8 +436,24 @@ def test_run_calls_no_lapack_and_loads_no_numpy_polynomial():
     assert _fresh_interpreter(code) == "False"
 
 
+# prints the process's OS thread count, or "unknown" where /proc/self/status is missing
+PRINT_OS_THREADS = (
+    "try:\n"
+    "    with open('/proc/self/status') as status:\n"
+    "        print(next(line.split()[1] for line in status if line.startswith('Threads:')))\n"
+    "except OSError:\n"
+    "    print('unknown')\n"
+)
+
+
+def _skip_unless_counted(threads: str) -> None:
+    if threads == "unknown":
+        pytest.skip("no /proc/self/status to count the process's OS threads")
+
+
 def test_default_run_starts_no_thread():
-    # a one-thread run evaluates its slice counts in the calling thread, without a pool
+    # a one-thread run evaluates its slice counts in the calling thread, without a pool,
+    # and numpy is loaded without OpenBLAS's worker threads
     paths = sorted(str(p) for p in SCENARIO_DIR.glob("*.json"))
     code = (
         "import sys, threading\n"
@@ -444,10 +464,31 @@ def test_default_run_starts_no_thread():
         "from gaugeslice.scenarios import run\n"
         f"for path in {paths!r}:\n"
         "    assert run(load_scenario(path)).passed, path\n"
-        "print('concurrent.futures' in sys.modules)"
-    )
+        "print('concurrent.futures' in sys.modules)\n"
+    ) + PRINT_OS_THREADS
     assert paths
+    futures, threads = _fresh_interpreter(code).splitlines()
+    assert futures == "False"
+    _skip_unless_counted(threads)
+    assert threads == "1"
+
+
+def test_import_leaves_openblas_num_threads_unset():
+    # the one-thread setting holds for numpy's import alone; child processes inherit none
+    code = "import os, gaugeslice; print('OPENBLAS_NUM_THREADS' in os.environ)"
     assert _fresh_interpreter(code) == "False"
+
+
+def test_callers_openblas_num_threads_is_kept():
+    code = "import os, gaugeslice\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n" + PRINT_OS_THREADS
+    value, threads = _fresh_interpreter(code, openblas_threads="2").splitlines()
+    assert value == "2"
+    # OpenBLAS starts at most one thread per usable CPU, the calling thread included
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if cpus is None or cpus < 2:
+        pytest.skip("fewer than 2 CPUs for a second OpenBLAS thread")
+    _skip_unless_counted(threads)
+    assert threads == "2"
 
 
 def test_run_does_not_load_numpy_ma():

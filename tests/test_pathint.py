@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gaugeslice import (
     CapExceededError,
+    NonFiniteError,
     ScalarPotentialSpec,
     ScheduleError,
     SingularNodeError,
@@ -482,6 +483,14 @@ class TestAmplitudeQuadrature:
         )
         assert np.isfinite(estimate.value)
         assert nearest["dist"] >= 1e-3
+
+    @pytest.mark.parametrize("name", ["initial", "final"])
+    def test_non_finite_state_on_the_mesh_raises(self, name):
+        # a width of 1e-300 overflows on every node; the amplitude would be NaN
+        narrow, wide = gaussian_evaluator(width=1e-300), gaussian_evaluator()
+        phi, psi = (wide, narrow) if name == "initial" else (narrow, wide)
+        with pytest.raises(NonFiniteError, match=f"^{name} state returned non-finite value"):
+            amplitude_quadrature(phi, psi, 0.2, 1, r_start=5.0, steps=2)
 
     def test_cap_exceeded_suggests_fewer_slices(self):
         with pytest.raises(CapExceededError) as info:
