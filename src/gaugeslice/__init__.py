@@ -55,7 +55,6 @@ from .gauge import (
 )
 from .splitstep import (
     SliceOperator,
-    TimeSlicing,
     evolve,
 )
 from .reference import (

@@ -9,8 +9,9 @@ flag, ``amplitude`` on a scenario without an ``amplitude`` block, a tripped
 evaluation cap, an amplitude gap that excises a whole axis, a scalar
 potential that swamps the reference's spectral interval, a vector potential
 too large to square, a field or state that is not finite on the grid, a
-field evaluation on a registered singular point, or an output directory that
-cannot be made or written).  Each such failure prints one ``error:`` line.
+field evaluation on a registered singular point, a grid too large to
+allocate, or an output directory that cannot be made or written).  Each such
+failure prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, type=Path, help="scenario JSON file")
         p.add_argument("--out", type=Path, default=Path("reports"), help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="Trotter study threads (>= 1): 1 runs in the calling thread, "
-                            "N > 1 in a pool of N threads")
+                       help="accepted and ignored (>= 1): every study runs in the calling thread")
     return parser
 
 
@@ -67,12 +67,15 @@ def main(argv=None) -> int:
     try:
         # made before any study runs, so a bad --out fails fast
         args.out.mkdir(parents=True, exist_ok=True)
-        report = scenarios.run(scenario, args.command, threads=args.threads)
+        report = scenarios.run(scenario, args.command)
         stem = f"{scenario.name}_{args.command}"
         report.write_csv(args.out / f"{stem}.csv")
         report.write_json(args.out / f"{stem}.json")
     except (GaugesliceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
     _print_summary(report)

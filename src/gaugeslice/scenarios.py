@@ -341,13 +341,13 @@ def scenario_from_dict(cfg: dict) -> Scenario:
 
     scfg = cfg.get("scalar_potential", {"family": "free"})
     family = scfg.get("family", "free")
-    if family not in SCALAR_FAMILIES:
+    if not (isinstance(family, str) and family in SCALAR_FAMILIES):
         raise ValueError(f"unknown scalar potential family {family!r}")
     scalar = SCALAR_FAMILIES[family](ndim, scfg.get("params", {}))
 
     vcfg = cfg.get("vector_potential", {"family": "zero"})
     vfamily = vcfg.get("family", "zero")
-    if vfamily not in VECTOR_FAMILIES:
+    if not (isinstance(vfamily, str) and vfamily in VECTOR_FAMILIES):
         raise ValueError(f"unknown vector potential family {vfamily!r}")
     vector = VECTOR_FAMILIES[vfamily](ndim, vcfg.get("params", {}))
 
@@ -424,12 +424,6 @@ class Report:
         row = ReportRow(self.scenario, quantity, str(k_or_step), value, reference, abs_error, rel_error, oracle)
         self.rows.append(row)
         return row
-
-    def merge(self, other: "Report") -> None:
-        self.rows.extend(other.rows)
-        self.diagnostics.update(other.diagnostics)
-        self.timings.update(other.timings)
-        self.passed = self.passed and other.passed
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -511,37 +505,21 @@ def _fit_loglog_slope(x, y) -> float:
     return float(np.dot(dx, y - y.mean()) / np.dot(dx, dx))
 
 
-def run_trotter_study(scenario: Scenario, exact: WaveFunction, op: splitstep.SliceOperator,
-                      threads: int = 1) -> Report:
-    """Split-step error against the reference evolution per slice count.
+def run_trotter_study(scenario: Scenario, report: Report, psi0: WaveFunction, exact: WaveFunction,
+                      op: splitstep.SliceOperator) -> None:
+    """Split-step error against the reference evolution per slice count, into ``report``.
 
-    ``exact`` is the scenario's reference evolution and ``op`` its split-step
-    operator, both as :func:`run` builds them.  With ``threads`` 1 the slice
-    counts run in the calling thread; with more, in a pool of that many
-    threads that share ``op``.
+    ``psi0`` is the scenario's initial state, ``exact`` its reference evolution
+    and ``op`` its split-step operator, all as :func:`run` builds them.
     """
-    report = Report(scenario.name)
     start = time.perf_counter()
-    psi0 = scenario.initial_state.on_grid(scenario.grid)
-
-    def one_k(k: int):
-        evolved = splitstep.evolve(op, psi0, splitstep.TimeSlicing(scenario.time, k))
-        err = l2_norm(evolved.with_values(evolved.values - exact.values))
-        drift = abs(l2_norm(evolved) - l2_norm(psi0))
-        return err, drift
-
     ks = list(scenario.slice_counts)
-    if threads == 1:
-        results = [one_k(k) for k in ks]
-    else:
-        # imported here: concurrent.futures loads logging and queue, which a one-thread run never needs
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_k, ks))
-
+    norm0 = l2_norm(psi0)
     errors = []
-    for k, (err, drift) in zip(ks, results):
+    for k in ks:
+        evolved = splitstep.evolve(op, psi0, scenario.time, k)
+        err = l2_norm(evolved.with_values(evolved.values - exact.values))
+        drift = abs(l2_norm(evolved) - norm0)
         errors.append(err)
         report.add("split_vs_dense_error", k, err, reference=0.0, oracle="dense", rel_scale=1.0)
         report.add("norm_drift", k, drift, reference=0.0, oracle="unitarity", rel_scale=1.0)
@@ -565,18 +543,16 @@ def run_trotter_study(scenario: Scenario, exact: WaveFunction, op: splitstep.Sli
             report.passed = False
     report.diagnostics["trotter_errors"] = dict(zip(map(str, ks), errors))
     report.timings["trotter"] = time.perf_counter() - start
-    return report
 
 
-def run_gauge_check(scenario: Scenario, op: splitstep.SliceOperator) -> Report:
-    """Conjugation residual per axis and the midpoint-discrepancy slope fit.
+def run_gauge_check(scenario: Scenario, report: Report, psi0: WaveFunction,
+                    op: splitstep.SliceOperator) -> None:
+    """Conjugation residual per axis and the midpoint-discrepancy slope fit, into ``report``.
 
-    The residual reads the field samples and gauge phases of ``op``, the
-    scenario's split-step operator as :func:`run` builds it.
+    The residual acts on the initial state ``psi0`` with the field samples and
+    gauge phases of the split-step operator ``op``, both as :func:`run` builds them.
     """
-    report = Report(scenario.name)
     start = time.perf_counter()
-    psi = scenario.initial_state.on_grid(scenario.grid)
     tol = scenario.checks.get("gauge_residual_tol", 1e-6)
 
     if scenario.vector is None:
@@ -585,7 +561,7 @@ def run_gauge_check(scenario: Scenario, op: splitstep.SliceOperator) -> Report:
                        oracle="spectral", rel_scale=1.0)
     else:
         for axis in range(scenario.ndim):
-            resid = gauge.gauge_conjugation_residual(op, axis, psi)
+            resid = gauge.gauge_conjugation_residual(op, axis, psi0)
             report.add("conjugation_residual", f"axis{axis}", resid, reference=0.0,
                        oracle="spectral", rel_scale=1.0)
             if resid > tol:
@@ -611,7 +587,6 @@ def run_gauge_check(scenario: Scenario, op: splitstep.SliceOperator) -> Report:
             if min_slope is not None and slope < min_slope:
                 report.passed = False
     report.timings["gauge"] = time.perf_counter() - start
-    return report
 
 
 def _closed_form_free_amplitude(scenario: Scenario) -> complex:
@@ -635,26 +610,25 @@ def _closed_form_free_amplitude(scenario: Scenario) -> complex:
     return complex(norm * np.sqrt(np.pi / alpha) * np.exp(beta**2 / (4.0 * alpha) + gamma))
 
 
-def run_amplitude_study(scenario: Scenario, exact: WaveFunction, op: splitstep.SliceOperator) -> Report:
-    """Excised path-integral amplitudes vs split-step / reference / closed-form oracles.
+def run_amplitude_study(scenario: Scenario, report: Report, psi0: WaveFunction, exact: WaveFunction,
+                        op: splitstep.SliceOperator) -> None:
+    """Excised path-integral amplitudes vs split-step / reference / closed-form oracles, into ``report``.
 
-    ``exact`` is the scenario's reference evolution and ``op`` its split-step
-    operator, both as :func:`run` builds them; the pairing of ``exact`` with
-    the final state is the reference row tagged ``dense``.  A singular mesh
-    node, a gap that excises a whole axis and a tripped evaluation cap are
-    re-raised with a hint naming the ``amplitude`` key to change.
+    ``psi0`` is the scenario's initial state, ``exact`` its reference
+    evolution and ``op`` its split-step operator, all as :func:`run` builds
+    them; the pairing of ``exact`` with the final state is the reference row
+    tagged ``dense``.  A singular mesh node, a gap that excises a whole axis
+    and a tripped evaluation cap are re-raised with a hint naming the
+    ``amplitude`` key to change.
     """
     params = scenario.amplitude_params
-    report = Report(scenario.name)
     start = time.perf_counter()
     # every other key of the block is a keyword of the quadrature
     schedule = {key: value for key, value in params.items() if key != "slices"}
 
     phi_fn = scenario.final_state.evaluator(scenario.ndim)
     psi_fn = scenario.initial_state.evaluator(scenario.ndim)
-    grid = scenario.grid
-    phi_grid = scenario.final_state.on_grid(grid)
-    psi_grid = scenario.initial_state.on_grid(grid)
+    phi_grid = scenario.final_state.on_grid(scenario.grid)
 
     free = scenario.scalar is None and scenario.vector is None
     rel_tol = scenario.checks.get("amplitude_rel_tol")
@@ -693,7 +667,7 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction, op: splitstep.S
             "mesh_sizes": list(estimate.mesh_sizes),
         }
 
-        evolved = splitstep.evolve(op, psi_grid, splitstep.TimeSlicing(scenario.time, k))
+        evolved = splitstep.evolve(op, psi0, scenario.time, k)
         split_ref = pair_bilinear(phi_grid, evolved)
         primary = report.add("amplitude", k, estimate.value, reference=split_ref, oracle="split-step")
         if free and scenario.ndim == 1:
@@ -707,7 +681,6 @@ def run_amplitude_study(scenario: Scenario, exact: WaveFunction, op: splitstep.S
         if rel_tol is not None and not (primary.rel_error is not None and primary.rel_error <= rel_tol):
             report.passed = False
     report.timings["amplitude"] = time.perf_counter() - start
-    return report
 
 
 # the studies each command runs, in report order
@@ -715,15 +688,17 @@ _STUDIES = {"all": ("gauge", "trotter", "amplitude"), "gauge": ("gauge",),
             "trotter": ("trotter",), "amplitude": ("amplitude",)}
 
 
-def run(scenario: Scenario, command: str = "all", threads: int = 1) -> Report:
-    """The report of ``command``'s studies, over one reference evolution and one operator.
+def run(scenario: Scenario, command: str = "all") -> Report:
+    """The report of ``command``'s studies, over one initial state, reference evolution and operator.
 
     ``all`` runs the amplitude study only when the scenario has an ``amplitude``
     block; ``amplitude`` without one raises :class:`ScheduleError` before any
-    work.  The reference (:func:`reference.evolve`) is evolved only for the
-    Trotter or amplitude study, and first, so it refuses a field it cannot
-    evolve before any gauge table is built; one :class:`splitstep.SliceOperator`
-    then serves every study, so V and a are sampled and each axis tabulated once.
+    work.  The initial state is sampled once, first, and every study reads it
+    and writes into the one report, in the calling thread.  The reference
+    (:func:`reference.evolve`) is evolved only for the Trotter or amplitude
+    study, and before the operator, so it refuses a field it cannot evolve
+    before any gauge table is built; one :class:`splitstep.SliceOperator` then
+    serves every study, so V and a are sampled and each axis tabulated once.
     """
     studies = _STUDIES[command]
     if not scenario.amplitude_params:
@@ -732,20 +707,21 @@ def run(scenario: Scenario, command: str = "all", threads: int = 1) -> Report:
         studies = tuple(study for study in studies if study != "amplitude")
     report = Report(scenario.name)
     grid = scenario.grid
+    psi0 = scenario.initial_state.on_grid(grid)
     exact = None
     if "trotter" in studies or "amplitude" in studies:
         start = time.perf_counter()
         action = reference.HamiltonianAction(grid, scenario.vector, scenario.scalar)
-        exact, evolution = reference.evolve(action, scenario.initial_state.on_grid(grid), scenario.time)
+        exact, evolution = reference.evolve(action, psi0, scenario.time)
         dense_s = time.perf_counter() - start
     op = splitstep.SliceOperator(grid, scenario.scalar, scenario.vector)
     if "gauge" in studies:
-        report.merge(run_gauge_check(scenario, op))
+        run_gauge_check(scenario, report, psi0, op)
     if exact is not None:
         report.diagnostics["reference_evolution"] = evolution
         report.timings["dense_reference"] = dense_s
     if "trotter" in studies:
-        report.merge(run_trotter_study(scenario, exact, op, threads))
+        run_trotter_study(scenario, report, psi0, exact, op)
     if "amplitude" in studies:
-        report.merge(run_amplitude_study(scenario, exact, op))
+        run_amplitude_study(scenario, report, psi0, exact, op)
     return report

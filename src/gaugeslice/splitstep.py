@@ -16,13 +16,12 @@ studies and the gauge study's residual share it; a field too large to
 square is refused before any table is built.
 ``SliceOperator.slice(eps)`` builds exp(-i eps V) and the kinetic multipliers
 for one eps and returns the one-slice map.  The operator's tables are never
-written after construction, so threads may share it.
+written after construction, so one operator serves every evolution in turn.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,24 +38,6 @@ from .fields import (
 )
 
 BOUNDARY_MASS_WARN = 1e-6
-
-
-@dataclass(frozen=True)
-class TimeSlicing:
-    """Total time split into an integer number of equal slices."""
-
-    total_time: float
-    slices: int
-
-    def __post_init__(self):
-        if not self.total_time > 0:
-            raise ValueError("total time must be positive")
-        if self.slices < 1:
-            raise ValueError("slice count must be a positive integer")
-
-    @property
-    def eps(self) -> float:
-        return self.total_time / self.slices
 
 
 def kinetic_multiplier(grid: Grid, axis: int, eps: float) -> np.ndarray:
@@ -138,16 +119,20 @@ def boundary_mass_fraction(psi: WaveFunction) -> float:
     return float((total - np.sum(inner)) / total)
 
 
-def evolve(op: SliceOperator, psi: WaveFunction, slicing: TimeSlicing) -> WaveFunction:
-    """k-fold application of the slice of length ``slicing.eps``."""
+def evolve(op: SliceOperator, psi: WaveFunction, t: float, slices: int) -> WaveFunction:
+    """``slices``-fold application of the slice of length ``t / slices``."""
+    if not t > 0:
+        raise ValueError("total time must be positive")
+    if slices < 1:
+        raise ValueError("slice count must be a positive integer")
     if boundary_mass_fraction(psi) > BOUNDARY_MASS_WARN:
         warnings.warn(
             "wavepacket carries significant mass in the boundary cells; "
             "periodic wrap-around will contaminate the evolution",
             stacklevel=2,
         )
-    step = op.slice(slicing.eps)
+    step = op.slice(t / slices)
     out = psi
-    for _ in range(slicing.slices):
+    for _ in range(slices):
         out = step(out)
     return out

@@ -132,7 +132,7 @@ def test_criterion_5_amplitude_identity():
         op = gs.SliceOperator(grid, scalar, None)
         split_ref = gs.pair_bilinear(
             gs.gaussian_wave(grid, center=0.5),
-            gs.evolve(op, gs.gaussian_wave(grid, momentum=1.0), gs.TimeSlicing(t, 3)),
+            gs.evolve(op, gs.gaussian_wave(grid, momentum=1.0), t, 3),
         )
         estimate = gs.amplitude_quadrature(phi_h, psi_h, t, 3, r_start=6.0, steps=12, scalar=scalar)
         assert abs(estimate.value - split_ref) / abs(split_ref) <= 1e-2
@@ -148,7 +148,7 @@ def test_criterion_6_prefactor_forcing():
         op = gs.SliceOperator(grid, None, None)
         reference = gs.pair_bilinear(
             gs.gaussian_wave(grid, center=0.8),
-            gs.evolve(op, gs.gaussian_wave(grid, momentum=1.0), gs.TimeSlicing(t, 1)),
+            gs.evolve(op, gs.gaussian_wave(grid, momentum=1.0), t, 1),
         )
         composed = gs.amplitude_quadrature(phi, psi, t, 1, r_start=7.0, steps=12)
         assert abs(composed.value - reference) / abs(reference) <= 1e-3
@@ -193,6 +193,5 @@ def test_criterion_8_unitarity_suite():
             norm0 = gs.l2_norm(psi0)
             op = gs.SliceOperator(scenario.grid, scenario.scalar, scenario.vector)
             for k in scenario.slice_counts:
-                slicing = gs.TimeSlicing(scenario.time, k)
-                evolved = gs.evolve(op, psi0, slicing)
+                evolved = gs.evolve(op, psi0, scenario.time, k)
                 assert abs(gs.l2_norm(evolved) - norm0) <= k * 1e-12, (name, k)

@@ -44,6 +44,27 @@ def write_harmonic_1d(tmp_path, edit):
     return path
 
 
+def stderr_within_1_gib(tmp_path, command, scen):
+    """stderr lines of a CLI run that exits 2 with 1 GiB of address space.
+
+    The limit lets a regression that allocates without bound fail without
+    exhausting the machine's memory.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    out = subprocess.run(
+        [sys.executable, "-m", "gaugeslice.cli", command, "--scenario", str(scen),
+         "--out", str(tmp_path / "r")],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120,
+    )
+    assert out.returncode == 2
+    return out.stderr.splitlines()
+
+
 class TestExitCodes:
     def test_gauge_pass(self, tmp_path, capsys):
         scen = write_scenario(tmp_path)
@@ -164,23 +185,16 @@ class TestExitCodes:
         assert err[0].endswith(f": {move} amplitude.r_start or raise amplitude.max_evals)")
 
     def test_cap_checked_before_the_schedule_is_built(self, tmp_path):
-        # 1e12 steps: the cap is checked on the last box alone, before 1e12 radii are listed;
-        # the run gets 1 GiB of address space, so a regression fails without exhausting memory
+        # 1e12 steps: the cap is checked on the last box alone, before 1e12 radii are listed
         scen = write_harmonic_1d(tmp_path, lambda doc: doc["amplitude"].update(steps=1e12))
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        out = subprocess.run(
-            [sys.executable, "-m", "gaugeslice.cli", "amplitude", "--scenario", str(scen),
-             "--out", str(tmp_path / "r")],
-            capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120,
-        )
-        assert out.returncode == 2
-        err = out.stderr.splitlines()
+        err = stderr_within_1_gib(tmp_path, "amplitude", scen)
         assert len(err) == 1 and "kernel evaluations exceed the cap" in err[0]
+
+    def test_grid_too_large_to_allocate_gives_one_error_line(self, tmp_path):
+        # no grid size is capped: 1e10 points fail to allocate
+        scen = write_harmonic_1d(tmp_path, lambda doc: doc["grid"].update(shape=[10_000_000_000]))
+        err = stderr_within_1_gib(tmp_path, "all", scen)
+        assert len(err) == 1 and err[0].startswith("error: out of memory: ")
 
     @pytest.mark.parametrize("command", ["all", "gauge", "trotter", "amplitude"])
     @pytest.mark.parametrize("edit, message", [
@@ -275,6 +289,8 @@ class TestExitCodes:
          "harmonic params center True"),
         ({"vector_potential": {"family": "sinusoidal", "params": {"period": 0}}},
          "sinusoidal params period"),
+        ({"scalar_potential": {"family": ["harmonic"]}}, "unknown scalar potential family ['harmonic']"),
+        ({"vector_potential": {"family": ["zero"]}}, "unknown vector potential family ['zero']"),
     ], ids=["zero-time", "negative-time", "zero-slice-count", "zero-amplitude-slices",
             "misspelled-family-param", "negative-width", "center-length",
             "fractional-grid-shape", "string-grid-shape", "infinite-grid-bound",
@@ -282,7 +298,8 @@ class TestExitCodes:
             "scalar-order-band", "string-residual-tol", "fractional-dimension",
             "string-dimension", "bool-dimension", "string-time", "bool-time",
             "string-state-width", "bool-state-center", "string-family-param",
-            "nan-family-param", "bool-family-center", "zero-sinusoidal-period"])
+            "nan-family-param", "bool-family-center", "zero-sinusoidal-period",
+            "list-scalar-family", "list-vector-family"])
     def test_invalid_parameter_gives_exit_2(self, tmp_path, capsys, overrides, fragment):
         scen = write_scenario(tmp_path, **overrides)
         code = cli.main(["all", "--scenario", str(scen), "--out", str(tmp_path / "r")])

@@ -473,6 +473,26 @@ def test_default_run_starts_no_thread():
     assert threads == "1"
 
 
+def test_threads_flag_starts_no_thread():
+    # --threads is accepted and ignored: every study runs in the calling thread
+    path = str(SCENARIO_DIR / "constant_field_2d.json")
+    code = (
+        "import contextlib, io, sys, tempfile, threading\n"
+        "def refuse(self):\n"
+        "    raise AssertionError('thread started')\n"
+        "threading.Thread.start = refuse\n"
+        "from gaugeslice import cli\n"
+        "with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['all', '--scenario', {path!r}, '--threads', '2', '--out', out])\n"
+        "assert code == 0, code\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    ) + PRINT_OS_THREADS
+    futures, threads = _fresh_interpreter(code).splitlines()
+    assert futures == "False"
+    _skip_unless_counted(threads)
+    assert threads == "1"
+
+
 def test_import_leaves_openblas_num_threads_unset():
     # the one-thread setting holds for numpy's import alone; child processes inherit none
     code = "import os, gaugeslice; print('OPENBLAS_NUM_THREADS' in os.environ)"

@@ -11,7 +11,6 @@ from gaugeslice import (
     GridMismatchError,
     NonFiniteError,
     SliceOperator,
-    TimeSlicing,
     VectorPotentialSpec,
     evolve,
     gaussian_wave,
@@ -36,15 +35,14 @@ def smooth_vector_1d(box_length=16.0):
     )
 
 
-class TestTimeSlicing:
-    def test_eps(self):
-        assert TimeSlicing(0.5, 4).eps == pytest.approx(0.125)
-
+class TestEvolveArguments:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TimeSlicing(0.0, 4)
-        with pytest.raises(ValueError):
-            TimeSlicing(1.0, 0)
+        g = Grid((-8.0,), (8.0,), (64,))
+        op, psi = SliceOperator(g, None, None), gaussian_wave(g)
+        with pytest.raises(ValueError, match="total time"):
+            evolve(op, psi, 0.0, 4)
+        with pytest.raises(ValueError, match="slice count"):
+            evolve(op, psi, 1.0, 0)
 
 
 class TestFreePropagation:
@@ -112,7 +110,7 @@ class TestSliceOperator:
         manual = psi
         for _ in range(3):
             manual = op.slice(0.1)(manual)
-        assert np.allclose(evolve(op, psi, TimeSlicing(0.3, 3)).values, manual.values)
+        assert np.allclose(evolve(op, psi, 0.3, 3).values, manual.values)
 
     def test_one_operator_serves_every_slice_count(self):
         # no eps state survives an evolution: k = 2 then k = 5 on one operator
@@ -122,8 +120,8 @@ class TestSliceOperator:
         psi = gaussian_wave(g, width=0.6, momentum=[0.5, -0.3])
         shared = SliceOperator(g, harmonic(), vec)
         for k in (2, 5):
-            fresh = evolve(SliceOperator(g, harmonic(), vec), psi, TimeSlicing(0.4, k))
-            assert np.array_equal(evolve(shared, psi, TimeSlicing(0.4, k)).values, fresh.values)
+            fresh = evolve(SliceOperator(g, harmonic(), vec), psi, 0.4, k)
+            assert np.array_equal(evolve(shared, psi, 0.4, k).values, fresh.values)
 
     def test_vector_dimension_mismatch(self):
         g = Grid((-5.0, -5.0), (5.0, 5.0), (16, 16))
@@ -188,10 +186,9 @@ class TestSliceOperator:
         g = symmetric.grid
         chi_phase = np.exp(0.25j * np.multiply.outer(g.axis_coords(0), g.axis_coords(1)))
         psi = symmetric.initial_state.on_grid(g)
-        slicing = TimeSlicing(symmetric.time, k)
         gauged = evolve(SliceOperator(g, landau.scalar, landau.vector),
-                        psi.with_values(chi_phase * psi.values), slicing)
-        evolved = evolve(SliceOperator(g, symmetric.scalar, symmetric.vector), psi, slicing)
+                        psi.with_values(chi_phase * psi.values), symmetric.time, k)
+        evolved = evolve(SliceOperator(g, symmetric.scalar, symmetric.vector), psi, symmetric.time, k)
         # measured 5.8e-16 (k = 2) and 1.25e-15 (k = 8)
         assert l2_norm(gauged.with_values(gauged.values - chi_phase * evolved.values)) <= 1e-13
 
@@ -216,4 +213,4 @@ class TestBoundaryDiagnostics:
         op = SliceOperator(g, None, None)
         wide = gaussian_wave(g, width=3.0)
         with pytest.warns(UserWarning, match="boundary"):
-            evolve(op, wide, TimeSlicing(0.1, 1))
+            evolve(op, wide, 0.1, 1)
