@@ -9,9 +9,10 @@ flag, ``amplitude`` on a scenario without an ``amplitude`` block, a tripped
 evaluation cap, an amplitude gap that excises a whole axis, a scalar
 potential that swamps the reference's spectral interval, a vector potential
 too large to square, a field or state that is not finite on the grid, a
-field evaluation on a registered singular point, a grid too large to
-allocate, or an output directory that cannot be made or written).  Each such
-failure prints one ``error:`` line.
+free 1D closed-form amplitude that overflows, a field evaluation on a
+registered singular point, a grid too large to allocate, or an output
+directory that cannot be made or written).  Each such failure prints one
+``error:`` line.
 """
 
 from __future__ import annotations

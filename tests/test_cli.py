@@ -217,6 +217,30 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [message]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("count", [1e12, 1e308])
+    def test_slice_count_beyond_the_work_bound_gives_one_error_line(self, tmp_path, capsys, count):
+        # refused at load, so even `gauge`, which applies no slice, exits 2; under `all`
+        # one split-step slice per count would not finish
+        scen = write_harmonic_1d(tmp_path, lambda doc: doc.update(slice_counts=[4, 8, 16, count]))
+        code = cli.main(["gauge", "--scenario", str(scen), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "slice_counts entry" in err[0]
+
+    @pytest.mark.parametrize("block, key", [("initial_state", "width"), ("final_state", "center")])
+    def test_closed_form_amplitude_overflow_gives_one_error_line(self, tmp_path, capsys, block, key):
+        # the free 1D closed form squares the width and the centres' separation
+        doc = json.loads((SCENARIO_DIR / "free_1d.json").read_text())
+        doc[block][key] = [1e308]
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(doc))
+        code = cli.main(["all", "--scenario", str(scen), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the closed-form free amplitude overflows: a state width or the "
+            "centres' separation is too large to square"
+        ]
+
     def test_vector_potential_too_large_to_square_gives_exit_2(self, tmp_path, capsys, recwarn):
         # refused before the gauge study or the reference squares it
         doc = json.loads((SCENARIO_DIR / "free_1d.json").read_text())
@@ -289,6 +313,8 @@ class TestExitCodes:
          "harmonic params center True"),
         ({"vector_potential": {"family": "sinusoidal", "params": {"period": 0}}},
          "sinusoidal params period"),
+        ({"vector_potential": {"family": "sinusoidal", "params": {"period": 1e-320}}},
+         "sinusoidal params period [1e-320] has no finite frequency"),
         ({"scalar_potential": {"family": ["harmonic"]}}, "unknown scalar potential family ['harmonic']"),
         ({"vector_potential": {"family": ["zero"]}}, "unknown vector potential family ['zero']"),
     ], ids=["zero-time", "negative-time", "zero-slice-count", "zero-amplitude-slices",
@@ -299,6 +325,7 @@ class TestExitCodes:
             "string-dimension", "bool-dimension", "string-time", "bool-time",
             "string-state-width", "bool-state-center", "string-family-param",
             "nan-family-param", "bool-family-center", "zero-sinusoidal-period",
+            "subnormal-sinusoidal-period",
             "list-scalar-family", "list-vector-family"])
     def test_invalid_parameter_gives_exit_2(self, tmp_path, capsys, overrides, fragment):
         scen = write_scenario(tmp_path, **overrides)

@@ -144,6 +144,14 @@ class TestParsing:
         with pytest.raises(ValueError, match="at least one entry"):
             scenario_from_dict(minimal_config(slice_counts=[], checks={"trotter_floor": 1e-8}))
 
+    def test_slice_counts_bounded_by_the_reference_work_bound(self):
+        # one split-step slice per count: a count the reference's series could not match is refused
+        bound = int(reference.MAX_CHEBYSHEV_RADIUS)
+        assert scenario_from_dict(minimal_config(slice_counts=[2, bound])).slice_counts == (2, bound)
+        for count in (bound + 1, 1e12, 1e308):
+            with pytest.raises(ValueError, match="slice_counts entry"):
+                scenario_from_dict(minimal_config(slice_counts=[2, count]))
+
     def test_single_slice_count_allowed_with_floor(self):
         s = scenario_from_dict(minimal_config(slice_counts=[4], checks={"trotter_floor": 1e-8}))
         assert s.slice_counts == (4,)
@@ -266,6 +274,18 @@ class TestStudies:
         quantities = {r.quantity for r in rep.rows}
         assert "conjugation_residual" in quantities
         assert "midpoint_slope" in quantities
+
+    @pytest.mark.parametrize("command, stages", [
+        ("all", ["dense_reference", "gauge", "trotter", "amplitude"]),
+        ("gauge", ["gauge"]),
+        ("trotter", ["dense_reference", "trotter"]),
+        ("amplitude", ["dense_reference", "amplitude"]),
+    ])
+    def test_timings_name_each_stage_run_in_order(self, command, stages):
+        amplitude = {"slices": [1], "r_start": 5.0, "steps": 2, "tail_window": 2}
+        report = run(scenario_from_dict(minimal_config(amplitude=amplitude)), command)
+        assert list(report.timings) == stages
+        assert all(type(seconds) is float and seconds >= 0.0 for seconds in report.timings.values())
 
     def test_trotter_errors_decrease(self):
         s = scenario_from_dict(minimal_config(slice_counts=[2, 4, 8]))
