@@ -3,16 +3,13 @@
 Subcommands ``trotter``, ``amplitude``, ``gauge`` and ``all`` each load a
 scenario file, run the command's studies through :func:`scenarios.run`, write
 a CSV table and a JSON diagnostics document into the output directory, and
-exit 0 only if every configured assertion passed, 1 if one failed and 2 if
-the run could not be completed (an unreadable or invalid scenario, a bad
-flag, ``amplitude`` on a scenario without an ``amplitude`` block, a tripped
-evaluation cap, an amplitude gap that excises a whole axis, a scalar
-potential that swamps the reference's spectral interval, a vector potential
-too large to square, a field or state that is not finite on the grid, a
-free 1D closed-form amplitude that overflows, a field evaluation on a
-registered singular point, a grid too large to allocate, or an output
-directory that cannot be made or written).  Each such failure prints one
-``error:`` line.
+print a line per report row, a ``FAIL <check>: <observed> vs <bound>`` line per
+failed check and a ``<name>: PASS`` or ``<name>: FAIL`` verdict.  The exit code
+is 0 if every check held, 1 if one failed and 2 if the run could not be
+completed: an unreadable or invalid scenario, a bad flag, a run that raised a
+:class:`GaugesliceError` (README.md lists each cause), a grid too large to
+allocate, or an output directory that cannot be made or written.  Each such
+failure prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -45,11 +42,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show(value) -> str:
+    """A check's observed value or bound: a real to 6 significant digits, a list entry by entry."""
+    if isinstance(value, (list, tuple)):
+        return f"[{', '.join(map(_show, value))}]"
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+
 def _print_summary(report: scenarios.Report) -> None:
     for row in report.rows:
         ref = "" if row.reference is None else f" ref={row.reference:.6g}"
         err = "" if row.abs_error is None else f" abs_err={row.abs_error:.3g}"
         print(f"{row.scenario} {row.quantity} [{row.k_or_step}] value={row.value:.6g}{ref}{err} ({row.oracle})")
+    for failure in report.failures:
+        print(f"FAIL {failure['check']}: {_show(failure['observed'])} vs {_show(failure['bound'])}")
     print(f"{report.scenario}: {'PASS' if report.passed else 'FAIL'}")
 
 

@@ -4,9 +4,10 @@ A scenario is a JSON-compatible document (versioned schema) naming a grid, a
 scalar and vector potential family, Gaussian initial/final states, a total
 time, slice counts, and quadrature schedule parameters.  Studies turn a
 scenario into a report: rows of (quantity, value, reference, errors) where
-every row is tagged with the oracle that produced its reference.  A command
-runs its studies through :func:`run`, over one reference and one operator, and
-only ``run`` reads the clock: it times the reference and each study it runs.
+every row is tagged with the oracle that produced its reference.  Each rule a
+study applies is one :meth:`Report.check`, named ``norm_drift``, ``trotter_decreasing``,
+``amplitude_converged`` or by its :data:`CHECKS` key; a rule that fails is listed in
+``Report.failures``.  A command runs its studies through :func:`run`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,27 @@ from .fields import (
 
 SCHEMA_VERSION = 1
 
+
+def _nonnegative(value, what: str) -> float:
+    if _finite_real(value, what) < 0:
+        raise ValueError(f"{what} {value!r} must be nonnegative")
+    return float(value)
+
+
+def _band(value, what: str) -> tuple[float, float]:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ValueError(f"{what} {value!r} is not a pair [low, high]")
+    low, high = (_finite_real(v, f"{what} entry") for v in value)
+    if low > high:
+        raise ValueError(f"{what} {value!r} needs low <= high")
+    return low, high
+
+
+# Each configurable check, by its key in a scenario's ``checks`` block, and the
+# validator of its value; the study that applies it records it under that key.
+CHECKS = {"gauge_residual_tol": _nonnegative, "trotter_floor": _nonnegative, "trotter_order_band": _band,
+          "midpoint_slope_min": _finite_real, "amplitude_rel_tol": _nonnegative}
+
 # Keys a scenario document may carry, per block (None: the top level).  Unknown
 # keys are rejected so a misspelled check cannot fall back to its default.
 _KEYS = {
@@ -45,8 +67,7 @@ _KEYS = {
     "initial_state": {"center", "width", "momentum"},
     "final_state": {"center", "width", "momentum"},
     "amplitude": {"slices", "r_start", "steps", "gap", "gap_final", "tail_window", "max_evals"},
-    "checks": {"gauge_residual_tol", "trotter_floor", "trotter_order_band", "midpoint_slope_min",
-               "amplitude_rel_tol"},
+    "checks": CHECKS,
 }
 
 # ---------------------------------------------------------------------------
@@ -301,25 +322,6 @@ def _amplitude_params(block: dict, t: float) -> dict:
     return params
 
 
-def _checks(block: dict) -> dict:
-    """A ``checks`` block with every value checked, so that some run can honour it."""
-    checks = {}
-    for key, value in block.items():
-        if key == "trotter_order_band":
-            if not (isinstance(value, (list, tuple)) and len(value) == 2):
-                raise ValueError(f"checks {key} {value!r} is not a pair [low, high]")
-            checks[key] = tuple(_finite_real(v, f"checks {key} entry") for v in value)
-            if checks[key][0] > checks[key][1]:
-                raise ValueError(f"checks {key} {value!r} needs low <= high")
-        else:
-            checks[key] = _finite_real(value, f"checks {key}")
-            if key in ("gauge_residual_tol", "trotter_floor", "amplitude_rel_tol") and checks[key] < 0:
-                raise ValueError(f"checks {key} {value!r} must be nonnegative")
-    if "trotter_floor" in checks and "trotter_order_band" in checks:
-        raise ValueError("checks trotter_floor replaces the order fit, so it excludes trotter_order_band")
-    return checks
-
-
 def _potential(cfg: dict, kind: str, registry: dict, default: str, ndim: int):
     """The ``<kind>_potential`` block built by its family in ``registry`` (``default`` if absent)."""
     block = cfg.get(f"{kind}_potential", {})
@@ -360,7 +362,9 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     if slice_counts[-1] > reference.MAX_CHEBYSHEV_RADIUS:
         raise ValueError(f"slice_counts entry {slice_counts[-1]} exceeds the bound "
                          f"{reference.MAX_CHEBYSHEV_RADIUS:g} on operator applications")
-    checks = _checks(cfg.get("checks", {}))
+    checks = {key: CHECKS[key](value, f"checks {key}") for key, value in cfg.get("checks", {}).items()}
+    if "trotter_floor" in checks and "trotter_order_band" in checks:
+        raise ValueError("checks trotter_floor replaces the order fit, so it excludes trotter_order_band")
     # without a floor the Trotter study fits an order, which needs two points
     if len(slice_counts) < 2 and "trotter_floor" not in checks:
         raise ValueError(f"slice_counts needs at least two entries unless checks trotter_floor "
@@ -406,7 +410,16 @@ class Report:
     rows: list[ReportRow] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
-    passed: bool = True
+    failures: list[dict] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def check(self, name: str, holds: bool, observed, bound) -> None:
+        """Record rule ``name``: unless it ``holds``, ``failures`` gets its ``observed`` value and ``bound``."""
+        if not holds:
+            self.failures.append({"check": name, "observed": observed, "bound": bound})
 
     def add(self, quantity, k_or_step, value, reference=None, oracle="", rel_scale=None) -> ReportRow:
         """Append a row with its errors against ``reference`` and return it."""
@@ -430,6 +443,7 @@ class Report:
         doc = {
             "scenario": self.scenario,
             "passed": self.passed,
+            "failures": _jsonify(self.failures),
             # the scenario is named once, above
             "rows": [{column: value for column, value in row.cells(_jsonify).items() if column != "scenario"}
                      for row in self.rows],
@@ -498,24 +512,19 @@ def run_trotter_study(scenario: Scenario, report: Report, psi0: WaveFunction, ex
         errors.append(err)
         report.add("split_vs_dense_error", k, err, reference=0.0, oracle="dense", rel_scale=1.0)
         report.add("norm_drift", k, drift, reference=0.0, oracle="unitarity", rel_scale=1.0)
-        if drift > k * 1e-12:
-            report.passed = False
+        report.check("norm_drift", drift <= k * 1e-12, drift, k * 1e-12)
 
-    checks = scenario.checks
-    floor = checks.get("trotter_floor")
+    floor = scenario.checks.get("trotter_floor")
     if floor is not None:
-        if any(e > floor for e in errors):
-            report.passed = False
+        report.check("trotter_floor", all(e <= floor for e in errors), max(errors), floor)
         report.diagnostics["trotter_floor"] = floor
     else:
         order = -_fit_loglog_slope(ks, np.maximum(errors, 1e-300))
         report.add("fitted_order", "-", order, oracle="dense")
         report.diagnostics["fitted_order"] = order
-        if any(b >= a for a, b in zip(errors, errors[1:])):
-            report.passed = False
-        band = checks.get("trotter_order_band")
-        if band is not None and not (band[0] <= order <= band[1]):
-            report.passed = False
+        report.check("trotter_decreasing", np.all(np.diff(errors) < 0), errors, "strictly decreasing")
+        band = scenario.checks.get("trotter_order_band")
+        report.check("trotter_order_band", band is None or band[0] <= order <= band[1], order, band)
     report.diagnostics["trotter_errors"] = dict(zip(map(str, ks), errors))
 
 
@@ -532,8 +541,7 @@ def run_gauge_check(scenario: Scenario, report: Report, psi0: WaveFunction,
         resid = 0.0 if scenario.vector is None else gauge.gauge_conjugation_residual(op, axis, psi0)
         report.add("conjugation_residual", f"axis{axis}", resid, reference=0.0,
                    oracle="spectral", rel_scale=1.0)
-        if resid > tol:
-            report.passed = False
+        report.check("gauge_residual_tol", resid <= tol, resid, tol)
     if scenario.vector is None:
         return
 
@@ -553,8 +561,7 @@ def run_gauge_check(scenario: Scenario, report: Report, psi0: WaveFunction,
         report.add("midpoint_slope", "-", slope, oracle="symbolic")
         report.diagnostics["midpoint_slope"] = slope
         min_slope = scenario.checks.get("midpoint_slope_min")
-        if min_slope is not None and slope < min_slope:
-            report.passed = False
+        report.check("midpoint_slope_min", min_slope is None or slope >= min_slope, slope, min_slope)
 
 
 def _closed_form_free_amplitude(scenario: Scenario) -> complex:
@@ -564,7 +571,8 @@ def _closed_form_free_amplitude(scenario: Scenario) -> complex:
     the closed form of the free evolution.  In y = x - c_final the product is
     N exp(-alpha y^2 + beta y + gamma), whose integral is
     N sqrt(pi/alpha) exp(beta^2/(4 alpha) + gamma).  A square that overflows
-    raises :class:`NonFiniteError`.
+    raises :class:`NonFiniteError`.  N takes sqrt(w1 w0) and sqrt(2 pi) apart:
+    w1 w0 <= max(w1, w0)^2 is finite wherever the squares are.
     """
     t = scenario.time
     (c1, w1, p1), (c0, w0, p0) = (
@@ -576,7 +584,7 @@ def _closed_form_free_amplitude(scenario: Scenario) -> complex:
         alpha = 0.25 / w1**2 + 0.25 / s2
         beta = 1j * (p1 + p0) + shift / (2.0 * s2)
         gamma = 1j * p0 * (c1 - c0 - p0 * t) - shift**2 / (4.0 * s2)
-        norm = (4.0 * np.pi**2 * w1**2 * w0**2) ** (-0.25) * np.sqrt(w0**2 / s2)
+        norm = (w1 * w0) ** -0.5 / np.sqrt(2.0 * np.pi) * np.sqrt(w0**2 / s2)
     except OverflowError as exc:
         raise NonFiniteError("the closed-form free amplitude overflows: a state width or the "
                              "centres' separation is too large to square") from exc
@@ -640,11 +648,11 @@ def run_amplitude_study(scenario: Scenario, report: Report, psi0: WaveFunction, 
             primary = report.add("amplitude", k, estimate.value, reference=closed_form, oracle="closed-form")
         report.add("amplitude", k, estimate.value, reference=dense_ref, oracle="dense")
 
-        if not estimate.converged:
-            report.passed = False
+        report.check("amplitude_converged", estimate.converged, estimate.tail_oscillation,
+                     pathint.TAIL_OSCILLATION_TOL)
         # a zero reference (no relative error) or a NaN error fails the check
-        if rel_tol is not None and not (primary.rel_error is not None and primary.rel_error <= rel_tol):
-            report.passed = False
+        held = rel_tol is None or (primary.rel_error is not None and primary.rel_error <= rel_tol)
+        report.check("amplitude_rel_tol", held, primary.rel_error, rel_tol)
 
 
 # the studies each command runs, in report order

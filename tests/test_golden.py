@@ -1,0 +1,116 @@
+"""Every command's report on the shipped scenarios and the seed-1 benchmark documents, held to a golden copy.
+
+Each golden is a report's JSON without ``timings``: its verdict, failures,
+rows and diagnostics.  Keys, key order, row order, strings and verdicts must
+match exactly, and each float within ``|a - b| <= 1e-10 |b| + 1e-14``.  A
+change that moves a report on purpose rewrites the goldens with
+``PYTHONPATH=src python tests/test_golden.py`` and says which values moved.
+"""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from gaugeslice.scenarios import run, scenario_from_dict
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+COMMANDS = ("all", "gauge", "trotter", "amplitude")
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", ROOT / "benchmarks" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def cases() -> list[tuple[str, dict, str]]:
+    """(golden path relative to GOLDEN, document, command) for every run.
+
+    The shipped scenarios go under ``shipped/`` and each workload's documents
+    under its name, so the workload copies of ``free_1d`` and ``harmonic_1d``
+    keep their own goldens; ``amplitude`` runs only where there is a block.
+    """
+    docs = [("shipped", json.loads(path.read_text())) for path in sorted(SCENARIOS.glob("*.json"))]
+    workloads = _workloads()
+    docs += [(workload, doc) for workload in workloads.WORKLOADS
+             for doc in workloads.make_documents(workload, 1, SCENARIOS)]
+    return [(f"{folder}/{doc['name']}_{command}.json", doc, command) for folder, doc in docs
+            for command in COMMANDS if command != "amplitude" or doc.get("amplitude")]
+
+
+def report(doc: dict, command: str, path: Path) -> dict:
+    """The report of ``command`` on ``doc``, written to ``path`` and read back without its timings."""
+    run(scenario_from_dict(doc), command).write_json(path)
+    written = json.loads(path.read_text())
+    del written["timings"]
+    return written
+
+
+def assert_matches(got, want, where: str = "report") -> None:
+    """``got`` has ``want``'s structure exactly and its floats within the golden tolerance."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), f"{where}: keys {list(got)}"
+        for key in want:
+            assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), f"{where}: length of {got!r}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{where}[{i}]")
+    elif type(want) is float:
+        assert type(got) is float and abs(got - want) <= 1e-10 * abs(want) + 1e-14, f"{where}: {got!r} != {want!r}"
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+CASES = cases()
+
+
+def test_every_run_has_a_golden():
+    assert len(CASES) == 33
+    assert sorted(str(p.relative_to(GOLDEN)) for p in GOLDEN.rglob("*.json")) == sorted(c[0] for c in CASES)
+
+
+@pytest.mark.parametrize("name, doc, command", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_its_golden(tmp_path, name, doc, command):
+    golden = json.loads((GOLDEN / name).read_text())
+    assert golden["passed"] and golden["failures"] == []
+    assert_matches(report(doc, command, tmp_path / "report.json"), golden)
+
+
+def test_a_time_scaled_by_1e_8_fails(tmp_path):
+    name, doc, command = next(c for c in CASES if c[0] == "shipped/harmonic_1d_trotter.json")
+    moved = dict(doc, time=doc["time"] * (1 + 1e-8))
+    with pytest.raises(AssertionError, match="rows"):
+        assert_matches(report(moved, command, tmp_path / "report.json"), json.loads((GOLDEN / name).read_text()))
+
+
+def test_swapped_rows_fail_and_one_ulp_passes():
+    golden = json.loads((GOLDEN / "shipped" / "harmonic_1d_all.json").read_text())
+    swapped = json.loads(json.dumps(golden))
+    swapped["rows"][0], swapped["rows"][1] = swapped["rows"][1], swapped["rows"][0]
+    with pytest.raises(AssertionError, match=r"rows\[0\]"):
+        assert_matches(swapped, golden)
+    nudged = json.loads(json.dumps(golden))
+    row = nudged["rows"][2]
+    assert row["quantity"] == "split_vs_dense_error"
+    row["value"] = math.nextafter(row["value"], math.inf)
+    assert_matches(nudged, golden)
+
+
+def regenerate() -> None:
+    """Rewrite every golden from the current code."""
+    for name, doc, command in CASES:
+        path = GOLDEN / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        written = report(doc, command, path)
+        path.write_text(json.dumps(written, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()

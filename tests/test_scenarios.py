@@ -11,10 +11,11 @@ from gaugeslice.scenarios import (
     SCALAR_FAMILIES,
     VECTOR_FAMILIES,
     Report,
+    _closed_form_free_amplitude,
     _fit_loglog_slope,
     run,
 )
-from gaugeslice import gauge, pathint, reference, splitstep
+from gaugeslice import cli, gauge, pathint, reference, splitstep
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -258,8 +259,22 @@ class TestReport:
         header = csv_path.read_text().splitlines()[0]
         assert header == "scenario,quantity,k_or_step,value,reference,abs_error,rel_error,oracle"
         doc = json.loads(json_path.read_text())
-        assert doc["passed"] is True
+        assert doc["passed"] is True and doc["failures"] == []
+        assert list(doc)[:3] == ["scenario", "passed", "failures"]
         assert doc["rows"][0]["value"] == {"re": 0.5, "im": 0.25}
+
+    def test_check_records_only_a_rule_that_fails(self, tmp_path):
+        rep = Report("s")
+        rep.check("held", True, 1.0, 2.0)
+        assert rep.passed and rep.failures == []
+        rep.check("band", False, 3.0, (1.5, 2.0))
+        rep.check("ratio", np.float64(2.0) < 1.0, np.float64(2.0), None)
+        assert not rep.passed
+        rep.write_json(tmp_path / "r.json")
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["passed"] is False
+        assert doc["failures"] == [{"check": "band", "observed": 3.0, "bound": [1.5, 2.0]},
+                                   {"check": "ratio", "observed": 2.0, "bound": None}]
 
     @pytest.mark.parametrize("x, y, slope", list(_loglog_cases()))
     def test_loglog_slope_recovers_power(self, x, y, slope):
@@ -308,16 +323,17 @@ class TestStudies:
         assert closed[0].rel_error < doc["checks"]["amplitude_rel_tol"]
         assert rep.passed
 
-    def test_amplitude_rel_tol_checks_the_primary_row(self):
-        amplitude = {"slices": [1], "r_start": 5.0, "steps": 2, "tail_window": 2}
-        s = scenario_from_dict(minimal_config(amplitude=amplitude))
-        rel = run(s, "amplitude").rows[0].rel_error
-        assert rel > 0
-        for tol, passed in ((rel * (1 - 1e-9), False), (rel * (1 + 1e-9), True)):
-            checked = scenario_from_dict(minimal_config(
-                amplitude=amplitude, checks={"amplitude_rel_tol": tol}
-            ))
-            assert run(checked, "amplitude").passed is passed
+    def test_closed_form_amplitude_of_very_wide_states(self):
+        doc = json.loads((SCENARIO_DIR / "free_1d.json").read_text())
+        shipped = _closed_form_free_amplitude(scenario_from_dict(doc))
+        # the value the (4 pi^2 w1^2 w0^2)^(-1/4) form gave at the shipped unit widths
+        assert shipped == pytest.approx(0.5520178567306622 + 0.17355819172823045j, rel=1e-15, abs=0)
+        for block in ("initial_state", "final_state"):
+            doc[block].update(width=[1e100], momentum=[0.0])
+        wide = _closed_form_free_amplitude(scenario_from_dict(doc))
+        # 4 pi^2 w1^2 w0^2 overflowed to inf here, which made the closed form 0; equal momenta and
+        # centres 0.8 apart make the pairing of two such packets 1 to rounding
+        assert np.isfinite(wide) and wide == pytest.approx(1.0, abs=1e-12)
 
     def test_run_all_shares_one_dense_evolution(self, monkeypatch):
         amplitude = {"slices": [1], "r_start": 5.0, "steps": 2, "tail_window": 2}
@@ -438,14 +454,27 @@ class TestStudies:
 
 
 class TestVerdicts:
-    """Each check a study makes, driven to PASS and to FAIL."""
+    """Each check a study makes, driven to PASS and to FAIL, and named where it fails."""
 
     @staticmethod
     def trotter(**overrides):
         return run(scenario_from_dict(minimal_config(slice_counts=[2, 4, 8], **overrides)), "trotter")
 
+    @staticmethod
+    def failed(report, tmp_path, capsys) -> list[str]:
+        """The checks ``report`` failed, in order, as its JSON and its printed summary both name them."""
+        report.write_json(tmp_path / "report.json")
+        failures = json.loads((tmp_path / "report.json").read_text())["failures"]
+        cli._print_summary(report)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if line.startswith("FAIL ")] == [
+            f"FAIL {failure['check']}" for failure in failures
+        ]
+        assert lines[-1] == f"{report.scenario}: {'FAIL' if failures else 'PASS'}"
+        return [failure["check"] for failure in failures]
+
     @pytest.mark.parametrize("excess, passed", [(0.5, True), (2.0, False)])
-    def test_norm_drift_bound_is_k_times_1e_12(self, monkeypatch, excess, passed):
+    def test_norm_drift_bound_is_k_times_1e_12(self, monkeypatch, tmp_path, capsys, excess, passed):
         # the evolved norm (about 1) is scaled by 1 + excess * k * 1e-12
         original = splitstep.evolve
 
@@ -458,19 +487,23 @@ class TestVerdicts:
         drifts = [r.value for r in report.rows if r.quantity == "norm_drift"]
         assert drifts == pytest.approx([excess * k * 1e-12 for k in (2, 4, 8)], rel=1e-3)
         assert report.passed is passed
+        assert self.failed(report, tmp_path, capsys) == ([] if passed else ["norm_drift"] * 3)
+        assert [(f["observed"], f["bound"]) for f in report.failures] == (
+            [] if passed else [(drift, k * 1e-12) for drift, k in zip(drifts, (2, 4, 8))])
 
-    def test_trotter_floor_bounds_every_error(self):
+    def test_trotter_floor_bounds_every_error(self, tmp_path, capsys):
         worst = max(self.trotter().diagnostics["trotter_errors"].values())
         for floor, passed in ((worst * (1 + 1e-9), True), (worst * (1 - 1e-9), False)):
             report = self.trotter(checks={"trotter_floor": floor})
             assert report.passed is passed
+            assert self.failed(report, tmp_path, capsys) == ([] if passed else ["trotter_floor"])
             assert report.diagnostics["trotter_floor"] == floor
             # the floor replaces the order fit
             assert "fitted_order" not in report.diagnostics
             assert all(r.quantity != "fitted_order" for r in report.rows)
 
     @pytest.mark.parametrize("frozen, passed", [(False, True), (True, False)])
-    def test_errors_must_decrease(self, monkeypatch, frozen, passed):
+    def test_errors_must_decrease(self, monkeypatch, tmp_path, capsys, frozen, passed):
         if frozen:
             # every slice count evolved with two slices: equal errors do not decrease
             original = splitstep.evolve
@@ -479,27 +512,68 @@ class TestVerdicts:
         errors = list(report.diagnostics["trotter_errors"].values())
         assert (len(set(errors)) == 1) is frozen
         assert report.passed is passed
+        assert self.failed(report, tmp_path, capsys) == ([] if passed else ["trotter_decreasing"])
 
-    def test_fitted_order_within_band(self):
+    def test_fitted_order_within_band(self, tmp_path, capsys):
         order = self.trotter().diagnostics["fitted_order"]
         for band, passed in (([order - 0.1, order + 0.1], True), ([order + 0.1, order + 0.2], False),
                              ([order - 0.2, order - 0.1], False)):
-            assert self.trotter(checks={"trotter_order_band": band}).passed is passed
+            report = self.trotter(checks={"trotter_order_band": band})
+            assert report.passed is passed
+            assert self.failed(report, tmp_path, capsys) == ([] if passed else ["trotter_order_band"])
 
-    def test_midpoint_slope_min(self):
+    def test_order_band_failure_printed_before_the_verdict(self, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "harmonic_1d.json").read_text())
+        doc["checks"]["trotter_order_band"] = [1.5, 2]
+        scen = tmp_path / "harmonic_1d.json"
+        scen.write_text(json.dumps(doc))
+        assert cli.main(["trotter", "--scenario", str(scen), "--out", str(tmp_path / "r")]) == 1
+        order = json.loads((tmp_path / "r" / "harmonic_1d_trotter.json").read_text())["diagnostics"]["fitted_order"]
+        assert not 1.5 <= order <= 2
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            f"FAIL trotter_order_band: {order:.6g} vs [1.5, 2]", "harmonic_1d: FAIL"]
+
+    def test_midpoint_slope_min(self, tmp_path, capsys):
         slope = run(scenario_from_dict(minimal_config()), "gauge").diagnostics["midpoint_slope"]
         for min_slope, passed in ((slope - 0.1, True), (slope + 0.1, False)):
             checked = scenario_from_dict(minimal_config(checks={"midpoint_slope_min": min_slope}))
-            assert run(checked, "gauge").passed is passed
+            report = run(checked, "gauge")
+            assert report.passed is passed
+            assert self.failed(report, tmp_path, capsys) == ([] if passed else ["midpoint_slope_min"])
+
+    def test_gauge_residual_tol(self, tmp_path, capsys):
+        resid = run(scenario_from_dict(minimal_config()), "gauge").rows[0].value
+        assert resid > 0
+        for tol, passed in ((resid * (1 + 1e-9), True), (resid * (1 - 1e-9), False)):
+            report = run(scenario_from_dict(minimal_config(checks={"gauge_residual_tol": tol})), "gauge")
+            assert report.passed is passed
+            assert self.failed(report, tmp_path, capsys) == ([] if passed else ["gauge_residual_tol"])
+            assert [(f["observed"], f["bound"]) for f in report.failures] == ([] if passed else [(resid, tol)])
+
+    def test_amplitude_rel_tol_checks_the_primary_row(self, tmp_path, capsys):
+        amplitude = {"slices": [1], "r_start": 5.0, "steps": 2, "tail_window": 2}
+        s = scenario_from_dict(minimal_config(amplitude=amplitude))
+        rel = run(s, "amplitude").rows[0].rel_error
+        assert rel > 0
+        for tol, passed in ((rel * (1 - 1e-9), False), (rel * (1 + 1e-9), True)):
+            checked = scenario_from_dict(minimal_config(
+                amplitude=amplitude, checks={"amplitude_rel_tol": tol}
+            ))
+            report = run(checked, "amplitude")
+            assert report.passed is passed
+            assert self.failed(report, tmp_path, capsys) == ([] if passed else ["amplitude_rel_tol"])
 
     @pytest.mark.parametrize("r_start, converged", [(5.0, True), (1.0, False)])
-    def test_amplitude_must_converge(self, r_start, converged):
+    def test_amplitude_must_converge(self, tmp_path, capsys, r_start, converged):
         # a first box of radius 1 truncates the unit-width packets, so the two-step tail spreads
         amplitude = {"slices": [1], "r_start": r_start, "steps": 2, "tail_window": 2}
         report = run(scenario_from_dict(minimal_config(amplitude=amplitude)), "amplitude")
         oscillation = report.diagnostics["amplitude_k1"]["tail_oscillation"]
         assert (oscillation < pathint.TAIL_OSCILLATION_TOL) is converged
         assert report.passed is converged
+        assert self.failed(report, tmp_path, capsys) == ([] if converged else ["amplitude_converged"])
+        assert [(f["observed"], f["bound"]) for f in report.failures] == (
+            [] if converged else [(oscillation, pathint.TAIL_OSCILLATION_TOL)])
 
     @pytest.mark.parametrize("dimension, grid", [
         (1, {"lo": [-8.0], "hi": [8.0], "shape": [64]}),
@@ -513,7 +587,7 @@ class TestVerdicts:
             dimension=dimension, grid=grid, vector_potential={"family": "zero"},
             initial_state=state, final_state=state,
         )), "gauge")
-        assert report.passed
+        assert report.passed and report.failures == []
         assert [(r.quantity, r.k_or_step, r.value) for r in report.rows] == [
             ("conjugation_residual", f"axis{axis}", 0.0) for axis in range(dimension)
         ]
