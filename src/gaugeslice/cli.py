@@ -4,7 +4,8 @@ Subcommands ``trotter``, ``amplitude``, ``gauge`` and ``all`` each load a
 scenario file, run the command's studies through :func:`scenarios.run`, write
 a CSV table and a JSON diagnostics document into the output directory, and
 print a line per report row, a ``FAIL <check>: <observed> vs <bound>`` line per
-failed check and a ``<name>: PASS`` or ``<name>: FAIL`` verdict.  The exit code
+failed check (``FAIL <check> [<k_or_step>]: ...`` for a check made once per
+row) and a ``<name>: PASS`` or ``<name>: FAIL`` verdict.  The exit code
 is 0 if every check held, 1 if one failed and 2 if the run could not be
 completed: an unreadable or invalid scenario, a bad flag, a run that raised a
 :class:`GaugesliceError` (README.md lists each cause), a grid too large to
@@ -55,7 +56,8 @@ def _print_summary(report: scenarios.Report) -> None:
         err = "" if row.abs_error is None else f" abs_err={row.abs_error:.3g}"
         print(f"{row.scenario} {row.quantity} [{row.k_or_step}] value={row.value:.6g}{ref}{err} ({row.oracle})")
     for failure in report.failures:
-        print(f"FAIL {failure['check']}: {_show(failure['observed'])} vs {_show(failure['bound'])}")
+        at = f" [{failure['at']}]" if "at" in failure else ""
+        print(f"FAIL {failure['check']}{at}: {_show(failure['observed'])} vs {_show(failure['bound'])}")
     print(f"{report.scenario}: {'PASS' if report.passed else 'FAIL'}")
 
 

@@ -36,6 +36,11 @@ def _as_point_tuple(p) -> tuple[float, ...]:
     return tuple(float(v) for v in arr)
 
 
+def tensor_points(axes) -> np.ndarray:
+    """Every point of the tensor product of the 1D ``axes``, in C order: shape (size, len(axes))."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic tensor-product sampling of a box in R^n."""
@@ -99,7 +104,7 @@ class Grid:
 
     def points(self) -> np.ndarray:
         """All nodes as an array of shape (size, ndim)."""
-        return np.stack([m.ravel() for m in self.meshgrid()], axis=-1)
+        return tensor_points([self.axis_coords(b) for b in range(self.ndim)])
 
     def frequencies(self, axis: int) -> np.ndarray:
         """Angular FFT frequencies for this axis (periodic convention)."""

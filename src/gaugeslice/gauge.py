@@ -8,10 +8,11 @@ The central objects are the per-axis increment
 
 the per-slice increment between two points, the grid table of the phase from
 0 to each node, and the comparison against the midpoint-rule term
-(x1 - x0) . a((x1 + x0)/2) used by the physics discretization.  The per-slice
-increment is the line integral along the split-step's staircase: axis n-1 is
-crossed first and axis 0 last, and axis l is crossed with the later point's
-coordinates above l and the earlier point's below.
+(x1 - x0) . a((x1 + x0)/2) used by the physics discretization.  Both routes'
+slices follow one staircase, defined here: axis n-1 is crossed first and axis
+0 last, axis l with the later point's coordinates above l and the earlier
+point's below.  The per-slice increment is the line integral along it, and
+:func:`staircase_sweep` applies a slice of either route in its order.
 
 Every line integral in the package goes through :func:`cumulative_axis_integral`
 (or its per-segment core), vectorized over all lines that share an axis.  Each
@@ -25,10 +26,6 @@ sit well below per-slice phase scales.  The quadrature nodes are evaluated in
 blocks of at most ``_BLOCK_POINTS`` points, over segments and, when one
 segment's lines exceed a block, over lines too, so a table's working set does
 not grow with its shape.
-
-A grid phase table is built once per field, grid and axis by
-:class:`splitstep.SliceOperator`; :func:`gauge_conjugation_residual` reads
-the operator's phases and field samples.
 
 Every segment is axis-parallel, so its point nearest a singular point w takes
 the axis coordinate of w clipped into it; that point is checked like a node
@@ -50,6 +47,7 @@ from .fields import (
     fourier_multiply,
     l2_norm,
     sample_points,
+    tensor_points,
 )
 
 # Absolute bound on |Kronrod - Gauss| per segment and line before bisecting.
@@ -215,7 +213,7 @@ def segment_gauge_increment(vector: VectorPotentialSpec, axis: int, x1, x0) -> f
 
 
 def slice_gauge_increment(vector: VectorPotentialSpec, x1, x0) -> float:
-    """Line integral of a from x0 to x1 along the split-step's staircase.
+    """Line integral of a from x0 to x1 along the staircase.
 
     Each axis, n-1 first, is crossed from the corner the earlier crossings
     reached, so under a -> a + grad chi the increment gains exactly
@@ -228,6 +226,24 @@ def slice_gauge_increment(vector: VectorPotentialSpec, x1, x0) -> float:
         total += segment_gauge_increment(vector, l, x1, corner)
         corner[l] = x1[l]
     return float(total)
+
+
+def phase_pair(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (e^{+i table}, e^{-i table}); the second is the conjugate of the first."""
+    phase = np.exp(1j * table)
+    return phase, np.conj(phase)
+
+
+def staircase_sweep(values: np.ndarray, axes, diagonal=None) -> np.ndarray:
+    """One gauge-split slice applied to ``values``, axis n-1 first.
+
+    ``axes[l]`` is (free_l, phases_l): free_l propagates values along axis l
+    and phases_l is lam_l's :func:`phase_pair`, or None without a field.  Each
+    axis maps v to e^{+i lam_l} free_l(e^{-i lam_l} v); ``diagonal`` multiplies last.
+    """
+    for free, phases in reversed(axes):
+        values = free(values) if phases is None else phases[0] * free(phases[1] * values)
+    return values if diagonal is None else diagonal * values
 
 
 def midpoint_discrepancy(vector: VectorPotentialSpec, x1, x0) -> float:
@@ -253,8 +269,7 @@ def mesh_line_integrals(vector: VectorPotentialSpec, axis: int, axes) -> np.ndar
     """
     # the axis column of a frozen line is ignored, so one zero stands for it
     other = [np.zeros(1) if b == axis else nodes for b, nodes in enumerate(axes)]
-    frozen = np.stack([g.ravel() for g in np.meshgrid(*other, indexing="ij")], axis=-1)
-    cum = cumulative_axis_integral(vector, axis, axes[axis], frozen)
+    cum = cumulative_axis_integral(vector, axis, axes[axis], tensor_points(other))
     cum = cum.reshape((len(axes[axis]),) + tuple(len(v) for v in other))
     return np.swapaxes(cum, 0, axis + 1)[0]
 

@@ -32,14 +32,11 @@ brute-force nested sum on tiny meshes.
 
 Every slice point ranges over the same mesh, so every transfer, in every
 dimension, maps a mesh to itself; it comes from one :func:`_kernel_plan`,
-built once per mesh and eps and applied once per slice.  The gauge increment
-is the line integral along the split-step's staircase
-(:func:`gauge.slice_gauge_increment`), so the kernel is a product over axes,
-axis n-1 first, as in :meth:`splitstep.SliceOperator.slice`.  Axis l's
-factor is the free 1D kernel along axis l between the diagonal phases
-exp(-i A_l) and exp(+i A_l), with A_l from :func:`gauge.mesh_line_integrals`.
+built once per mesh and eps and applied once per slice: the staircase slice
+of :func:`gauge.staircase_sweep`, with the free 1D kernel along each axis
+and A_l from :func:`gauge.mesh_line_integrals`.
 Each axis of a mesh is a union of uniform pieces, and the free kernel between
-two pieces is a chirp-modulated Toeplitz matrix, so a factor costs one FFT
+two pieces is a chirp-modulated Toeplitz matrix, so an axis costs one FFT
 convolution per pair of pieces (Bluestein's chirp-z identity,
 :class:`_ChirpPlan`), batched over the other axes in transform buffers the
 plan owns.
@@ -60,6 +57,7 @@ from .fields import (
     VectorPotentialSpec,
     collect_singularities,
     sample_points,
+    tensor_points,
 )
 
 DEFAULT_EVAL_CAP = int(1e8)
@@ -139,10 +137,8 @@ class _TensorMesh:
         self.dims = tuple(len(v) for v in self.axes_nodes)
         self.ndim = len(self.dims)
         self.size = int(np.prod(self.dims))
-        grids = np.meshgrid(*self.axes_nodes, indexing="ij")
-        self.points = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrids = np.meshgrid(*self.axes_weights, indexing="ij")
-        self.weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
+        self.points = tensor_points(self.axes_nodes)
+        self.weights = np.prod(tensor_points(self.axes_weights), axis=-1)
 
 
 def _chirp_pair(target: MeshPiece, source: MeshPiece, eps: float):
@@ -217,33 +213,24 @@ def _kernel_plan(mesh: _TensorMesh, eps: float, vector: VectorPotentialSpec | No
     """The one-slice kernel transfer (without prefactor) of values on a mesh.
 
     Everything that depends only on the mesh, eps and the field is built here,
-    so each application costs one transfer: for each axis l, axis n-1 first,
-    the values are multiplied by exp(-i A_l), moved by the free 1D kernel along
-    axis l and multiplied by exp(+i A_l).  This is the kernel whose gauge
-    increment is :func:`gauge.slice_gauge_increment`'s staircase.
+    so each application costs one :func:`gauge.staircase_sweep`.
     """
     if vector is not None and vector.ndim != mesh.ndim:
         raise ValueError("mesh dimension must match the vector potential")
-    sweep = []
-    for l in reversed(range(mesh.ndim)):
-        # the chirp plan transforms along the last axis, so axis l is moved there
+
+    def free(l):
+        # the chirp plan transforms along the last axis, so axis l is moved there and back
         order = tuple(b for b in range(mesh.ndim) if b != l) + (l,)
-        free = _ChirpPlan(mesh.axes_pieces[l], eps, tuple(mesh.dims[b] for b in order[:-1]))
-        post = pre = None
-        if vector is not None:
-            table = gauge.mesh_line_integrals(vector, l, mesh.axes_nodes).transpose(order)
-            # two exponentials rather than a conjugate keep the phases bit for bit
-            post = np.exp(1j * table)
-            pre = np.exp(-1j * table)
-        sweep.append((order, tuple(np.argsort(order)), free, post, pre))
+        restore = tuple(np.argsort(order))
+        plan = _ChirpPlan(mesh.axes_pieces[l], eps, tuple(mesh.dims[b] for b in order[:-1]))
+        return lambda u: plan(u.transpose(order)).transpose(restore)
+
+    tables = [None if vector is None else gauge.mesh_line_integrals(vector, l, mesh.axes_nodes)
+              for l in range(mesh.ndim)]
+    axes = [(free(l), None if table is None else gauge.phase_pair(table)) for l, table in enumerate(tables)]
 
     def transfer(u: np.ndarray) -> np.ndarray:
-        u = u.reshape(mesh.dims)
-        for order, restore, free, post, pre in sweep:
-            v = u.transpose(order)
-            v = free(v) if pre is None else post * free(pre * v)
-            u = v.transpose(restore)
-        return u.ravel()
+        return gauge.staircase_sweep(u.reshape(mesh.dims), axes).ravel()
 
     return transfer
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceededError, EigenFailureError, NonFiniteError
+from .errors import CapExceededError, EigenFailureError, GridMismatchError, NonFiniteError
 from .fields import (
     Grid,
     ScalarPotentialSpec,
@@ -122,7 +122,7 @@ def assemble_hamiltonian(
 def expm_evolve(ham: DiscretizedHamiltonian, psi: WaveFunction, t: float) -> WaveFunction:
     """psi(t) = exp(-i t H) psi via Hermitian eigendecomposition."""
     if psi.grid != ham.grid:
-        raise ValueError("wavefunction grid does not match the Hamiltonian grid")
+        raise GridMismatchError("wavefunction grid does not match the Hamiltonian grid")
     w, u = ham.eigendecomposition()
     coeff = u.conj().T @ psi.values.ravel()
     out = u @ (np.exp(-1j * t * w) * coeff)
@@ -300,7 +300,7 @@ def chebyshev_evolve(
     number of terms.
     """
     if psi.grid != action.grid:
-        raise ValueError("wavefunction grid does not match the Hamiltonian grid")
+        raise GridMismatchError("wavefunction grid does not match the Hamiltonian grid")
     lo, hi = action.spectral_interval
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     coeffs = chebyshev_coefficients(t * half)
@@ -332,7 +332,7 @@ def evolve(action: HamiltonianAction, psi: WaveFunction, t: float) -> tuple[Wave
     term count, the spectral interval and the single-axis transforms per term.
     """
     if psi.grid != action.grid:
-        raise ValueError("wavefunction grid does not match the Hamiltonian grid")
+        raise GridMismatchError("wavefunction grid does not match the Hamiltonian grid")
     lo, hi = action.spectral_interval
     _check_series_radius(t * (0.5 * (hi - lo)))
     if action.fourier_diagonal:

@@ -416,10 +416,12 @@ class Report:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, name: str, holds: bool, observed, bound) -> None:
-        """Record rule ``name``: unless it ``holds``, ``failures`` gets its ``observed`` value and ``bound``."""
+    def check(self, name: str, holds: bool, observed, bound, at: str | None = None) -> None:
+        """Record rule ``name``: unless it ``holds``, ``failures`` gets its ``observed`` value and
+        ``bound``, and ``at``, the row's ``k_or_step``, for a rule checked once per row."""
         if not holds:
-            self.failures.append({"check": name, "observed": observed, "bound": bound})
+            where = {} if at is None else {"at": at}
+            self.failures.append({"check": name, **where, "observed": observed, "bound": bound})
 
     def add(self, quantity, k_or_step, value, reference=None, oracle="", rel_scale=None) -> ReportRow:
         """Append a row with its errors against ``reference`` and return it."""
@@ -511,8 +513,8 @@ def run_trotter_study(scenario: Scenario, report: Report, psi0: WaveFunction, ex
         drift = abs(l2_norm(evolved) - norm0)
         errors.append(err)
         report.add("split_vs_dense_error", k, err, reference=0.0, oracle="dense", rel_scale=1.0)
-        report.add("norm_drift", k, drift, reference=0.0, oracle="unitarity", rel_scale=1.0)
-        report.check("norm_drift", drift <= k * 1e-12, drift, k * 1e-12)
+        row = report.add("norm_drift", k, drift, reference=0.0, oracle="unitarity", rel_scale=1.0)
+        report.check("norm_drift", drift <= k * 1e-12, drift, k * 1e-12, row.k_or_step)
 
     floor = scenario.checks.get("trotter_floor")
     if floor is not None:
@@ -539,9 +541,9 @@ def run_gauge_check(scenario: Scenario, report: Report, psi0: WaveFunction,
     for axis in range(scenario.ndim):
         # without a field the gauge phases are all 1, so the residual is exactly 0
         resid = 0.0 if scenario.vector is None else gauge.gauge_conjugation_residual(op, axis, psi0)
-        report.add("conjugation_residual", f"axis{axis}", resid, reference=0.0,
-                   oracle="spectral", rel_scale=1.0)
-        report.check("gauge_residual_tol", resid <= tol, resid, tol)
+        row = report.add("conjugation_residual", f"axis{axis}", resid, reference=0.0,
+                         oracle="spectral", rel_scale=1.0)
+        report.check("gauge_residual_tol", resid <= tol, resid, tol, row.k_or_step)
     if scenario.vector is None:
         return
 
@@ -649,10 +651,10 @@ def run_amplitude_study(scenario: Scenario, report: Report, psi0: WaveFunction, 
         report.add("amplitude", k, estimate.value, reference=dense_ref, oracle="dense")
 
         report.check("amplitude_converged", estimate.converged, estimate.tail_oscillation,
-                     pathint.TAIL_OSCILLATION_TOL)
+                     pathint.TAIL_OSCILLATION_TOL, primary.k_or_step)
         # a zero reference (no relative error) or a NaN error fails the check
         held = rel_tol is None or (primary.rel_error is not None and primary.rel_error <= rel_tol)
-        report.check("amplitude_rel_tol", held, primary.rel_error, rel_tol)
+        report.check("amplitude_rel_tol", held, primary.rel_error, rel_tol, primary.k_or_step)
 
 
 # the studies each command runs, in report order

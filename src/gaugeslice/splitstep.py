@@ -1,22 +1,19 @@
 """Gauge-split slice operator and its k-fold iteration.
 
-One slice of duration eps applies, right to left,
-
-    exp(-i eps V) * prod_l  e^{i lam_l} exp(-i eps H0_l) e^{-i lam_l}
-
-where H0_l = -d^2/dx_l^2 acts spectrally (periodic boundary) and lam_l is the
-per-axis gauge phase.  Every factor is a unit-modulus multiplier or a spectral
-unitary, so each slice preserves the L2 norm to rounding.  A phase that
-overflows is NaN, and applying the map raises :class:`NonFiniteError`.
+One slice of duration eps is :func:`gauge.staircase_sweep` with the free step
+exp(-i eps H0_l), H0_l = -d^2/dx_l^2 acting spectrally (periodic boundary),
+between the per-axis gauge phases, followed by exp(-i eps V).  Every factor
+is a unit-modulus multiplier or a spectral unitary, so each slice preserves
+the L2 norm to rounding.  A phase that overflows is NaN, and applying the map
+raises :class:`NonFiniteError`.
 
 Neither lam_l nor the samples of V and a depend on eps, so a
 :class:`SliceOperator` tabulates them once per field and grid:
 :func:`scenarios.run` builds one per run, and every slice count of its
 studies and the gauge study's residual share it; a field too large to
-square is refused before any table is built.
-``SliceOperator.slice(eps)`` builds exp(-i eps V) and the kinetic multipliers
-for one eps and returns the one-slice map.  The operator's tables are never
-written after construction, so one operator serves every evolution in turn.
+square is refused before any table is built.  The operator's tables are
+never written after construction, so one operator serves every evolution in
+turn; :meth:`SliceOperator.slice` builds the one-slice map for one eps.
 """
 
 from __future__ import annotations
@@ -46,14 +43,14 @@ def kinetic_multiplier(grid: Grid, axis: int, eps: float) -> np.ndarray:
     return np.exp(1j * (eps * d2))
 
 
-class SliceOperator:
-    """The eps-free data of the gauge-split slice: field samples and gauge phases.
+def _kinetic_step(grid: Grid, axis: int, eps: float):
+    """Free propagation for time eps along one axis, by its :func:`kinetic_multiplier`."""
+    multiplier = kinetic_multiplier(grid, axis, eps)
+    return lambda values: fourier_multiply(values, multiplier, axis)
 
-    Neither depends on the slice length, so one operator serves every eps;
-    :meth:`slice` builds the one-slice map for a given eps.  The axis product
-    is written left to right, axis 0 first; the rightmost factor acts first,
-    so axis n-1 is applied first and axis 0 last.
-    """
+
+class SliceOperator:
+    """The eps-free data of the gauge-split slice: field samples and gauge phases."""
 
     def __init__(
         self,
@@ -71,8 +68,8 @@ class SliceOperator:
         # per axis the pair (e^{+i lam_l}, e^{-i lam_l})
         self.gauge_phases: list[tuple[np.ndarray, np.ndarray]] | None = None
         if vector is not None:
-            phases = [np.exp(1j * gauge.gauge_phase_table(vector, l, grid)) for l in range(grid.ndim)]
-            self.gauge_phases = [(phase, np.conj(phase)) for phase in phases]
+            self.gauge_phases = [gauge.phase_pair(gauge.gauge_phase_table(vector, l, grid))
+                                 for l in range(grid.ndim)]
 
     def slice(self, eps: float):
         """The one-slice map of wavefunctions for slice length eps; eps = 0 is the identity.
@@ -82,25 +79,17 @@ class SliceOperator:
         """
         if not eps >= 0:
             raise ValueError(f"eps must be nonnegative, got {eps}")
-        grid, gauge_phases = self.grid, self.gauge_phases
+        grid = self.grid
         potential_phase = None
         if self.potential is not None:
             potential_phase = np.exp(1j * (-eps * self.potential))
-        kinetic = [kinetic_multiplier(grid, l, eps) for l in range(grid.ndim)]
+        phases = self.gauge_phases or [None] * grid.ndim
+        axes = [(_kinetic_step(grid, l, eps), phases[l]) for l in range(grid.ndim)]
 
         def apply(psi: WaveFunction) -> WaveFunction:
             if psi.grid != grid:
                 raise GridMismatchError("wavefunction grid does not match the slice operator grid")
-            v = psi.values
-            for l in reversed(range(grid.ndim)):
-                if gauge_phases is not None:
-                    v = gauge_phases[l][1] * v
-                v = fourier_multiply(v, kinetic[l], l)
-                if gauge_phases is not None:
-                    v = gauge_phases[l][0] * v
-            if potential_phase is not None:
-                v = potential_phase * v
-            return WaveFunction(grid, v)
+            return WaveFunction(grid, gauge.staircase_sweep(psi.values, axes, potential_phase))
 
         return apply
 

@@ -100,6 +100,15 @@ class TestExitCodes:
         assert "amplitude.r_start" in err and "amplitude.max_evals" in err
         assert "try slices" not in err
 
+    def test_cap_exceeded_by_two_slices_suggests_one(self, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "free_1d.json").read_text())
+        doc["amplitude"]["max_evals"] = 2e7
+        scen = tmp_path / "free_1d.json"
+        scen.write_text(json.dumps(doc))
+        assert cli.main(["amplitude", "--scenario", str(scen), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: 25176608 kernel evaluations exceed the cap 20000000 (try slices <= 1)"]
+
     def test_missing_scenario_gives_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "no_such_scenario.json"
         code = cli.main(["gauge", "--scenario", str(missing), "--out", str(tmp_path / "r")])

@@ -5,6 +5,10 @@ rows and diagnostics.  Keys, key order, row order, strings and verdicts must
 match exactly, and each float within ``|a - b| <= 1e-10 |b| + 1e-14``.  A
 change that moves a report on purpose rewrites the goldens with
 ``PYTHONPATH=src python tests/test_golden.py`` and says which values moved.
+
+The drift of a float is ``|a - b| / (|b| + 1e-4)``, its difference relative
+to the scale the tolerance uses, so the tolerance bounds it by 1e-10.  The
+test summary prints the largest drift the goldens accepted and where.
 """
 
 import importlib.util
@@ -52,20 +56,24 @@ def report(doc: dict, command: str, path: Path) -> dict:
     return written
 
 
-def assert_matches(got, want, where: str = "report") -> None:
-    """``got`` has ``want``'s structure exactly and its floats within the golden tolerance."""
+def assert_matches(got, want, where: str = "report") -> tuple[float, str]:
+    """``got`` has ``want``'s structure exactly and its floats within the golden tolerance.
+
+    Returns the largest drift of a float and where it is.
+    """
     if isinstance(want, dict):
         assert isinstance(got, dict) and list(got) == list(want), f"{where}: keys {list(got)}"
-        for key in want:
-            assert_matches(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list):
+        return max((assert_matches(got[key], want[key], f"{where}.{key}") for key in want),
+                   default=(0.0, where))
+    if isinstance(want, list):
         assert isinstance(got, list) and len(got) == len(want), f"{where}: length of {got!r}"
-        for i, (g, w) in enumerate(zip(got, want)):
-            assert_matches(g, w, f"{where}[{i}]")
-    elif type(want) is float:
+        return max((assert_matches(g, w, f"{where}[{i}]") for i, (g, w) in enumerate(zip(got, want))),
+                   default=(0.0, where))
+    if type(want) is float:
         assert type(got) is float and abs(got - want) <= 1e-10 * abs(want) + 1e-14, f"{where}: {got!r} != {want!r}"
-    else:
-        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+        return abs(got - want) / (abs(want) + 1e-4), where
+    assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+    return 0.0, where
 
 
 CASES = cases()
@@ -77,10 +85,12 @@ def test_every_run_has_a_golden():
 
 
 @pytest.mark.parametrize("name, doc, command", CASES, ids=[c[0] for c in CASES])
-def test_report_matches_its_golden(tmp_path, name, doc, command):
+def test_report_matches_its_golden(tmp_path, golden_drift, name, doc, command):
     golden = json.loads((GOLDEN / name).read_text())
     assert golden["passed"] and golden["failures"] == []
-    assert_matches(report(doc, command, tmp_path / "report.json"), golden)
+    drift, where = assert_matches(report(doc, command, tmp_path / "report.json"), golden)
+    if drift > golden_drift["drift"]:
+        golden_drift.update(drift=drift, where=f"{name} {where}")
 
 
 def test_a_time_scaled_by_1e_8_fails(tmp_path):
@@ -100,7 +110,8 @@ def test_swapped_rows_fail_and_one_ulp_passes():
     row = nudged["rows"][2]
     assert row["quantity"] == "split_vs_dense_error"
     row["value"] = math.nextafter(row["value"], math.inf)
-    assert_matches(nudged, golden)
+    drift, where = assert_matches(nudged, golden)
+    assert 0 < drift <= 1e-10 and where == "report.rows[2].value"
 
 
 def regenerate() -> None:

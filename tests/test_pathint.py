@@ -484,6 +484,11 @@ class TestAmplitudeQuadrature:
         assert np.isfinite(estimate.value)
         assert nearest["dist"] >= 1e-3
 
+    @pytest.mark.parametrize("slices", [0, -1])
+    def test_slice_count_below_one_raises(self, slices):
+        with pytest.raises(ValueError, match="slice count must be at least 1"):
+            amplitude_quadrature(gaussian_evaluator(), gaussian_evaluator(), 0.2, slices, r_start=5.0)
+
     @pytest.mark.parametrize("name", ["initial", "final"])
     def test_non_finite_state_on_the_mesh_raises(self, name):
         # a width of 1e-300 overflows on every node; the amplitude would be NaN

@@ -9,6 +9,7 @@ from scipy.special import jv
 from gaugeslice import (
     CapExceededError,
     Grid,
+    GridMismatchError,
     ScalarPotentialSpec,
     VectorPotentialSpec,
     assemble_hamiltonian,
@@ -135,7 +136,7 @@ class TestEvolution:
     def test_grid_mismatch(self):
         ham = assemble_hamiltonian(Grid((-4.0,), (4.0,), (16,)))
         psi = gaussian_wave(Grid((-4.0,), (4.0,), (32,)))
-        with pytest.raises(ValueError):
+        with pytest.raises(GridMismatchError, match="does not match the Hamiltonian grid"):
             expm_evolve(ham, psi, 0.1)
 
 
@@ -344,8 +345,10 @@ class TestChebyshevEvolution:
 
     def test_grid_mismatch(self):
         action = HamiltonianAction(Grid((-4.0,), (4.0,), (16,)))
-        with pytest.raises(ValueError):
-            chebyshev_evolve(action, gaussian_wave(Grid((-4.0,), (4.0,), (32,))), 0.1)
+        psi = gaussian_wave(Grid((-4.0,), (4.0,), (32,)))
+        for route in (chebyshev_evolve, evolve):
+            with pytest.raises(GridMismatchError, match="does not match the Hamiltonian grid"):
+                route(action, psi, 0.1)
 
 
 def constant_scalar(value=0.8):

@@ -460,15 +460,20 @@ class TestVerdicts:
     def trotter(**overrides):
         return run(scenario_from_dict(minimal_config(slice_counts=[2, 4, 8], **overrides)), "trotter")
 
+    # the rules checked once per row; each failure names its row's k_or_step as "at"
+    PER_ROW = {"norm_drift", "gauge_residual_tol", "amplitude_converged", "amplitude_rel_tol"}
+
     @staticmethod
     def failed(report, tmp_path, capsys) -> list[str]:
         """The checks ``report`` failed, in order, as its JSON and its printed summary both name them."""
         report.write_json(tmp_path / "report.json")
         failures = json.loads((tmp_path / "report.json").read_text())["failures"]
+        assert all(("at" in failure) is (failure["check"] in TestVerdicts.PER_ROW) for failure in failures)
         cli._print_summary(report)
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines if line.startswith("FAIL ")] == [
-            f"FAIL {failure['check']}" for failure in failures
+            f"FAIL {failure['check']}" + (f" [{failure['at']}]" if "at" in failure else "")
+            for failure in failures
         ]
         assert lines[-1] == f"{report.scenario}: {'FAIL' if failures else 'PASS'}"
         return [failure["check"] for failure in failures]
@@ -488,8 +493,8 @@ class TestVerdicts:
         assert drifts == pytest.approx([excess * k * 1e-12 for k in (2, 4, 8)], rel=1e-3)
         assert report.passed is passed
         assert self.failed(report, tmp_path, capsys) == ([] if passed else ["norm_drift"] * 3)
-        assert [(f["observed"], f["bound"]) for f in report.failures] == (
-            [] if passed else [(drift, k * 1e-12) for drift, k in zip(drifts, (2, 4, 8))])
+        assert [(f["at"], f["observed"], f["bound"]) for f in report.failures] == (
+            [] if passed else [(str(k), drift, k * 1e-12) for drift, k in zip(drifts, (2, 4, 8))])
 
     def test_trotter_floor_bounds_every_error(self, tmp_path, capsys):
         worst = max(self.trotter().diagnostics["trotter_errors"].values())
@@ -548,7 +553,20 @@ class TestVerdicts:
             report = run(scenario_from_dict(minimal_config(checks={"gauge_residual_tol": tol})), "gauge")
             assert report.passed is passed
             assert self.failed(report, tmp_path, capsys) == ([] if passed else ["gauge_residual_tol"])
-            assert [(f["observed"], f["bound"]) for f in report.failures] == ([] if passed else [(resid, tol)])
+            assert [(f["at"], f["observed"], f["bound"]) for f in report.failures] == (
+                [] if passed else [("axis0", resid, tol)])
+
+    def test_constant_field_reports_the_midpoint_discrepancy(self, tmp_path, capsys):
+        # the midpoint rule is exact for a constant a: the discrepancy is reported, no slope is fitted
+        doc = json.loads((SCENARIO_DIR / "free_1d.json").read_text())
+        doc["vector_potential"] = {"family": "constant", "params": {"values": [0.5]}}
+        scen = tmp_path / "free_1d.json"
+        scen.write_text(json.dumps(doc))
+        assert cli.main(["gauge", "--scenario", str(scen), "--out", str(tmp_path / "r")]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "free_1d midpoint_discrepancy_max [-] value=0 ref=0 abs_err=0 (symbolic)", "free_1d: PASS"]
+        written = json.loads((tmp_path / "r" / "free_1d_gauge.json").read_text())
+        assert written["diagnostics"] == {"midpoint_constant_field": True}
 
     def test_amplitude_rel_tol_checks_the_primary_row(self, tmp_path, capsys):
         amplitude = {"slices": [1], "r_start": 5.0, "steps": 2, "tail_window": 2}
@@ -562,6 +580,21 @@ class TestVerdicts:
             report = run(checked, "amplitude")
             assert report.passed is passed
             assert self.failed(report, tmp_path, capsys) == ([] if passed else ["amplitude_rel_tol"])
+
+    def test_each_failure_names_its_slice_count(self, tmp_path, capsys):
+        # states 1e100 wide: the closed-form reference underflows to 0, so both slice counts fail
+        doc = json.loads((SCENARIO_DIR / "free_1d.json").read_text())
+        for state in ("initial_state", "final_state"):
+            doc[state]["width"] = [1e100]
+        scen = tmp_path / "free_1d.json"
+        scen.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning, match="boundary cells"):
+            assert cli.main(["amplitude", "--scenario", str(scen), "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "FAIL amplitude_rel_tol [1]: None vs 0.01", "FAIL amplitude_rel_tol [2]: None vs 0.01", "free_1d: FAIL"]
+        failures = json.loads((tmp_path / "r" / "free_1d_amplitude.json").read_text())["failures"]
+        assert failures == [{"check": "amplitude_rel_tol", "at": k, "observed": None, "bound": 0.01}
+                            for k in ("1", "2")]
 
     @pytest.mark.parametrize("r_start, converged", [(5.0, True), (1.0, False)])
     def test_amplitude_must_converge(self, tmp_path, capsys, r_start, converged):
