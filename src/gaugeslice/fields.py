@@ -67,11 +67,16 @@ class Grid:
             raise ValueError("lo, hi and shape must have equal length")
         if len(shape) == 0:
             raise ValueError("grid dimension must be positive")
-        for a, b, n in zip(lo, hi, shape):
+        for axis, (a, b, n) in enumerate(zip(lo, hi, shape)):
             if not b > a:
                 raise ValueError(f"box bounds must satisfy hi > lo, got ({a}, {b})")
             if n < 2:
                 raise ValueError("need at least 2 points per axis")
+            h = (b - a) / n
+            # the largest frequency as frequencies() computes it, which derivative_symbols squares
+            top = 2.0 * np.pi * (n // 2 * (1.0 / (n * h)))
+            if not np.isfinite(top * top):
+                raise ValueError(f"grid axis {axis} spacing {h:g} is too fine: kinetic symbol xi^2 overflows")
         if self.size > 2**62:
             raise ValueError("total point count not representable")
 
@@ -98,9 +103,6 @@ class Grid:
         """Cell-centered node coordinates along one axis."""
         h = self.spacing[axis]
         return self.lo[axis] + (np.arange(self.shape[axis]) + 0.5) * h
-
-    def meshgrid(self) -> list[np.ndarray]:
-        return list(np.meshgrid(*(self.axis_coords(b) for b in range(self.ndim)), indexing="ij"))
 
     def points(self) -> np.ndarray:
         """All nodes as an array of shape (size, ndim)."""
@@ -234,6 +236,16 @@ def sample_points(
     return vals
 
 
+def sample_state(state_fn, points: np.ndarray, name: str, where: str) -> np.ndarray:
+    """``state_fn`` on (N, n) ``points``; a non-finite value raises :class:`NonFiniteError` naming
+    the ``name`` state, its first such point and ``where`` the points lie: the grid or an amplitude mesh."""
+    values = state_fn(points)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise NonFiniteError(f"{name} state returned non-finite value at {points[~finite][0]} on the {where}")
+    return values
+
+
 def sample_field(
     spec: ScalarPotentialSpec | VectorPotentialSpec,
     grid: Grid,
@@ -303,7 +315,7 @@ def gaussian_evaluator(center=0.0, width=1.0, momentum=0.0, ndim: int = 1):
     def evaluate(points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         out = np.ones(pts.shape[:-1], dtype=complex)
-        # numpy's warnings off: the state's WaveFunction or amplitude mesh refuses a non-finite value
+        # numpy's warnings off: sample_state refuses a non-finite value
         with np.errstate(all="ignore"):
             for b in range(ndim):
                 x = pts[..., b] - center[b]

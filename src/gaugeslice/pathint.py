@@ -19,7 +19,8 @@ converged when their spread stays below :data:`TAIL_OSCILLATION_TOL`.
 
 :func:`amplitude_quadrature` builds the schedule from its own keywords and
 checks the evaluation cap against its largest mesh, the last step's, before
-it meshes any other step or :func:`raw_sliced_amplitude` sums any.
+it meshes any other step or :func:`raw_sliced_amplitude` sums any.  Its
+keywords are the ``amplitude`` block's keys, so each refusal names the key to change.
 A step's mesh is a tensor product of per-axis unions of uniform midpoint
 pieces, all from one rule, :func:`_excised_pieces`: the box minus, on each
 axis, the open gap around each singular point's coordinate.
@@ -50,13 +51,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapExceededError, NonFiniteError, ScheduleError
+from .errors import CapExceededError, ScheduleError, SingularNodeError
 from . import gauge
 from .fields import (
     ScalarPotentialSpec,
     VectorPotentialSpec,
     collect_singularities,
     sample_points,
+    sample_state,
     tensor_points,
 )
 
@@ -117,7 +119,8 @@ def _excised_pieces(ndim: int, radius: float, singular_points, gap: float, h: fl
                 pieces.append(MeshPiece(start, m, (end - start) / m))
             start = max(start, c)
         if not pieces:
-            raise ScheduleError(f"a gap of {gap:g} excises all of axis {b} on [{lo:g}, {hi:g}]")
+            raise ScheduleError(
+                f"a gap of {gap:g} excises all of axis {b} on [{lo:g}, {hi:g}]; lower amplitude.gap")
         axes.append(tuple(pieces))
     return axes
 
@@ -261,16 +264,6 @@ class AmplitudeEstimate:
         return self.tail_oscillation < TAIL_OSCILLATION_TOL
 
 
-def _state_on_mesh(state_fn, mesh: _TensorMesh, name: str) -> np.ndarray:
-    values = state_fn(mesh.points)
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise NonFiniteError(
-            f"{name} state returned non-finite value at {mesh.points[~finite][0]} on the amplitude mesh"
-        )
-    return values
-
-
 def raw_sliced_amplitude(
     phi_fn,
     psi_fn,
@@ -283,10 +276,10 @@ def raw_sliced_amplitude(
     """One box-truncated nested midpoint sum, evaluated as chained transfers.
 
     Every slice point x_0 .. x_k ranges over the same ``mesh``.  A state that
-    is not finite on the mesh raises :class:`NonFiniteError` naming it.
+    is not finite on the mesh is refused by :func:`fields.sample_state`.
     """
-    u = _state_on_mesh(psi_fn, mesh, "initial") * mesh.weights
-    phi = _state_on_mesh(phi_fn, mesh, "final")
+    u = sample_state(psi_fn, mesh.points, "initial", "amplitude mesh") * mesh.weights
+    phi = sample_state(phi_fn, mesh.points, "final", "amplitude mesh")
     transfer = _kernel_plan(mesh, eps, vector)
     # every slice ends on the same diagonal: potential phase times quadrature weight
     diagonal = mesh.weights
@@ -347,7 +340,8 @@ def amplitude_quadrature(
     wide to count its cells counts as an infinite mesh, which exceeds any
     cap.  ``max_evals`` counts target×source kernel pairs summed over the
     slices of one raw sum; the error's ``suggested_slices`` is the largest
-    slice count that fits the largest mesh, 0 when even one slice does not.
+    slice count that fits the largest mesh, and its message suggests it or,
+    when it is 0, which way to move ``r_start``.
     """
     if slices < 1:
         raise ValueError("slice count must be at least 1")
@@ -364,19 +358,26 @@ def amplitude_quadrature(
         return axes, math.prod(sum(p.count for p in pieces) for pieces in axes)
 
     per_pair = plan(r_start + (steps - 1) * spacing, gap_final)[1] ** 2
-    if slices * per_pair > max_evals:
-        # the chain cost is linear in k; suggest the largest feasible count
-        raise CapExceededError(
-            f"{slices * per_pair} kernel evaluations exceed the cap {max_evals}",
-            suggested_slices=int(max_evals // per_pair),
-        )
+    evals = slices * per_pair
+    if evals > max_evals:
+        # the chain cost is linear in k: suggest the largest feasible count, and with none, move
+        # r_start toward sqrt(2 pi eps (steps - 1)), where the last radius r + (steps - 1) 2 pi eps / r is least
+        suggested = int(max_evals // per_pair)
+        move = "raise" if r_start < math.sqrt(2.0 * np.pi * eps * (steps - 1)) else "lower"
+        hint = (f"try slices <= {suggested}" if suggested else
+                f"one slice exceeds the cap: {move} amplitude.r_start or raise amplitude.max_evals")
+        # an int too large for a float has no :g form, so it is scaled by its power of ten first
+        power = math.floor(math.log10(evals)) if evals < math.inf else 0
+        count = evals if power < 15 else f"{evals / 10**power:.3g}e+{power}"
+        raise CapExceededError(f"{count} kernel evaluations exceed the cap {max_evals} ({hint})", suggested)
     radii = tuple(r_start + i * spacing for i in range(steps))
     gaps = [gap] * steps if gap_final == gap else np.geomspace(gap, gap_final, steps)
     meshes, sizes = zip(*(plan(radius, cut) for radius, cut in zip(radii, gaps)))
-    raw = [
-        raw_sliced_amplitude(phi_fn, psi_fn, eps, slices, _TensorMesh(axes), vector, scalar)
-        for axes in meshes
-    ]
+    try:
+        raw = [raw_sliced_amplitude(phi_fn, psi_fn, eps, slices, _TensorMesh(axes), vector, scalar)
+               for axes in meshes]
+    except SingularNodeError as exc:
+        raise SingularNodeError(f"{exc}; set amplitude.gap > 0 to excise it") from exc
     window = min(tail_window, len(raw))
     tail = np.asarray(raw[-window:])
     value = complex(np.mean(tail))

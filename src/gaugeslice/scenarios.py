@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import gauge, pathint, reference, splitstep
-from .errors import CapExceededError, NonFiniteError, ScheduleError, SingularNodeError
+from .errors import NonFiniteError, ScheduleError
 from .fields import (
     Grid,
     ScalarPotentialSpec,
@@ -28,9 +28,9 @@ from .fields import (
     WaveFunction,
     _finite_real,
     gaussian_evaluator,
-    gaussian_wave,
     l2_norm,
     pair_bilinear,
+    sample_state,
 )
 
 SCHEMA_VERSION = 1
@@ -251,12 +251,14 @@ def _vector_linear(ndim, params):
 
 @dataclass(frozen=True)
 class StateSpec:
+    name: str  # "initial" or "final"
     center: tuple[float, ...]
     width: tuple[float, ...]
     momentum: tuple[float, ...]
 
-    def on_grid(self, grid: Grid):
-        return gaussian_wave(grid, self.center, self.width, self.momentum)
+    def on_grid(self, grid: Grid) -> WaveFunction:
+        values = sample_state(self.evaluator(grid.ndim), grid.points(), self.name, "grid")
+        return WaveFunction(grid, values.reshape(grid.shape))
 
     def evaluator(self, ndim: int):
         return gaussian_evaluator(self.center, self.width, self.momentum, ndim)
@@ -284,7 +286,7 @@ def _state_from_config(cfg: dict, ndim: int, block: str) -> StateSpec:
     width = tup("width", 1.0)
     if not all(w > 0 for w in width):
         raise ValueError(f"{block} width must be positive, got {list(width)}")
-    return StateSpec(tup("center", 0.0), width, tup("momentum", 0.0))
+    return StateSpec(block.removesuffix("_state"), tup("center", 0.0), width, tup("momentum", 0.0))
 
 
 def _count(value, what: str) -> int:
@@ -600,9 +602,7 @@ def run_amplitude_study(scenario: Scenario, report: Report, psi0: WaveFunction, 
     ``psi0`` is the scenario's initial state, ``exact`` its reference
     evolution and ``op`` its split-step operator, all as :func:`run` builds
     them; the pairing of ``exact`` with the final state is the reference row
-    tagged ``dense``.  A singular mesh node, a gap that excises a whole axis
-    and a tripped evaluation cap are re-raised with a hint naming the
-    ``amplitude`` key to change.
+    tagged ``dense``.  The quadrature's refusals name the ``amplitude`` key to change.
     """
     params = scenario.amplitude_params
     # every other key of the block is a keyword of the quadrature
@@ -619,23 +619,9 @@ def run_amplitude_study(scenario: Scenario, report: Report, psi0: WaveFunction, 
     dense_ref = pair_bilinear(phi_grid, exact)
 
     for k in params["slices"]:
-        try:
-            estimate = pathint.amplitude_quadrature(phi_fn, psi_fn, scenario.time, k, **schedule,
-                                                    ndim=scenario.ndim, vector=scenario.vector,
-                                                    scalar=scenario.scalar)
-        except SingularNodeError as exc:
-            raise SingularNodeError(f"{exc}; set amplitude.gap > 0 to excise it") from exc
-        except ScheduleError as exc:
-            raise ScheduleError(f"{exc}; lower amplitude.gap") from exc
-        except CapExceededError as exc:
-            if exc.suggested_slices == 0:
-                # the last radius r + (steps - 1) 2 pi eps / r is least at r = sqrt(2 pi eps (steps - 1))
-                least = np.sqrt(2.0 * np.pi * scenario.time / k * (params["steps"] - 1))
-                move = "raise" if params["r_start"] < least else "lower"
-                hint = f"one slice exceeds the cap: {move} amplitude.r_start or raise amplitude.max_evals"
-            else:
-                hint = f"try slices <= {exc.suggested_slices}"
-            raise CapExceededError(f"{exc} ({hint})", exc.suggested_slices) from exc
+        estimate = pathint.amplitude_quadrature(phi_fn, psi_fn, scenario.time, k, **schedule,
+                                                ndim=scenario.ndim, vector=scenario.vector,
+                                                scalar=scenario.scalar)
         report.diagnostics[f"amplitude_k{k}"] = {
             "raw": list(estimate.raw),
             "radii": list(estimate.radii),

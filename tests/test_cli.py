@@ -211,7 +211,7 @@ class TestExitCodes:
             "family": "regularized-coulomb", "params": {"softening": 0.0, "center": [0.03125]}}),
          "error: evaluator returned non-finite value at [0.03125]"),
         (lambda doc: doc["initial_state"].update(width=[1e-300]),
-         "error: wavefunction contains non-finite entries"),
+         "error: initial state returned non-finite value at [-7.96875] on the grid"),
         (lambda doc: doc.update(grid={"lo": [-1e300], "hi": [1e300], "shape": [256]}),
          "error: evaluator returned non-finite value at [-9.9609375e+299]"),
     ], ids=["coulomb-on-a-node", "state-width-1e-300", "grid-1e300"])
@@ -225,6 +225,57 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [message]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("command", ["all", "gauge", "trotter", "amplitude"])
+    @pytest.mark.parametrize("name, lo, hi", [
+        ("harmonic_1d", [-1e-300], [1e-300]),
+        ("constant_field_2d", [-1e-300, -1e-300], [1e-300, 1e-300]),
+    ], ids=["harmonic_1d", "constant_field_2d"])
+    def test_grid_too_fine_for_its_kinetic_symbol_gives_one_error_line(
+        self, tmp_path, capsys, recwarn, command, name, lo, hi
+    ):
+        # the kinetic symbol xi^2 overflows, so the grid is refused at load, before any study
+        doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+        doc["grid"].update(lo=lo, hi=hi)
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(doc))
+        code = cli.main([command, "--scenario", str(scen), "--out", str(tmp_path / "r")])
+        assert code == 2
+        spacing = 2e-300 / doc["grid"]["shape"][0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot load scenario {scen}: ValueError: grid axis 0 spacing {spacing:g} "
+            "is too fine: kinetic symbol xi^2 overflows"]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("command", ["all", "amplitude"])
+    def test_cap_refusal_prints_a_long_count_in_short_form(self, tmp_path, capsys, command):
+        # at a time of 1e-300 the last box has about 1e300 cells, whose square has 605 digits
+        doc = json.loads((SCENARIO_DIR / "free_1d.json").read_text())
+        doc["time"] = 1e-300
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(doc))
+        code = cli.main([command, "--scenario", str(scen), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: 1.56e+604 kernel evaluations exceed the cap 100000000 "
+            "(one slice exceeds the cap: lower amplitude.r_start or raise amplitude.max_evals)"]
+
+    @pytest.mark.parametrize("command", ["all", "amplitude"])
+    @pytest.mark.parametrize("potential, amplitude, message", [
+        ({"family": "step-discontinuity", "params": {"edge": 0.0}},
+         {"slices": [2], "r_start": 5.0, "steps": 8, "tail_window": 6},
+         "error: node [0.] lies within 1e-09 of singular point (0.0,); set amplitude.gap > 0 to excise it"),
+        ({"family": "inverse-power-singular", "params": {"power": 0.5, "center": [0.0]}},
+         {"slices": [2], "r_start": 5.0, "gap": 10.0, "gap_final": 10.0},
+         "error: a gap of 10 excises all of axis 0 on [-6.88496, 6.88496]; lower amplitude.gap"),
+    ], ids=["singular-node", "gap-excises-an-axis"])
+    def test_route_3_refusal_names_its_amplitude_key(
+        self, tmp_path, capsys, command, potential, amplitude, message
+    ):
+        scen = write_scenario(tmp_path, scalar_potential=potential, amplitude=amplitude)
+        code = cli.main([command, "--scenario", str(scen), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [message]
 
     @pytest.mark.parametrize("count", [1e12, 1e308])
     def test_slice_count_beyond_the_work_bound_gives_one_error_line(self, tmp_path, capsys, count):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaugeslice import (
     Grid,
@@ -19,7 +20,7 @@ from gaugeslice import (
     sample_field,
     sample_points,
 )
-from gaugeslice.fields import SINGULAR_TOL
+from gaugeslice.fields import SINGULAR_TOL, sample_state
 
 
 class TestGrid:
@@ -71,6 +72,21 @@ class TestGrid:
     def test_numpy_integer_shape_accepted(self):
         assert Grid((0.0, 0.0), (1.0, 1.0), np.array([4, 6])).shape == (4, 6)
 
+    @settings(max_examples=80, deadline=None)
+    @given(exponent=st.floats(-156.0, -150.0), n=st.integers(2, 64))
+    def test_refused_exactly_when_its_kinetic_symbol_overflows(self, exponent, n):
+        # the boundary lies between 2e-154 and 8e-153 for these counts; a grid that
+        # loads squares its frequencies without a warning, which would fail the suite
+        half = 10.0**exponent
+        xi = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * half / n)
+        with np.errstate(over="ignore"):
+            overflows = not np.all(np.isfinite(xi**2))
+        if overflows:
+            with pytest.raises(ValueError, match=r"^grid axis 0 spacing \S+ is too fine: kinetic symbol xi\^2"):
+                Grid((-half,), (half,), (n,))
+        else:
+            assert np.all(np.isfinite(Grid((-half,), (half,), (n,)).derivative_symbols(0)[1]))
+
 
 class TestWaveFunction:
     def test_shape_mismatch(self):
@@ -84,6 +100,18 @@ class TestWaveFunction:
         vals[3] = np.nan
         with pytest.raises(NonFiniteError):
             WaveFunction(g, vals)
+
+
+class TestSampleState:
+    def test_names_the_state_its_first_bad_point_and_where(self):
+        points = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(NonFiniteError,
+                           match=r"^final state returned non-finite value at \[1\.\] on the grid$"):
+            sample_state(lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0), points, "final", "grid")
+
+    def test_returns_finite_values_as_sampled(self):
+        points = np.array([[0.0], [1.0]])
+        assert np.array_equal(sample_state(lambda p: p[:, 0] + 1j, points, "initial", "grid"), [1j, 1 + 1j])
 
 
 class TestPairings:
@@ -124,7 +152,7 @@ class TestPairings:
         g = Grid((-6.0, -6.0), (6.0, 6.0), (16, 16))
         wave = gaussian_wave(g, center=(0.2, -0.3), width=(1.0, 0.8), momentum=(0.5, 0.0))
         fn = gaussian_evaluator(center=(0.2, -0.3), width=(1.0, 0.8), momentum=(0.5, 0.0), ndim=2)
-        assert np.allclose(fn(np.stack(g.meshgrid(), axis=-1)), wave.values)
+        assert np.allclose(fn(g.points()).reshape(g.shape), wave.values)
 
 
 class TestSingularities:

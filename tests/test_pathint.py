@@ -538,6 +538,35 @@ class TestAmplitudeQuadrature:
         assert info.value.suggested_slices == 1
         assert info.value.suggested_slices * max(sizes) ** 2 <= max_evals
 
+    def test_cap_refusal_suggests_its_slice_count(self):
+        sizes = self.growing_sizes()
+        cap = 2 * sizes[-1] ** 2 - 1
+        with pytest.raises(CapExceededError) as info:
+            amplitude_quadrature(
+                gaussian_evaluator(), gaussian_evaluator(), 0.2, 2, **self.SCHEDULE, max_evals=cap,
+            )
+        assert str(info.value) == f"{cap + 1} kernel evaluations exceed the cap {cap} (try slices <= 1)"
+
+    @pytest.mark.parametrize("t, count", [(1e-6, "4.05e+15"), (1e-300, "4.05e+603")])
+    def test_cap_refusal_prints_a_long_count_in_short_form(self, t, count):
+        # 4050... has 16 digits at t = 1e-6; at 1e-300 it is too large for a float
+        with pytest.raises(CapExceededError) as info:
+            amplitude_quadrature(gaussian_evaluator(), gaussian_evaluator(), t, 1, r_start=5.0, steps=2)
+        assert str(info.value) == (f"{count} kernel evaluations exceed the cap 100000000 (one slice "
+                                   "exceeds the cap: lower amplitude.r_start or raise amplitude.max_evals)")
+
+    @pytest.mark.parametrize("gap, error, hint", [
+        (0.0, SingularNodeError, "; set amplitude.gap > 0 to excise it"),
+        (10.0, ScheduleError, "; lower amplitude.gap"),
+    ], ids=["singular-node", "gap-excises-an-axis"])
+    def test_refusal_names_the_amplitude_key(self, gap, error, hint):
+        # a step at the origin: eight steps with no gap put a node on it, a gap of 10 leaves no box
+        step = ScalarPotentialSpec(lambda p: np.where(p[..., 0] > 0.0, 1.0, 0.0), singular_points=((0.0,),))
+        with pytest.raises(error) as info:
+            amplitude_quadrature(gaussian_evaluator(), gaussian_evaluator(), 0.2, 2, r_start=5.0,
+                                 steps=8, gap=gap, scalar=step)
+        assert str(info.value).endswith(hint)
+
     def test_error_report_fields(self):
         est = AmplitudeEstimate(
             raw=(1.0 + 0j, 1.02 + 0j),
@@ -646,7 +675,7 @@ class TestOperatorVsKernel:
         # narrow enough that the state's tails are negligible at the box edge
         width = [(b - a) / 16.0 for a, b in zip(grid.lo, grid.hi)]
         psi_fn = gaussian_evaluator(center=center, width=width, ndim=grid.ndim)
-        psi = WaveFunction(grid, psi_fn(np.stack(grid.meshgrid(), axis=-1)))
+        psi = WaveFunction(grid, psi_fn(grid.points()).reshape(grid.shape))
         via_operator = SliceOperator(grid, None, vector).slice(eps)(psi)
         via_kernel = kernel_slice_on_grid(vector, grid, eps, psi_fn)
         assert l2_norm(WaveFunction(grid, via_operator.values - via_kernel)) < bound
