@@ -10,13 +10,16 @@ is 0 if every check held, 1 if one failed and 2 if the run could not be
 completed: an unreadable or invalid scenario, a bad flag, a run that raised a
 :class:`GaugesliceError` (README.md lists each cause), a grid too large to
 allocate, or an output directory that cannot be made or written.  Each such
-failure prints one ``error:`` line.
+failure prints one ``error:`` line.  Each distinct warning the run raises,
+such as the split-step's boundary-mass warning, prints one
+``warning: <message>`` line after it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .errors import GaugesliceError
@@ -66,6 +69,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error(f"--threads must be a positive integer, got {args.threads}")
+    # the caller's filters still apply: a warning they ignore is not printed, one they make an error raises
+    with warnings.catch_warnings(record=True) as caught:
+        code = _run(args)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
+
+
+def _run(args) -> int:
+    """The exit code of the command ``args`` name, its report written and summarised."""
     try:
         scenario = scenarios.load_scenario(args.scenario)
     except (OSError, ValueError, KeyError, TypeError) as exc:

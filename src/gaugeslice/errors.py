@@ -36,14 +36,9 @@ class CapExceededError(GaugesliceError):
     """A quadrature run would exceed the configured evaluation cap, or the
     reference's Chebyshev series would exceed its radius bound."""
 
-    def __init__(self, message, suggested_slices=None):
-        super().__init__(message)
-        self.suggested_slices = suggested_slices
-
 
 class ScheduleError(GaugesliceError):
     """A route-3 schedule is invalid or absent, or a gap excises a whole axis.
 
-    A schedule needs t > 0, r_start > 0, at least one step, a positive tail
-    window, gap >= 0 and a gap_final equal to gap or in (0, gap).
+    :func:`pathint.check_schedule` states the rule a schedule is held to.
     """

@@ -31,6 +31,13 @@ def _finite_real(value, what: str) -> float:
     return float(value)
 
 
+def _count(value, what: str) -> int:
+    """A positive whole number: an integer, or an integral real such as 1e8."""
+    if not (_finite_real(value, what) >= 1 and float(value).is_integer()):
+        raise ValueError(f"{what} {value!r} is not a positive integer")
+    return int(value)
+
+
 def _as_point_tuple(p) -> tuple[float, ...]:
     arr = np.atleast_1d(np.asarray(p, dtype=float))
     return tuple(float(v) for v in arr)

@@ -11,16 +11,23 @@ integration domain excises open neighborhoods of every singular point the
 fields register (only for a positive gap) and truncates to nested boxes; box
 radii grow and gap radii shrink along a schedule, each limit independent of
 the others.
-Raw box-truncated sums oscillate in the outer radius with a period set by
-eps = t / k (the tails are Fresnel-like and converge only conditionally), so
-the radii are spaced by half that period, the reported value is the
-arithmetic mean of the last few schedule steps, and the estimate counts as
-converged when their spread stays below :data:`TAIL_OSCILLATION_TOL`.
+The radii are spaced by half the period, set by eps = t / k, of an
+oscillation in the outer radius that Fresnel-like tails would give; the
+reported value is the arithmetic mean of the last few schedule steps, and the
+estimate counts as converged when their spread stays below
+:data:`TAIL_OSCILLATION_TOL`.  For smooth end states the raw sums do not
+oscillate.  On the shipped ``free_1d`` at k = 2 their relative error against
+the closed form falls monotonically from 3.2e-10 to 2.3e-14 over the 16
+steps, so the tail mean (6.2e-13) is 27 times worse than the last sum; at
+k = 1 the sums reach the rounding floor (tail mean 1.6e-15, last sum
+2.4e-16).  The schedule stays until one raw sum per slice count replaces it.
 
 :func:`amplitude_quadrature` builds the schedule from its own keywords and
 checks the evaluation cap against its largest mesh, the last step's, before
 it meshes any other step or :func:`raw_sliced_amplitude` sums any.  Its
-keywords are the ``amplitude`` block's keys, so each refusal names the key to change.
+keywords are the keys of a scenario's ``amplitude`` block, so each refusal
+names the key to change; :func:`amplitude_params` fills in and checks that
+block, and :meth:`AmplitudeEstimate.record` is the estimate's report record.
 A step's mesh is a tensor product of per-axis unions of uniform midpoint
 pieces, all from one rule, :func:`_excised_pieces`: the box minus, on each
 axis, the open gap around each singular point's coordinate.
@@ -56,17 +63,21 @@ from . import gauge
 from .fields import (
     ScalarPotentialSpec,
     VectorPotentialSpec,
+    _count,
+    _finite_real,
     collect_singularities,
     sample_points,
     sample_state,
     tensor_points,
 )
 
-DEFAULT_EVAL_CAP = int(1e8)
-DEFAULT_STEPS = 16
-DEFAULT_TAIL_WINDOW = 8
 # An estimate whose tail spread stays below this counts as converged.
 TAIL_OSCILLATION_TOL = 1e-2
+# A scenario's ``amplitude`` block, by key, with each default: ``slices`` lists the slice
+# counts and every other key sets the :func:`amplitude_quadrature` keyword it names, whose
+# default is the same.  An absent ``gap_final`` holds the block's ``gap``.
+AMPLITUDE_DEFAULTS = {"slices": (1,), "r_start": 6.0, "steps": 16, "gap": 0.0, "gap_final": 0.0,
+                      "tail_window": 8, "max_evals": int(1e8)}
 
 
 def phase_mesh_spacing(eps: float, radius: float, adjacent_pairs: int = 2) -> float:
@@ -263,6 +274,11 @@ class AmplitudeEstimate:
     def converged(self) -> bool:
         return self.tail_oscillation < TAIL_OSCILLATION_TOL
 
+    def record(self) -> dict:
+        """The estimate's report record: raw sums, box radii, tail spread and mesh sizes."""
+        return {"raw": list(self.raw), "radii": list(self.radii), "tail_oscillation": self.tail_oscillation,
+                "mesh_sizes": list(self.mesh_sizes)}
+
 
 def raw_sliced_amplitude(
     phi_fn,
@@ -308,6 +324,33 @@ def check_schedule(t: float, r_start: float, steps: int, tail_window: int, gap: 
         )
 
 
+def amplitude_params(block: dict, t: float) -> dict:
+    """A scenario's ``amplitude`` block with its defaults filled in and every value checked.
+
+    The schedule is held to :func:`check_schedule` at the scenario's time
+    ``t``, so a bad block fails at load; every refusal is a :class:`ValueError`
+    that names its key.
+    """
+    params = {**AMPLITUDE_DEFAULTS, "gap_final": block.get("gap", AMPLITUDE_DEFAULTS["gap"]), **block}
+    slices = params["slices"] if isinstance(params["slices"], (list, tuple)) else [params["slices"]]
+    params["slices"] = [_count(k, "amplitude slices") for k in slices]
+    if not params["slices"]:
+        # no slice count would apply no amplitude check and still pass
+        raise ValueError("amplitude slices needs at least one entry")
+    if len(set(params["slices"])) != len(params["slices"]):
+        raise ValueError(f"amplitude slices must be distinct, got {params['slices']}")
+    for key in ("steps", "tail_window", "max_evals"):
+        params[key] = _count(params[key], f"amplitude {key}")
+    for key in ("r_start", "gap", "gap_final"):
+        params[key] = _finite_real(params[key], f"amplitude {key}")
+    try:
+        check_schedule(t, params["r_start"], params["steps"], params["tail_window"], params["gap"],
+                       params["gap_final"])
+    except ScheduleError as exc:
+        raise ValueError(f"amplitude: {exc}") from exc
+    return params
+
+
 def amplitude_quadrature(
     phi_fn,
     psi_fn,
@@ -315,21 +358,23 @@ def amplitude_quadrature(
     slices: int,
     *,
     r_start: float,
-    steps: int = DEFAULT_STEPS,
-    gap: float = 0.0,
+    steps: int = AMPLITUDE_DEFAULTS["steps"],
+    gap: float = AMPLITUDE_DEFAULTS["gap"],
     gap_final: float | None = None,
-    tail_window: int = DEFAULT_TAIL_WINDOW,
+    tail_window: int = AMPLITUDE_DEFAULTS["tail_window"],
     ndim: int = 1,
     vector: VectorPotentialSpec | None = None,
     scalar: ScalarPotentialSpec | None = None,
-    max_evals: int = DEFAULT_EVAL_CAP,
+    max_evals: int = AMPLITUDE_DEFAULTS["max_evals"],
 ) -> AmplitudeEstimate:
     """Run the Fresnel box/gap schedule and tail-average the raw estimates.
 
     With eps = t / slices, step i truncates to the box of radius
-    r_start + i 2 pi eps / r_start: truncating at radius R leaves a tail
-    oscillating in R with period about 4 pi eps / R, so the mean over the last
-    ``tail_window`` steps cancels the oscillation.  The gap is held at ``gap``,
+    r_start + i 2 pi eps / r_start, half of the period 4 pi eps / R an
+    oscillating tail would have at radius R, and the value is the mean over
+    the last ``tail_window`` steps; for smooth end states the raw sums
+    converge monotonically instead, and the last one is the most accurate
+    (see the module docstring).  The gap is held at ``gap``,
     or shrinks geometrically to a ``gap_final`` in (0, gap); any other schedule
     raises :class:`ScheduleError` (:func:`check_schedule`).
 
@@ -339,9 +384,9 @@ def amplitude_quadrature(
     once, against it, before any list sized by ``steps`` is built.  A box too
     wide to count its cells counts as an infinite mesh, which exceeds any
     cap.  ``max_evals`` counts target×source kernel pairs summed over the
-    slices of one raw sum; the error's ``suggested_slices`` is the largest
-    slice count that fits the largest mesh, and its message suggests it or,
-    when it is 0, which way to move ``r_start``.
+    slices of one raw sum; the refusal suggests the largest slice count that
+    fits the largest mesh or, when there is none, which way to move
+    ``r_start``.
     """
     if slices < 1:
         raise ValueError("slice count must be at least 1")
@@ -369,7 +414,7 @@ def amplitude_quadrature(
         # an int too large for a float has no :g form, so it is scaled by its power of ten first
         power = math.floor(math.log10(evals)) if evals < math.inf else 0
         count = evals if power < 15 else f"{evals / 10**power:.3g}e+{power}"
-        raise CapExceededError(f"{count} kernel evaluations exceed the cap {max_evals} ({hint})", suggested)
+        raise CapExceededError(f"{count} kernel evaluations exceed the cap {max_evals} ({hint})")
     radii = tuple(r_start + i * spacing for i in range(steps))
     gaps = [gap] * steps if gap_final == gap else np.geomspace(gap, gap_final, steps)
     meshes, sizes = zip(*(plan(radius, cut) for radius, cut in zip(radii, gaps)))
@@ -382,12 +427,6 @@ def amplitude_quadrature(
     tail = np.asarray(raw[-window:])
     value = complex(np.mean(tail))
     oscillation = float(np.max(np.abs(tail - value))) if window > 1 else 0.0
-    return AmplitudeEstimate(
-        raw=tuple(raw),
-        radii=radii,
-        value=value,
-        tail_oscillation=oscillation,
-        mesh_sizes=sizes,
-        slices=slices,
-    )
+    return AmplitudeEstimate(raw=tuple(raw), radii=radii, value=value, tail_oscillation=oscillation,
+                             mesh_sizes=sizes, slices=slices)
 

@@ -199,18 +199,7 @@ class HamiltonianAction:
         diag = (self.diag - shift) / scale
         # [psi, a psi], its spectra and their mix; a single axis uses the first of each
         stack, spectra, mixed = (np.empty((2,) + self.grid.shape, dtype=complex) for _ in range(3))
-        axes = []
-        for axis, ((d1, lap), a) in enumerate(zip(self.symbols, self.a_vals)):
-            shape = [1] * self.grid.ndim
-            shape[axis] = -1
-            lap, d1 = (np.broadcast_to(sym.reshape(shape), self.grid.shape) for sym in (lap, d1))
-            if self.line_constant[axis]:
-                # -lap / scale stays a real quotient, so a zero field rounds as the bare kinetic symbol
-                multiplier = -lap / scale + 1j * (2.0 * a * d1 / scale)
-                axes.append((axis, multiplier, None, None))
-            else:
-                symbols = np.array([[-lap, 1j * d1], [d1, np.zeros(self.grid.shape)]]) / scale
-                axes.append((axis, symbols, a, 1j * a))
+        axes = self._axis_terms(scale)
 
         def apply(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             # per axis ifft(sum_s M[r, s] fft(stack_s)), or of one multiplier, in the workspaces
@@ -241,18 +230,26 @@ class HamiltonianAction:
         """Single-axis grid transforms, forward plus inverse, in one application."""
         return sum(2 if constant else 4 for constant in self.line_constant)
 
-    def fourier_multiplier(self) -> np.ndarray:
-        """The real symbol m of H over the grid; H is that multiplier only if :attr:`fourier_diagonal`.
+    def _axis_terms(self, scale: float) -> list:
+        """Per axis of :meth:`affine` at ``scale``, (axis, symbols, a_l, i a_l).
 
-        With V + |a|^2 = c and every a_l one number, each axis term
-        -lap + 2i a_l d1 is xi_l^2 - 2 a_l xi1_l.
+        A line-constant axis has its multiplier (-lap + 2i a_l d1) / scale, a
+        real symbol held as complex, and no fields; any other axis has its
+        2x2 matrix of symbols.
         """
-        m = np.full(self.grid.shape, self.diag.flat[0])
+        axes = []
         for axis, ((d1, lap), a) in enumerate(zip(self.symbols, self.a_vals)):
             shape = [1] * self.grid.ndim
             shape[axis] = -1
-            m += (-lap - 2.0 * a.flat[0] * d1.imag).reshape(shape)
-        return m
+            lap, d1 = (np.broadcast_to(sym.reshape(shape), self.grid.shape) for sym in (lap, d1))
+            if self.line_constant[axis]:
+                # -lap / scale stays a real quotient, so a zero field rounds as the bare kinetic symbol
+                multiplier = -lap / scale + 1j * (2.0 * a * d1 / scale)
+                axes.append((axis, multiplier, None, None))
+            else:
+                symbols = np.array([[-lap, 1j * d1], [d1, np.zeros(self.grid.shape)]]) / scale
+                axes.append((axis, symbols, a, 1j * a))
+        return axes
 
 
 def _check_series_radius(radius: float) -> None:
@@ -336,7 +333,9 @@ def evolve(action: HamiltonianAction, psi: WaveFunction, t: float) -> tuple[Wave
     lo, hi = action.spectral_interval
     _check_series_radius(t * (0.5 * (hi - lo)))
     if action.fourier_diagonal:
-        phase = np.exp(-1j * t * action.fourier_multiplier())
+        # every axis is line-constant, so H's symbol is the constant diagonal plus the axis multipliers
+        symbol = sum((multiplier.real for _, multiplier, _, _ in action._axis_terms(1.0)), action.diag.flat[0])
+        phase = np.exp(-1j * t * symbol)
         evolved = WaveFunction(psi.grid, np.fft.ifftn(phase * np.fft.fftn(psi.values)))
         method, terms, per_term = "fourier", 1, 2 * action.grid.ndim
     else:

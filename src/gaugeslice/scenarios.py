@@ -26,6 +26,7 @@ from .fields import (
     ScalarPotentialSpec,
     VectorPotentialSpec,
     WaveFunction,
+    _count,
     _finite_real,
     gaussian_evaluator,
     l2_norm,
@@ -66,7 +67,7 @@ _KEYS = {
     "vector_potential": {"family", "params"},
     "initial_state": {"center", "width", "momentum"},
     "final_state": {"center", "width", "momentum"},
-    "amplitude": {"slices", "r_start", "steps", "gap", "gap_final", "tail_window", "max_evals"},
+    "amplitude": pathint.AMPLITUDE_DEFAULTS,
     "checks": CHECKS,
 }
 
@@ -289,41 +290,6 @@ def _state_from_config(cfg: dict, ndim: int, block: str) -> StateSpec:
     return StateSpec(block.removesuffix("_state"), tup("center", 0.0), width, tup("momentum", 0.0))
 
 
-def _count(value, what: str) -> int:
-    """A positive whole number: an integer, or an integral real such as 1e8."""
-    if not (_finite_real(value, what) >= 1 and float(value).is_integer()):
-        raise ValueError(f"{what} {value!r} is not a positive integer")
-    return int(value)
-
-
-def _amplitude_params(block: dict, t: float) -> dict:
-    """An ``amplitude`` block with its defaults filled in and every value checked.
-
-    The schedule is held to :func:`pathint.check_schedule` at the scenario's
-    time ``t``, so a bad block fails at load.
-    """
-    params = {"slices": [1], "r_start": 6.0, "steps": pathint.DEFAULT_STEPS, "gap": 0.0,
-              "gap_final": block.get("gap", 0.0), "tail_window": pathint.DEFAULT_TAIL_WINDOW,
-              "max_evals": pathint.DEFAULT_EVAL_CAP, **block}
-    slices = params["slices"] if isinstance(params["slices"], (list, tuple)) else [params["slices"]]
-    params["slices"] = [_count(k, "amplitude slices") for k in slices]
-    if not params["slices"]:
-        # no slice count would apply no amplitude check and still pass
-        raise ValueError("amplitude slices needs at least one entry")
-    if len(set(params["slices"])) != len(params["slices"]):
-        raise ValueError(f"amplitude slices must be distinct, got {params['slices']}")
-    for key in ("steps", "tail_window", "max_evals"):
-        params[key] = _count(params[key], f"amplitude {key}")
-    for key in ("r_start", "gap", "gap_final"):
-        params[key] = _finite_real(params[key], f"amplitude {key}")
-    try:
-        pathint.check_schedule(t, params["r_start"], params["steps"], params["tail_window"],
-                               params["gap"], params["gap_final"])
-    except ScheduleError as exc:
-        raise ValueError(f"amplitude: {exc}") from exc
-    return params
-
-
 def _potential(cfg: dict, kind: str, registry: dict, default: str, ndim: int):
     """The ``<kind>_potential`` block built by its family in ``registry`` (``default`` if absent)."""
     block = cfg.get(f"{kind}_potential", {})
@@ -372,7 +338,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         raise ValueError(f"slice_counts needs at least two entries unless checks trotter_floor "
                          f"is set, got {list(slice_counts)}")
     # an absent or empty block means no amplitude study in ``all``
-    amplitude = _amplitude_params(cfg["amplitude"], t) if cfg.get("amplitude") else {}
+    amplitude = pathint.amplitude_params(cfg["amplitude"], t) if cfg.get("amplitude") else {}
     initial, final = (_state_from_config(cfg.get(block, {}), ndim, block)
                       for block in ("initial_state", "final_state"))
     return Scenario(name, ndim, grid, scalar, vector, initial, final, t, slice_counts, amplitude, checks)
@@ -622,12 +588,7 @@ def run_amplitude_study(scenario: Scenario, report: Report, psi0: WaveFunction, 
         estimate = pathint.amplitude_quadrature(phi_fn, psi_fn, scenario.time, k, **schedule,
                                                 ndim=scenario.ndim, vector=scenario.vector,
                                                 scalar=scenario.scalar)
-        report.diagnostics[f"amplitude_k{k}"] = {
-            "raw": list(estimate.raw),
-            "radii": list(estimate.radii),
-            "tail_oscillation": estimate.tail_oscillation,
-            "mesh_sizes": list(estimate.mesh_sizes),
-        }
+        report.diagnostics[f"amplitude_k{k}"] = estimate.record()
 
         evolved = splitstep.evolve(op, psi0, scenario.time, k)
         split_ref = pair_bilinear(phi_grid, evolved)

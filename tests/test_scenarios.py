@@ -581,6 +581,7 @@ class TestVerdicts:
             assert report.passed is passed
             assert self.failed(report, tmp_path, capsys) == ([] if passed else ["amplitude_rel_tol"])
 
+    @pytest.mark.filterwarnings("default")
     def test_each_failure_names_its_slice_count(self, tmp_path, capsys):
         # states 1e100 wide: the closed-form reference underflows to 0, so both slice counts fail
         doc = json.loads((SCENARIO_DIR / "free_1d.json").read_text())
@@ -588,10 +589,13 @@ class TestVerdicts:
             doc[state]["width"] = [1e100]
         scen = tmp_path / "free_1d.json"
         scen.write_text(json.dumps(doc))
-        with pytest.warns(UserWarning, match="boundary cells"):
-            assert cli.main(["amplitude", "--scenario", str(scen), "--out", str(tmp_path / "r")]) == 1
-        assert capsys.readouterr().out.splitlines()[-3:] == [
+        assert cli.main(["amplitude", "--scenario", str(scen), "--out", str(tmp_path / "r")]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-3:] == [
             "FAIL amplitude_rel_tol [1]: None vs 0.01", "FAIL amplitude_rel_tol [2]: None vs 0.01", "free_1d: FAIL"]
+        assert err.splitlines() == [
+            "warning: wavepacket carries significant mass in the boundary cells; "
+            "periodic wrap-around will contaminate the evolution"]
         failures = json.loads((tmp_path / "r" / "free_1d_amplitude.json").read_text())["failures"]
         assert failures == [{"check": "amplitude_rel_tol", "at": k, "observed": None, "bound": 0.01}
                             for k in ("1", "2")]
